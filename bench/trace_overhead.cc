@@ -11,9 +11,11 @@
 // three claims and self-verifies the bounds, so a regression in any path
 // fails ctest instead of silently taxing every run.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "core/adapt/loop.h"
 #include "net/wire.h"
@@ -23,6 +25,7 @@
 #include "obs/ledger.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "util/stats.h"
 
 using namespace sophon;
 
@@ -30,7 +33,24 @@ namespace {
 
 constexpr std::size_t kIterations = 20000;
 constexpr std::size_t kRepetitions = 7;
+constexpr std::size_t kChunks = 40;  // configs alternate every kIterations / kChunks iterations
+constexpr std::size_t kTelemetryPairs = 48;
 constexpr std::size_t kWorkloadSteps = 3000;  // ~ a few microseconds, a small pipeline op
+
+/// Overhead in percent from paired timings: each measurement of the
+/// configuration ran right next to one of its baseline, so machine-state
+/// drift (frequency, co-tenants) cancels inside the pair, and the median
+/// ratio discards the pairs a burst of noise hit. Comparing two independent
+/// best-of-N minima instead lets one lucky baseline repetition decide the
+/// verdict.
+double paired_overhead_pct(const std::vector<double>& measured,
+                           const std::vector<double>& baseline) {
+  std::vector<double> ratios;
+  for (std::size_t i = 0; i < measured.size() && i < baseline.size(); ++i) {
+    ratios.push_back(measured[i] / baseline[i]);
+  }
+  return 100.0 * (median(std::move(ratios)) - 1.0);
+}
 
 /// Stand-in for one pipeline op: a pure xorshift accumulation the compiler
 /// cannot fold away (the result is consumed by the caller).
@@ -44,27 +64,34 @@ std::uint64_t workload(std::uint64_t seed) {
   return x;
 }
 
-/// One op plus one ledger attribution record per iteration. The ledger's
-/// unit of work is a fetch response, and a realistic fetch (wire copy + crc
-/// of a ~0.5 MiB payload) costs microseconds — the op-sized workload here is
-/// the honest denominator for the <3% claim; the DES harness below strips
-/// per-fetch cost entirely, so a per-sample hook measured against it would
-/// be bounded by simulator speed, not by the ledger.
-double ns_per_iter_ledger(std::uint64_t& sink, obs::TrafficLedger& ledger, std::size_t rep) {
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kIterations; ++i) {
-    sink += workload(sink + i);
-    ledger.record(rep * kIterations + i, 2, obs::TrafficCause::kDemand, Bytes(1 << 19));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-         static_cast<double>(kIterations);
+double elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count());
 }
 
-double ns_per_iter(std::uint64_t& sink, bool with_span) {
+/// Iterations [first, first + n) of one op plus one ledger attribution
+/// record each; returns the elapsed ns. The ledger's unit of work is a
+/// fetch response, and a realistic fetch (wire copy + crc of a ~0.5 MiB
+/// payload) costs microseconds — the op-sized workload here is the honest
+/// denominator for the <3% claim; the DES harness below strips per-fetch
+/// cost entirely, so a per-sample hook measured against it would be bounded
+/// by simulator speed, not by the ledger.
+double ledger_chunk_ns(std::uint64_t& sink, obs::TrafficLedger& ledger, std::uint64_t first_id,
+                       std::size_t first, std::size_t n) {
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kIterations; ++i) {
+  for (std::size_t i = first; i < first + n; ++i) {
+    sink += workload(sink + i);
+    ledger.record(first_id + i, 2, obs::TrafficCause::kDemand, Bytes(1 << 19));
+  }
+  return elapsed_ns(start);
+}
+
+/// Iterations [first, first + n) of one op, each inside a span guard if
+/// `with_span`; returns the elapsed ns.
+double op_chunk_ns(std::uint64_t& sink, std::size_t first, std::size_t n, bool with_span) {
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = first; i < first + n; ++i) {
     if (with_span) {
       obs::Span span(obs::SpanCategory::kPreprocess, "bench_op");
       span.args().sample = static_cast<std::int64_t>(i);
@@ -73,25 +100,45 @@ double ns_per_iter(std::uint64_t& sink, bool with_span) {
       sink += workload(sink + i);
     }
   }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()) /
-         static_cast<double>(kIterations);
+  return elapsed_ns(start);
+}
+
+/// ns/iter of N configurations, measured per chunk.
+template <std::size_t N>
+using ChunkSeries = std::array<std::vector<double>, N>;
+
+/// One repetition of N configurations over kIterations iterations,
+/// interleaved chunk by chunk in alternating order (0..N-1, then N-1..0);
+/// appends each chunk's ns/iter to `series[config]`. The N chunks at one
+/// index ran within milliseconds of each other and pair up.
+/// `chunk_ns(config, first, n)` runs iterations [first, first + n) of one
+/// configuration and returns the elapsed ns.
+template <std::size_t N, typename ChunkFn>
+void interleaved_chunks(ChunkSeries<N>& series, ChunkFn&& chunk_ns) {
+  constexpr std::size_t kChunk = kIterations / kChunks;
+  for (std::size_t k = 0; k < kChunks; ++k) {
+    for (std::size_t j = 0; j < N; ++j) {
+      const std::size_t config = k % 2 == 0 ? j : N - 1 - j;
+      series[config].push_back(chunk_ns(config, k * kChunk, kChunk) / kChunk);
+    }
+  }
 }
 
 struct TelemetryCost {
-  double baseline_ms = 1e18;  // run_adaptive with no hooks, best-of-N
-  double enabled_ms = 1e18;   // full metrics + recorder + health hooks
-  double ledger_ms = 1e18;    // hooks plus the per-sample traffic ledger
-  double critpath_ms = 1e18;  // hooks plus the critical-path monitor
+  // Wall times of run_adaptive (ms), warm-up excluded.
+  std::vector<double> baseline_ms;  // no hooks
+  std::vector<double> enabled_ms;   // full metrics + recorder + health hooks
+  std::vector<double> ledger_ms;    // hooks plus the per-sample traffic ledger
+  std::vector<double> critpath_ms;  // hooks plus the critical-path monitor
+  bool completed = false;           // every run_adaptive call finished its epochs
   std::size_t samples = 0;    // flight-recorder samples the enabled runs took
   std::uint64_t ledger_records = 0;  // attribution records the ledger runs took
   std::size_t critpath_epochs = 0;   // epochs the monitor re-timed
   bool disabled_is_zero = false;  // absent hooks touched no telemetry object
 };
 
-/// Time run_adaptive with and without the telemetry hooks, interleaved
-/// best-of-N like the span measurement above.
+/// Time run_adaptive with and without the telemetry hooks, paired run by
+/// run like the span measurement below pairs chunks.
 TelemetryCost telemetry_cost() {
   using namespace sophon::core::adapt;
   const auto catalog = dataset::Catalog::generate(dataset::openimages_profile(8000), 42);
@@ -135,18 +182,27 @@ TelemetryCost telemetry_cost() {
   };
 
   TelemetryCost cost;
-  for (std::size_t rep = 0; rep < 8; ++rep) {
-    const double base = run_ms(Mode::kBare);
-    const double enabled = run_ms(Mode::kTelemetry);
+  // The pinned pair, bare vs hooks: back to back in alternating order, and
+  // apart from the heavier informational runs below, whose allocations
+  // would otherwise tax whichever run follows them.
+  for (std::size_t pair = 0; pair < kTelemetryPairs + 1; ++pair) {
+    const bool bare_first = pair % 2 == 0;
+    const double first = run_ms(bare_first ? Mode::kBare : Mode::kTelemetry);
+    const double second = run_ms(bare_first ? Mode::kTelemetry : Mode::kBare);
+    if (first < 0.0 || second < 0.0) return cost;
+    if (pair == 0) continue;  // warm-up
+    cost.baseline_ms.push_back(bare_first ? first : second);
+    cost.enabled_ms.push_back(bare_first ? second : first);
+  }
+  for (std::size_t rep = 0; rep < kRepetitions + 1; ++rep) {
     const double with_ledger = run_ms(Mode::kTelemetryAndLedger);
     const double with_critpath = run_ms(Mode::kTelemetryAndCritPath);
-    if (base < 0.0 || enabled < 0.0 || with_ledger < 0.0 || with_critpath < 0.0) return cost;
+    if (with_ledger < 0.0 || with_critpath < 0.0) return cost;
     if (rep == 0) continue;  // warm-up
-    cost.baseline_ms = std::min(cost.baseline_ms, base);
-    cost.enabled_ms = std::min(cost.enabled_ms, enabled);
-    cost.ledger_ms = std::min(cost.ledger_ms, with_ledger);
-    cost.critpath_ms = std::min(cost.critpath_ms, with_critpath);
+    cost.ledger_ms.push_back(with_ledger);
+    cost.critpath_ms.push_back(with_critpath);
   }
+  cost.completed = true;
   cost.samples = recorder.samples();
   cost.ledger_records = ledger.records();
   cost.critpath_epochs = critpath.epochs();
@@ -213,51 +269,55 @@ int main() {
   tracer.set_capacity(kIterations + 64);
   std::uint64_t sink = 0x9e3779b97f4a7c15ull;
 
-  // Configs are interleaved within each repetition so frequency drift and
-  // other slow machine-state changes tax all three equally; best-of-N then
-  // discards the noise-contaminated repetitions.
-  double baseline = 1e18;
-  double disabled = 1e18;
-  double enabled = 1e18;
+  // Configs (0 baseline, 1 disabled guard, 2 enabled span) are interleaved
+  // chunk by chunk so frequency drift and other machine-state changes tax
+  // all three equally; each overhead is the median of the per-chunk ratios
+  // against the baseline.
+  ChunkSeries<3> spans;
   std::size_t drained = 0;
   for (std::size_t rep = 0; rep < kRepetitions + 1; ++rep) {
-    tracer.set_enabled(false);
-    const double b = ns_per_iter(sink, false);
-    const double d = ns_per_iter(sink, true);
-    tracer.set_enabled(true);
-    const double e = ns_per_iter(sink, true);
-    tracer.set_enabled(false);
+    ChunkSeries<3> warm_up;  // first round: caches, rings, branch predictor
+    interleaved_chunks(rep == 0 ? warm_up : spans,
+                       [&](std::size_t config, std::size_t first, std::size_t n) {
+                         tracer.set_enabled(config == 2);
+                         const double chunk = op_chunk_ns(sink, first, n, config != 0);
+                         tracer.set_enabled(false);
+                         return chunk;
+                       });
     drained += tracer.drain().size();
-    if (rep == 0) continue;  // warm-up round: caches, rings, branch predictor
-    baseline = std::min(baseline, b);
-    disabled = std::min(disabled, d);
-    enabled = std::min(enabled, e);
   }
+  const auto& [baseline, disabled, enabled] = spans;
 
   // Ledger record cost, in its own interleaved pairing (with its own
   // baseline) so the span measurement above stays undisturbed.
-  double ledger_base = 1e18;
-  double with_ledger = 1e18;
+  ChunkSeries<2> ledger_runs;
   obs::TrafficLedger op_ledger;
   for (std::size_t rep = 0; rep < kRepetitions + 1; ++rep) {
-    const double b = ns_per_iter(sink, false);
-    const double l = ns_per_iter_ledger(sink, op_ledger, rep);
-    if (rep == 0) continue;  // warm-up
-    ledger_base = std::min(ledger_base, b);
-    with_ledger = std::min(with_ledger, l);
+    ChunkSeries<2> warm_up;
+    interleaved_chunks(rep == 0 ? warm_up : ledger_runs,
+                       [&](std::size_t config, std::size_t first, std::size_t n) {
+                         return config == 0
+                                    ? op_chunk_ns(sink, first, n, false)
+                                    : ledger_chunk_ns(sink, op_ledger, rep * kIterations, first, n);
+                       });
   }
+  const auto& [ledger_base, with_ledger] = ledger_runs;
 
-  const double disabled_pct = 100.0 * (disabled - baseline) / baseline;
-  const double enabled_pct = 100.0 * (enabled - baseline) / baseline;
-  const double ledger_pct = 100.0 * (with_ledger - ledger_base) / ledger_base;
-  std::printf("trace overhead (%zu iterations x %zu reps, ~%.0f ns workload, sink %llx)\n",
-              kIterations, kRepetitions, baseline, static_cast<unsigned long long>(sink));
-  std::printf("  baseline  %8.1f ns/iter\n", baseline);
-  std::printf("  disabled  %8.1f ns/iter  (%+.2f%%)\n", disabled, disabled_pct);
-  std::printf("  enabled   %8.1f ns/iter  (%+.2f%%, %.0f ns/span, %zu spans drained)\n", enabled,
-              enabled_pct, enabled - baseline, drained);
-  std::printf("  +ledger   %8.1f ns/iter  (%+.2f%%, %.0f ns/record, %llu records)\n", with_ledger,
-              ledger_pct, with_ledger - ledger_base,
+  const double disabled_pct = paired_overhead_pct(disabled, baseline);
+  const double enabled_pct = paired_overhead_pct(enabled, baseline);
+  const double ledger_pct = paired_overhead_pct(with_ledger, ledger_base);
+  const double baseline_ns = median(baseline);
+  const double ledger_base_ns = median(ledger_base);
+  std::printf("trace overhead (%zu iterations x %zu reps in %zu-iteration chunks, ~%.0f ns "
+              "workload, sink %llx; medians, overheads are median paired ratios)\n",
+              kIterations, kRepetitions, kIterations / kChunks, baseline_ns,
+              static_cast<unsigned long long>(sink));
+  std::printf("  baseline  %8.1f ns/iter\n", baseline_ns);
+  std::printf("  disabled  %8.1f ns/iter  (%+.2f%%)\n", median(disabled), disabled_pct);
+  std::printf("  enabled   %8.1f ns/iter  (%+.2f%%, %.0f ns/span, %zu spans drained)\n",
+              median(enabled), enabled_pct, baseline_ns * enabled_pct / 100.0, drained);
+  std::printf("  +ledger   %8.1f ns/iter  (%+.2f%%, %.0f ns/record, %llu records)\n",
+              median(with_ledger), ledger_pct, ledger_base_ns * ledger_pct / 100.0,
               static_cast<unsigned long long>(op_ledger.records()));
 
   // Bounds: enabled tracing must stay under 3% on an op-sized workload;
@@ -273,29 +333,32 @@ int main() {
   // The telemetry plane's epoch-boundary hooks, measured on the real
   // adaptive run loop.
   const TelemetryCost telemetry = telemetry_cost();
-  const double telemetry_pct =
-      100.0 * (telemetry.enabled_ms - telemetry.baseline_ms) / telemetry.baseline_ms;
+  if (!telemetry.completed) {
+    std::printf("FAILED: run_adaptive did not complete its epochs\n");
+    return 1;
+  }
+  const double telemetry_pct = paired_overhead_pct(telemetry.enabled_ms, telemetry.baseline_ms);
   // Informational, deliberately not pinned: the DES simulates a sample in
   // tens of nanoseconds, so *any* per-sample hook is large relative to it.
   // The pinned ledger bound is the per-record one above, against an op-sized
   // workload — the granularity the ledger actually operates at. This run
   // still proves records flow end-to-end and that absent hooks stay at
   // exactly zero.
-  const double ledger_run_pct =
-      100.0 * (telemetry.ledger_ms - telemetry.baseline_ms) / telemetry.baseline_ms;
-  const double critpath_run_pct =
-      100.0 * (telemetry.critpath_ms - telemetry.baseline_ms) / telemetry.baseline_ms;
-  std::printf("telemetry overhead (run_adaptive, 6 epochs, best of 7)\n");
-  std::printf("  baseline  %8.2f ms/run\n", telemetry.baseline_ms);
-  std::printf("  enabled   %8.2f ms/run  (%+.2f%%, %zu recorder samples)\n", telemetry.enabled_ms,
-              telemetry_pct, telemetry.samples);
+  const double bare_ms = median(telemetry.baseline_ms);
+  const double ledger_run_pct = 100.0 * (median(telemetry.ledger_ms) / bare_ms - 1.0);
+  const double critpath_run_pct = 100.0 * (median(telemetry.critpath_ms) / bare_ms - 1.0);
+  std::printf("telemetry overhead (run_adaptive, 6 epochs, median of %zu pairs)\n",
+              telemetry.baseline_ms.size());
+  std::printf("  baseline  %8.2f ms/run\n", bare_ms);
+  std::printf("  enabled   %8.2f ms/run  (%+.2f%%, %zu recorder samples)\n",
+              median(telemetry.enabled_ms), telemetry_pct, telemetry.samples);
   std::printf("  +ledger   %8.2f ms/run  (%+.2f%% of a ~20 ns/sample DES, unpinned; "
               "%llu attribution records)\n",
-              telemetry.ledger_ms, ledger_run_pct,
+              median(telemetry.ledger_ms), ledger_run_pct,
               static_cast<unsigned long long>(telemetry.ledger_records));
   std::printf("  +critpath %8.2f ms/run  (%+.2f%% of the DES, unpinned; "
               "%zu epochs re-timed)\n",
-              telemetry.critpath_ms, critpath_run_pct, telemetry.critpath_epochs);
+              median(telemetry.critpath_ms), critpath_run_pct, telemetry.critpath_epochs);
   std::printf("  disabled  hooks absent: %s\n",
               telemetry.disabled_is_zero
                   ? "0 samples, 0 records, 0 epochs re-timed, 0 metrics touched"

@@ -26,27 +26,24 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return std::move(bytes_);
 }
 
-std::uint64_t BitReader::get(int count) {
-  SOPHON_CHECK(count >= 0 && count <= 57);
-  if (count == 0) return 0;
-  while (acc_bits_ < count) {
-    std::uint8_t byte = 0;
-    if (byte_pos_ < data_.size()) {
-      byte = data_[byte_pos_++];
-    } else {
-      overrun_ = true;
-    }
-    acc_ = (acc_ << 8) | byte;
+void BitReader::refill() {
+  if (byte_pos_ + 8 <= data_.size()) {
+    // Load eight bytes big-endian and count the whole bytes that fit (57 to
+    // 64 valid bits); the partial byte below them is real data, re-read at
+    // the same position by the next refill.
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < 8; ++i) word = (word << 8) | data_[byte_pos_ + i];
+    const int bytes = (64 - acc_bits_) >> 3;
+    acc_ |= word >> acc_bits_;
+    byte_pos_ += static_cast<std::size_t>(bytes);
+    acc_bits_ += 8 * bytes;
+    return;
+  }
+  while (acc_bits_ <= 56) {
+    const std::uint64_t byte = byte_pos_ < data_.size() ? data_[byte_pos_++] : 0;
+    acc_ |= byte << (56 - acc_bits_);
     acc_bits_ += 8;
   }
-  acc_bits_ -= count;
-  bits_consumed_ += static_cast<std::uint64_t>(count);
-  const std::uint64_t mask = (count < 64) ? ((std::uint64_t{1} << count) - 1) : ~std::uint64_t{0};
-  return (acc_ >> acc_bits_) & mask;
-}
-
-int BitReader::get_bit() {
-  return static_cast<int>(get(1));
 }
 
 }  // namespace sophon::codec

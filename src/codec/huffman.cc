@@ -166,11 +166,33 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths) {
     code += count_[static_cast<std::size_t>(len)];
     index += count_[static_cast<std::size_t>(len)];
   }
+
+  // Fill shortest lengths first and never overwrite, so where an
+  // over-subscribed table makes codes overlap the walk's first match wins.
+  // Codes at or past 1 << len cannot be read in len bits; skip them.
+  table_.assign(std::size_t{1} << kTableBits, Entry{});
+  for (int len = 1; len <= std::min(max_len_, kTableBits); ++len) {
+    const auto l = static_cast<std::size_t>(len);
+    const std::uint64_t first = first_code_[l];
+    const std::uint64_t end = std::min<std::uint64_t>(first + count_[l], std::uint64_t{1} << len);
+    const int spread = kTableBits - len;
+    for (std::uint64_t c = first; c < end; ++c) {
+      const Entry entry{sorted_symbols_[first_index_[l] + (c - first)],
+                        static_cast<std::uint8_t>(len)};
+      for (std::uint64_t i = c << spread; i < (c + 1) << spread; ++i) {
+        if (table_[i].length == 0) table_[i] = entry;
+      }
+    }
+  }
 }
 
-std::uint32_t HuffmanDecoder::decode(BitReader& in) const {
-  std::uint32_t code = 0;
-  for (int len = 1; len <= max_len_; ++len) {
+std::uint32_t HuffmanDecoder::decode_long(BitReader& in) const {
+  // No code of up to kTableBits bits matched; the walk would have read them
+  // all. Continue it from there.
+  const int prefix = std::min(max_len_, kTableBits);
+  auto code = static_cast<std::uint32_t>(in.peek(prefix));
+  in.skip(prefix);
+  for (int len = prefix + 1; len <= max_len_; ++len) {
     code = (code << 1) | static_cast<std::uint32_t>(in.get_bit());
     const auto l = static_cast<std::size_t>(len);
     if (count_[l] > 0 && code < first_code_[l] + count_[l] && code >= first_code_[l]) {

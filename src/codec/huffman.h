@@ -39,25 +39,45 @@ class HuffmanEncoder {
   std::vector<std::uint32_t> codes_;
 };
 
-/// Decoder: walks the canonical code space one length at a time (the
-/// first-code/offset method). Compact and fast enough for this workload.
+/// Decoder: one lookup in a table indexed by the next `kTableBits` bits
+/// resolves every code of up to that length; longer codes fall back to the
+/// canonical first-code walk (one length at a time) from where the table
+/// left off. Corrupt tables decode exactly as the walk alone would: the
+/// table holds only codes reachable at their length, and where an
+/// over-subscribed table lets codes overlap, the shortest one wins.
 class HuffmanDecoder {
  public:
   explicit HuffmanDecoder(const std::vector<std::uint8_t>& lengths);
 
   /// Decode one symbol. On a corrupt stream returns `invalid_symbol()` —
   /// callers must treat it as a decode failure.
-  [[nodiscard]] std::uint32_t decode(BitReader& in) const;
+  [[nodiscard]] std::uint32_t decode(BitReader& in) const {
+    const Entry e = table_[in.peek(kTableBits)];
+    if (e.length == 0) return decode_long(in);
+    in.skip(e.length);
+    return e.symbol;
+  }
 
   [[nodiscard]] static constexpr std::uint32_t invalid_symbol() { return 0xffffffffu; }
 
  private:
+  static constexpr int kTableBits = 10;  // width of the lookup table index
+
+  struct Entry {
+    std::uint32_t symbol = 0;
+    std::uint8_t length = 0;  // 0: no code of at most kTableBits bits
+  };
+
+  /// The walk for codes longer than kTableBits (or no code at all).
+  [[nodiscard]] std::uint32_t decode_long(BitReader& in) const;
+
   int max_len_ = 0;
   // Indexed by code length 1..max_len_.
   std::vector<std::uint32_t> first_code_;    // first canonical code of this length
   std::vector<std::uint32_t> first_index_;   // index into sorted_symbols_ for that code
   std::vector<std::uint32_t> count_;         // number of codes of this length
   std::vector<std::uint32_t> sorted_symbols_;
+  std::vector<Entry> table_;                 // 1 << kTableBits entries
 };
 
 /// Serialise code lengths into the bitstream (alphabet size is implicit —

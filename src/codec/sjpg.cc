@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "codec/bitio.h"
 #include "codec/huffman.h"
@@ -42,23 +43,40 @@ int med_predict(int a /*left*/, int b /*up*/, int c /*up-left*/) {
 enum class Predictor : std::uint8_t { kMed = 0, kLeft = 1, kUp = 2, kAvg = 3 };
 constexpr int kPredictorCount = 4;
 
-int predict_at(const image::Plane& rec, int x, int y, Predictor mode) {
-  if (x == 0 && y == 0) return 128;
-  const int a = x > 0 ? rec.at(x - 1, y) : -1;     // left
-  const int b = y > 0 ? rec.at(x, y - 1) : -1;     // up
-  if (y == 0) return a;
-  if (x == 0) return b;
+/// Prediction for pixel x > 0 of a row below the first, from the row's
+/// reconstruction so far and the reconstructed row above.
+int predict(const std::uint8_t* row, const std::uint8_t* up, int x, Predictor mode) {
   switch (mode) {
     case Predictor::kLeft:
-      return a;
+      return row[x - 1];
     case Predictor::kUp:
-      return b;
+      return up[x];
     case Predictor::kAvg:
-      return (a + b) / 2;
+      return (row[x - 1] + up[x]) / 2;
     case Predictor::kMed:
       break;
   }
-  return med_predict(a, b, rec.at(x - 1, y - 1));
+  return med_predict(row[x - 1], up[x], up[x - 1]);
+}
+
+/// Closed-loop reconstruction of one row, shared by encoder and decoder so
+/// both predict from exactly the same pixels. `up` is the reconstructed row
+/// above (nullptr on the first row). The first pixel predicts from above (or
+/// 128 on the first row), the rest of the first row from the left, and every
+/// other pixel by `mode`. `residual(x, pred)` returns the quantised residual
+/// for pixel x, or nullopt to abandon the row; row[x] then becomes
+/// pred + q * step, clamped. Returns false if the row was abandoned.
+template <typename Residual>
+bool predict_row(std::uint8_t* row, const std::uint8_t* up, int width, Predictor mode, int step,
+                 Residual&& residual) {
+  if (up == nullptr) mode = Predictor::kLeft;
+  for (int x = 0; x < width; ++x) {
+    const int pred = x > 0 ? predict(row, up, x, mode) : (up != nullptr ? up[0] : 128);
+    const std::optional<int> q = residual(x, pred);
+    if (!q) return false;
+    row[x] = static_cast<std::uint8_t>(std::clamp(pred + *q * step, 0, 255));
+  }
+  return true;
 }
 
 /// Quantise a residual with a mid-tread uniform quantiser.
@@ -68,20 +86,22 @@ int quantise(int residual, int step) {
   return sign * ((std::abs(residual) + step / 2) / step);
 }
 
-/// Closed-loop DPCM over one row with a fixed predictor, starting from the
+/// Closed-loop DPCM over row y with a fixed predictor, starting from the
 /// reconstruction built so far. Appends symbols and writes the row's
 /// reconstruction; returns a cost proxy (sum of |quantised residual|).
 std::int64_t dpcm_row(const image::Plane& src, image::Plane& rec, int y, Predictor mode,
                       int step, std::vector<std::uint32_t>& symbols) {
+  const auto w = static_cast<std::size_t>(src.width());
+  const std::uint8_t* in = src.data().data() + static_cast<std::size_t>(y) * w;
+  std::uint8_t* row = rec.data().data() + static_cast<std::size_t>(y) * w;
   std::int64_t cost = 0;
-  for (int x = 0; x < src.width(); ++x) {
-    const int pred = predict_at(rec, x, y, mode);
-    const int residual = src.at(x, y) - pred;
-    const int q = quantise(residual, step);
-    rec.set(x, y, static_cast<std::uint8_t>(std::clamp(pred + q * step, 0, 255)));
-    symbols.push_back(zigzag(q));
-    cost += std::abs(q);
-  }
+  predict_row(row, y > 0 ? row - w : nullptr, src.width(), mode, step,
+              [&](int x, int pred) -> std::optional<int> {
+                const int q = quantise(in[x] - pred, step);
+                symbols.push_back(zigzag(q));
+                cost += std::abs(q);
+                return q;
+              });
   return cost;
 }
 
@@ -92,18 +112,21 @@ std::int64_t dpcm_row(const image::Plane& src, image::Plane& rec, int y, Predict
 std::vector<std::uint32_t> dpcm_symbols(const image::Plane& src, int step,
                                         std::vector<Predictor>& row_modes) {
   image::Plane rec(src.width(), src.height());
+  const auto w = static_cast<std::size_t>(src.width());
   std::vector<std::uint32_t> symbols;
-  symbols.reserve(static_cast<std::size_t>(src.width()) * src.height());
+  symbols.reserve(w * static_cast<std::size_t>(src.height()));
   row_modes.clear();
   row_modes.reserve(static_cast<std::size_t>(src.height()));
 
   std::vector<std::uint32_t> trial;
-  trial.reserve(static_cast<std::size_t>(src.width()));
+  trial.reserve(w);
+  std::vector<std::uint32_t> best_symbols;
+  best_symbols.reserve(w);
+  std::vector<std::uint8_t> best_row(w);
   for (int y = 0; y < src.height(); ++y) {
+    std::uint8_t* row = rec.data().data() + static_cast<std::size_t>(y) * w;
     Predictor best_mode = Predictor::kMed;
     std::int64_t best_cost = -1;
-    std::vector<std::uint32_t> best_symbols;
-    std::vector<std::uint8_t> best_row(static_cast<std::size_t>(src.width()));
     for (int m = 0; m < kPredictorCount; ++m) {
       const auto mode = static_cast<Predictor>(m);
       trial.clear();
@@ -111,14 +134,12 @@ std::vector<std::uint32_t> dpcm_symbols(const image::Plane& src, int step,
       if (best_cost < 0 || cost < best_cost) {
         best_cost = cost;
         best_mode = mode;
-        best_symbols = trial;
-        for (int x = 0; x < src.width(); ++x) {
-          best_row[static_cast<std::size_t>(x)] = rec.at(x, y);
-        }
+        best_symbols.swap(trial);
+        std::copy(row, row + w, best_row.begin());
       }
     }
     // Commit the winner's reconstruction (later trials overwrote the row).
-    for (int x = 0; x < src.width(); ++x) rec.set(x, y, best_row[static_cast<std::size_t>(x)]);
+    std::copy(best_row.begin(), best_row.end(), row);
     symbols.insert(symbols.end(), best_symbols.begin(), best_symbols.end());
     row_modes.push_back(best_mode);
   }
@@ -186,29 +207,30 @@ bool decode_plane(BitReader& in, image::Plane& plane, int step) {
   if (!any) return false;
   const HuffmanDecoder decoder(lengths);
 
-  const auto total = static_cast<std::size_t>(plane.width()) * plane.height();
-  std::vector<std::uint32_t> symbols;
-  symbols.reserve(total);
-  while (symbols.size() < total) {
-    const auto sym = decoder.decode(in);
-    if (sym == HuffmanDecoder::invalid_symbol() || in.overrun()) return false;
-    if (sym == kZrun) {
-      const auto run = static_cast<std::size_t>(in.get(10)) + kMinRun;
-      if (symbols.size() + run > total) return false;
-      symbols.insert(symbols.end(), run, 0u);
-    } else {
-      symbols.push_back(sym);
-    }
-  }
-
-  // Mirror the encoder's closed-loop reconstruction.
-  std::size_t idx = 0;
+  // Symbols are decoded straight into the row being rebuilt, mirroring the
+  // encoder's closed-loop reconstruction; a zero run spans rows freely.
+  const auto w = static_cast<std::size_t>(plane.width());
+  const std::size_t total = w * static_cast<std::size_t>(plane.height());
+  std::size_t zeros = 0;  // pending zero residuals from the last run marker
   for (int y = 0; y < plane.height(); ++y) {
-    const auto mode = row_modes[static_cast<std::size_t>(y)];
-    for (int x = 0; x < plane.width(); ++x) {
-      const int pred = predict_at(plane, x, y, mode);
-      const int q = unzigzag(symbols[idx++]);
-      plane.set(x, y, static_cast<std::uint8_t>(std::clamp(pred + q * step, 0, 255)));
+    const std::size_t row_start = static_cast<std::size_t>(y) * w;
+    std::uint8_t* row = plane.data().data() + row_start;
+    const auto next_residual = [&](int x, int) -> std::optional<int> {
+      if (zeros > 0) {
+        --zeros;
+        return 0;
+      }
+      const auto sym = decoder.decode(in);
+      if (sym == HuffmanDecoder::invalid_symbol() || in.overrun()) return std::nullopt;
+      if (sym != kZrun) return unzigzag(sym);
+      const auto run = static_cast<std::size_t>(in.get(10)) + kMinRun;
+      if (row_start + static_cast<std::size_t>(x) + run > total) return std::nullopt;
+      zeros = run - 1;
+      return 0;
+    };
+    if (!predict_row(row, y > 0 ? row - w : nullptr, plane.width(),
+                     row_modes[static_cast<std::size_t>(y)], step, next_residual)) {
+      return false;
     }
   }
   return true;
@@ -246,8 +268,7 @@ std::vector<std::uint8_t> sjpg_encode(const image::Image& img, int quality) {
     encode_plane(out, planes.cr, chroma_step);
   } else {
     image::Plane gray(img.width(), img.height());
-    for (int y = 0; y < img.height(); ++y)
-      for (int x = 0; x < img.width(); ++x) gray.set(x, y, img.at(x, y, 0));
+    std::copy(img.data().begin(), img.data().end(), gray.data().begin());
     encode_plane(out, gray, luma_step);
   }
   return out.finish();
@@ -294,10 +315,7 @@ std::optional<image::Image> sjpg_decode(std::span<const std::uint8_t> blob) {
 
   image::Plane gray(hdr->width, hdr->height);
   if (!decode_plane(in, gray, luma_step)) return std::nullopt;
-  image::Image out(hdr->width, hdr->height, 1);
-  for (int py = 0; py < hdr->height; ++py)
-    for (int px = 0; px < hdr->width; ++px) out.set(px, py, 0, gray.at(px, py));
-  return out;
+  return image::Image(hdr->width, hdr->height, 1, std::move(gray.data()));
 }
 
 }  // namespace sophon::codec

@@ -23,14 +23,26 @@ Ycbcr rgb_to_ycbcr(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
   return {clamp_u8(y), clamp_u8(cb), clamp_u8(cr)};
 }
 
-Rgb ycbcr_to_rgb(std::uint8_t y, std::uint8_t cb, std::uint8_t cr) {
-  const int yi = y;
+namespace {
+/// The chroma terms of the inverse transform, shared by every luma sample
+/// of a 4:2:0 block: r = y + r, g = y - g, b = y + b (then clamped).
+struct ChromaTerms {
+  int r;
+  int g;
+  int b;
+};
+
+ChromaTerms chroma_terms(std::uint8_t cb, std::uint8_t cr) {
   const int cbi = cb - 128;
   const int cri = cr - 128;
-  const int r = yi + ((91881 * cri + 32768) >> 16);
-  const int g = yi - ((22554 * cbi + 46802 * cri + 32768) >> 16);
-  const int b = yi + ((116130 * cbi + 32768) >> 16);
-  return {clamp_u8(r), clamp_u8(g), clamp_u8(b)};
+  return {(91881 * cri + 32768) >> 16, (22554 * cbi + 46802 * cri + 32768) >> 16,
+          (116130 * cbi + 32768) >> 16};
+}
+}  // namespace
+
+Rgb ycbcr_to_rgb(std::uint8_t y, std::uint8_t cb, std::uint8_t cr) {
+  const ChromaTerms t = chroma_terms(cb, cr);
+  return {clamp_u8(y + t.r), clamp_u8(y - t.g), clamp_u8(y + t.b)};
 }
 
 YcbcrPlanes split_ycbcr_420(const Image& rgb) {
@@ -45,22 +57,22 @@ YcbcrPlanes split_ycbcr_420(const Image& rgb) {
   std::vector<int> cb_acc(static_cast<std::size_t>(cw) * ch, 0);
   std::vector<int> cr_acc(static_cast<std::size_t>(cw) * ch, 0);
   std::vector<int> n_acc(static_cast<std::size_t>(cw) * ch, 0);
+  const std::uint8_t* src = rgb.data().data();
+  std::uint8_t* luma = planes.y.data().data();
   for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const auto ycc = rgb_to_ycbcr(rgb.at(x, y, 0), rgb.at(x, y, 1), rgb.at(x, y, 2));
-      planes.y.set(x, y, ycc.y);
-      const auto idx = static_cast<std::size_t>(y / 2) * cw + static_cast<std::size_t>(x / 2);
+    const std::size_t chroma_row = static_cast<std::size_t>(y / 2) * static_cast<std::size_t>(cw);
+    for (int x = 0; x < w; ++x, src += 3) {
+      const auto ycc = rgb_to_ycbcr(src[0], src[1], src[2]);
+      *luma++ = ycc.y;
+      const std::size_t idx = chroma_row + static_cast<std::size_t>(x / 2);
       cb_acc[idx] += ycc.cb;
       cr_acc[idx] += ycc.cr;
       ++n_acc[idx];
     }
   }
-  for (int cy = 0; cy < ch; ++cy) {
-    for (int cx = 0; cx < cw; ++cx) {
-      const auto idx = static_cast<std::size_t>(cy) * cw + static_cast<std::size_t>(cx);
-      planes.cb.set(cx, cy, static_cast<std::uint8_t>((cb_acc[idx] + n_acc[idx] / 2) / n_acc[idx]));
-      planes.cr.set(cx, cy, static_cast<std::uint8_t>((cr_acc[idx] + n_acc[idx] / 2) / n_acc[idx]));
-    }
+  for (std::size_t idx = 0; idx < n_acc.size(); ++idx) {
+    planes.cb.data()[idx] = static_cast<std::uint8_t>((cb_acc[idx] + n_acc[idx] / 2) / n_acc[idx]);
+    planes.cr.data()[idx] = static_cast<std::uint8_t>((cr_acc[idx] + n_acc[idx] / 2) / n_acc[idx]);
   }
   return planes;
 }
@@ -70,12 +82,18 @@ Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr, int widt
   SOPHON_CHECK(cb.width() == (width + 1) / 2 && cb.height() == (height + 1) / 2);
   SOPHON_CHECK(cr.width() == cb.width() && cr.height() == cb.height());
   Image out(width, height, 3);
-  for (int py = 0; py < height; ++py) {
-    for (int px = 0; px < width; ++px) {
-      const auto rgb = ycbcr_to_rgb(y.at(px, py), cb.at(px / 2, py / 2), cr.at(px / 2, py / 2));
-      out.set(px, py, 0, rgb.r);
-      out.set(px, py, 1, rgb.g);
-      out.set(px, py, 2, rgb.b);
+  const auto w = static_cast<std::size_t>(width);
+  const auto cw = static_cast<std::size_t>(cb.width());
+  for (std::size_t py = 0; py < static_cast<std::size_t>(height); ++py) {
+    const std::uint8_t* luma = y.data().data() + py * w;
+    const std::uint8_t* blue = cb.data().data() + (py / 2) * cw;
+    const std::uint8_t* red = cr.data().data() + (py / 2) * cw;
+    std::uint8_t* dst = out.data().data() + py * w * 3;
+    for (std::size_t px = 0; px < w; ++px) {
+      const ChromaTerms t = chroma_terms(blue[px / 2], red[px / 2]);
+      dst[3 * px] = clamp_u8(luma[px] + t.r);
+      dst[3 * px + 1] = clamp_u8(luma[px] - t.g);
+      dst[3 * px + 2] = clamp_u8(luma[px] + t.b);
     }
   }
   return out;

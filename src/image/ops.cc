@@ -7,50 +7,84 @@
 
 namespace sophon::image {
 
-Image crop(const Image& src, const CropRect& rect) {
+namespace {
+
+void check_rect_inside(const Image& src, const CropRect& rect) {
   SOPHON_CHECK(rect.width > 0 && rect.height > 0);
   SOPHON_CHECK(rect.x >= 0 && rect.y >= 0);
   SOPHON_CHECK(rect.x + rect.width <= src.width());
   SOPHON_CHECK(rect.y + rect.height <= src.height());
-  Image out(rect.width, rect.height, src.channels());
-  const int ch = src.channels();
-  for (int y = 0; y < rect.height; ++y) {
-    for (int x = 0; x < rect.width; ++x) {
-      for (int c = 0; c < ch; ++c) {
-        out.set(x, y, c, src.at(rect.x + x, rect.y + y, c));
+}
+
+/// Bilinear resample of the source rectangle `rect` to (out_width,
+/// out_height) with half-pixel centers, reading the rectangle in place. The
+/// arithmetic is that of resizing a materialised crop of `rect`.
+Image resample_rect(const Image& src, const CropRect& rect, int out_width, int out_height) {
+  SOPHON_CHECK(out_width > 0 && out_height > 0);
+  Image out(out_width, out_height, src.channels());
+  const auto ch = static_cast<std::size_t>(src.channels());
+  const double sx = static_cast<double>(rect.width) / out_width;
+  const double sy = static_cast<double>(rect.height) / out_height;
+
+  // Column taps are the same for every output row: source byte offsets of
+  // the two neighbours (relative to the row start) and the blend weight.
+  struct Tap {
+    std::size_t x0;
+    std::size_t x1;
+    double wx;
+  };
+  std::vector<Tap> taps(static_cast<std::size_t>(out_width));
+  for (int ox = 0; ox < out_width; ++ox) {
+    const double fx = (ox + 0.5) * sx - 0.5;
+    const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, rect.width - 1);
+    const int x1 = std::min(x0 + 1, rect.width - 1);
+    taps[static_cast<std::size_t>(ox)] = {static_cast<std::size_t>(rect.x + x0) * ch,
+                                          static_cast<std::size_t>(rect.x + x1) * ch,
+                                          std::clamp(fx - x0, 0.0, 1.0)};
+  }
+
+  const std::size_t stride = static_cast<std::size_t>(src.width()) * ch;
+  const std::uint8_t* const pixels = src.data().data();
+  std::uint8_t* dst = out.data().data();
+  for (int oy = 0; oy < out_height; ++oy) {
+    const double fy = (oy + 0.5) * sy - 0.5;
+    const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0, rect.height - 1);
+    const int y1 = std::min(y0 + 1, rect.height - 1);
+    const double wy = std::clamp(fy - y0, 0.0, 1.0);
+    const std::uint8_t* row0 = pixels + static_cast<std::size_t>(rect.y + y0) * stride;
+    const std::uint8_t* row1 = pixels + static_cast<std::size_t>(rect.y + y1) * stride;
+    for (const Tap& tap : taps) {
+      for (std::size_t c = 0; c < ch; ++c) {
+        const double top = row0[tap.x0 + c] * (1.0 - tap.wx) + row0[tap.x1 + c] * tap.wx;
+        const double bot = row1[tap.x0 + c] * (1.0 - tap.wx) + row1[tap.x1 + c] * tap.wx;
+        const double v = top * (1.0 - wy) + bot * wy;
+        *dst++ = static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
       }
     }
   }
   return out;
 }
 
-Image resize_bilinear(const Image& src, int out_width, int out_height) {
-  SOPHON_CHECK(out_width > 0 && out_height > 0);
-  SOPHON_CHECK(!src.empty());
-  Image out(out_width, out_height, src.channels());
-  const double sx = static_cast<double>(src.width()) / out_width;
-  const double sy = static_cast<double>(src.height()) / out_height;
-  const int ch = src.channels();
-  for (int oy = 0; oy < out_height; ++oy) {
-    // Half-pixel-center source coordinate.
-    const double fy = (oy + 0.5) * sy - 0.5;
-    const int y0 = std::clamp(static_cast<int>(std::floor(fy)), 0, src.height() - 1);
-    const int y1 = std::min(y0 + 1, src.height() - 1);
-    const double wy = std::clamp(fy - y0, 0.0, 1.0);
-    for (int ox = 0; ox < out_width; ++ox) {
-      const double fx = (ox + 0.5) * sx - 0.5;
-      const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, src.width() - 1);
-      const int x1 = std::min(x0 + 1, src.width() - 1);
-      const double wx = std::clamp(fx - x0, 0.0, 1.0);
-      for (int c = 0; c < ch; ++c) {
-        const double top = src.at(x0, y0, c) * (1.0 - wx) + src.at(x1, y0, c) * wx;
-        const double bot = src.at(x0, y1, c) * (1.0 - wx) + src.at(x1, y1, c) * wx;
-        const double v = top * (1.0 - wy) + bot * wy;
-        out.set(ox, oy, c, static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0)));
-      }
-    }
+}  // namespace
+
+Image crop(const Image& src, const CropRect& rect) {
+  check_rect_inside(src, rect);
+  Image out(rect.width, rect.height, src.channels());
+  const auto ch = static_cast<std::size_t>(src.channels());
+  const std::size_t row_bytes = static_cast<std::size_t>(rect.width) * ch;
+  const std::size_t stride = static_cast<std::size_t>(src.width()) * ch;
+  for (int y = 0; y < rect.height; ++y) {
+    const std::uint8_t* from = src.data().data() +
+                               static_cast<std::size_t>(rect.y + y) * stride +
+                               static_cast<std::size_t>(rect.x) * ch;
+    std::copy(from, from + row_bytes, out.data().data() + static_cast<std::size_t>(y) * row_bytes);
   }
   return out;
+}
+
+Image resize_bilinear(const Image& src, int out_width, int out_height) {
+  SOPHON_CHECK(!src.empty());
+  return resample_rect(src, {0, 0, src.width(), src.height()}, out_width, out_height);
 }
 
 Image horizontal_flip(const Image& src) {
@@ -105,7 +139,8 @@ CropRect sample_resized_crop_rect(int src_width, int src_height, Rng& rng, doubl
 }
 
 Image resized_crop(const Image& src, const CropRect& rect, int size) {
-  return resize_bilinear(crop(src, rect), size, size);
+  check_rect_inside(src, rect);
+  return resample_rect(src, rect, size, size);
 }
 
 Tensor to_tensor(const Image& src) {

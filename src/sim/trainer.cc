@@ -63,7 +63,14 @@ EpochStats simulate_epoch_flows(std::size_t num_samples,
         t = compute_pool.schedule(t, f.compute_cpu);
       }
       if (trace) {
-        trace(SampleTimeline{idx, pos, issue, storage_done, link_done, t, f.wire});
+        trace(SampleTimeline{.sample_index = idx,
+                             .position = pos,
+                             .issued = issue,
+                             .storage_done = storage_done,
+                             .link_done = link_done,
+                             .ready = t,
+                             .wire = f.wire,
+                             .claimed = Seconds()});  // no worker lanes
       }
       batch_ready = std::max(batch_ready, t);
     }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -128,6 +129,112 @@ TEST(HuffmanDecoder, CorruptStreamReturnsInvalid) {
   const std::vector<std::uint8_t> junk{0xff};  // starts with 11
   BitReader r(junk);
   EXPECT_EQ(decoder.decode(r), HuffmanDecoder::invalid_symbol());
+}
+
+/// The canonical first-code walk, one bit at a time: the reference that the
+/// table-driven decoder must agree with symbol for symbol and bit for bit,
+/// including on over-subscribed and incomplete tables.
+class ReferenceWalk {
+ public:
+  explicit ReferenceWalk(const std::vector<std::uint8_t>& lengths) {
+    for (const auto len : lengths) max_len_ = std::max<int>(max_len_, len);
+    first_code_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
+    first_index_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
+    count_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
+    for (std::uint32_t s = 0; s < lengths.size(); ++s)
+      if (lengths[s] > 0) sorted_.push_back(s);
+    std::stable_sort(sorted_.begin(), sorted_.end(), [&lengths](std::uint32_t a, std::uint32_t b) {
+      return lengths[a] < lengths[b];
+    });
+    for (const auto s : sorted_) ++count_[lengths[s]];
+    std::uint32_t code = 0;
+    std::uint32_t index = 0;
+    for (int len = 1; len <= max_len_; ++len) {
+      code <<= 1;
+      first_code_[static_cast<std::size_t>(len)] = code;
+      first_index_[static_cast<std::size_t>(len)] = index;
+      code += count_[static_cast<std::size_t>(len)];
+      index += count_[static_cast<std::size_t>(len)];
+    }
+  }
+
+  std::uint32_t decode(BitReader& in) const {
+    std::uint32_t code = 0;
+    for (int len = 1; len <= max_len_; ++len) {
+      code = (code << 1) | static_cast<std::uint32_t>(in.get(1));
+      const auto l = static_cast<std::size_t>(len);
+      if (count_[l] > 0 && code < first_code_[l] + count_[l] && code >= first_code_[l])
+        return sorted_[first_index_[l] + (code - first_code_[l])];
+    }
+    return HuffmanDecoder::invalid_symbol();
+  }
+
+ private:
+  int max_len_ = 0;
+  std::vector<std::uint32_t> first_code_;
+  std::vector<std::uint32_t> first_index_;
+  std::vector<std::uint32_t> count_;
+  std::vector<std::uint32_t> sorted_;
+};
+
+/// Decodes random bits with both decoders until well past the end of the
+/// buffer; every symbol, every invalid_symbol() and every bit position must
+/// agree.
+void expect_matches_reference(const std::vector<std::uint8_t>& lengths, Rng& rng) {
+  std::vector<std::uint8_t> bits(static_cast<std::size_t>(rng.uniform_int(0, 256)));
+  for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const HuffmanDecoder decoder(lengths);
+  const ReferenceWalk reference(lengths);
+  BitReader got(bits);
+  BitReader want(bits);
+  for (int i = 0; i < 4000 && want.bits_consumed() <= 8 * bits.size() + 64; ++i) {
+    ASSERT_EQ(decoder.decode(got), reference.decode(want)) << "decode #" << i;
+    ASSERT_EQ(got.bits_consumed(), want.bits_consumed()) << "decode #" << i;
+    ASSERT_EQ(got.overrun(), want.overrun()) << "decode #" << i;
+  }
+}
+
+TEST(HuffmanDecoder, MatchesCanonicalWalkOnLongCodes) {
+  // Complete tables from the length limiter, skewed hard enough that many
+  // codes run past the decoder's lookup width (up to the 20-bit cap).
+  Rng rng(8);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t alphabet = 2 + static_cast<std::size_t>(rng.uniform_int(0, 510));
+    std::vector<std::uint64_t> freqs(alphabet, 0);
+    for (auto& f : freqs) {
+      if (rng.bernoulli(0.2)) continue;
+      f = std::uint64_t{1} << rng.uniform_int(0, 30);
+    }
+    freqs[0] = 1;
+    freqs[1] = 1;
+    const auto lengths = huffman_code_lengths(freqs, 20);
+    expect_matches_reference(lengths, rng);
+  }
+}
+
+TEST(HuffmanDecoder, MatchesCanonicalWalkOnCorruptTables) {
+  // Arbitrary length tables as a corrupt header could carry them: over-
+  // subscribed (some codes unreachable at their length, shorter codes
+  // shadowing longer ones), incomplete, and mixing short and >10-bit codes.
+  Rng rng(9);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> lengths(512, 0);
+    const auto used = rng.uniform_int(1, 80);
+    const auto max_len = rng.uniform_int(1, 20);
+    for (std::int64_t i = 0; i < used; ++i) {
+      lengths[static_cast<std::size_t>(rng.uniform_int(0, 511))] =
+          static_cast<std::uint8_t>(rng.uniform_int(1, max_len));
+    }
+    expect_matches_reference(lengths, rng);
+  }
+}
+
+TEST(HuffmanDecoder, EmptyTableDecodesNothing) {
+  const HuffmanDecoder decoder(std::vector<std::uint8_t>(16, 0));
+  const std::vector<std::uint8_t> bytes{0x00, 0xff};
+  BitReader r(bytes);
+  EXPECT_EQ(decoder.decode(r), HuffmanDecoder::invalid_symbol());
+  EXPECT_EQ(r.bits_consumed(), 0u);
 }
 
 TEST(CodeLengthSerialisation, RoundTripsSparseTables) {

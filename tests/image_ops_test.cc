@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace sophon::image {
 namespace {
@@ -139,6 +141,47 @@ TEST(ResizedCrop, ProducesTargetSquare) {
   const auto out = resized_crop(img, rect, 224);
   EXPECT_EQ(out.width(), 224);
   EXPECT_EQ(out.height(), 224);
+}
+
+Image noise_image(int w, int h, int channels, std::uint64_t seed) {
+  Image img(w, h, channels);
+  Rng rng(seed);
+  for (auto& px : img.data()) px = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  return img;
+}
+
+TEST(ResizedCrop, MatchesCropThenResize) {
+  // resized_crop resamples straight from the source rectangle; it must be
+  // bit-identical to materialising the crop and resizing it.
+  for (const auto& img : {noise_image(157, 93, 3, 31), noise_image(64, 101, 1, 32)}) {
+    Rng rng(33);
+    for (int trial = 0; trial < 150; ++trial) {
+      const auto rect = sample_resized_crop_rect(img.width(), img.height(), rng, 0.001, 1.0);
+      const int size = static_cast<int>(rng.uniform_int(1, 80));
+      ASSERT_EQ(resized_crop(img, rect, size), resize_bilinear(crop(img, rect), size, size))
+          << rect.x << "," << rect.y << " " << rect.width << "x" << rect.height << " -> " << size;
+    }
+  }
+}
+
+TEST(ResizedCrop, RejectsRectOutsideSource) {
+  const auto img = gradient_image(8, 6);
+  EXPECT_THROW((void)resized_crop(img, {4, 0, 5, 2}, 4), ContractViolation);
+  EXPECT_THROW((void)resized_crop(img, {0, -1, 2, 2}, 4), ContractViolation);
+  EXPECT_THROW((void)resized_crop(img, {0, 0, 2, 0}, 4), ContractViolation);
+  EXPECT_THROW((void)resized_crop(img, {0, 0, 2, 2}, 0), ContractViolation);
+}
+
+TEST(Resize, PixelsArePinned) {
+  // crc32 of resize outputs recorded before the kernel was rewritten to
+  // resample source rectangles through row pointers.
+  std::uint32_t crc = 0;
+  for (const auto& img : {noise_image(157, 93, 3, 34), noise_image(40, 71, 1, 35)}) {
+    for (const auto& [w, h] : {std::pair{224, 224}, {13, 200}, {300, 7}, {1, 1}, {79, 47}}) {
+      crc = crc32(resize_bilinear(img, w, h).data(), crc);
+    }
+  }
+  EXPECT_EQ(crc, 0x3b9f82dcu);
 }
 
 TEST(ToTensor, ScalesToUnitInterval) {

@@ -10,10 +10,10 @@
 #                             restriction — heap abuse hides in the same
 #                             concurrent code TSan watches for races.
 #   tools/check.sh --ubsan    UndefinedBehaviorSanitizer build (build-ubsan/),
-#                             same restricted suite — the shard reader and
-#                             wire parsers do byte-level decoding of untrusted
-#                             input, exactly where misaligned loads and
-#                             integer overflow hide.
+#                             same restricted suite — the shard reader, wire
+#                             parsers and SJPG decoder do byte-level decoding
+#                             of untrusted input, exactly where misaligned
+#                             loads, wild shifts and integer overflow hide.
 #   tools/check.sh --trace-smoke
 #                             build sophonctl, run a small traced simulation
 #                             and schema-check the emitted Chrome trace JSON
@@ -108,8 +108,9 @@ sanitized_targets=(
   obs_concurrency_test obs_timeseries_test obs_health_test obs_telemetry_server_test
   obs_critpath_test
   shard_format_test storage_shard_serving_test storage_disk_test
+  codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor'
+sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize'
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses
