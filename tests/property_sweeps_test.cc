@@ -88,6 +88,12 @@ struct DecisionCase {
   int storage_cores;
 };
 
+// The struct has tail padding, so gtest's default byte dump would put
+// indeterminate bytes into the test names; print the fields instead.
+void PrintTo(const DecisionCase& c, std::ostream* os) {
+  *os << c.mbps << " Mbps, " << c.storage_cores << " cores";
+}
+
 class DecisionSweep : public ::testing::TestWithParam<DecisionCase> {
  protected:
   static const dataset::Catalog& catalog() {
