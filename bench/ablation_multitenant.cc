@@ -8,7 +8,6 @@
 #include "bench_common.h"
 #include "core/multitenant.h"
 #include "core/profiler.h"
-#include "net/wire.h"
 #include "sim/multijob.h"
 
 using namespace sophon;
@@ -101,15 +100,8 @@ int main() {
     spec.gpu_batch_time = batch_time;
     spec.private_storage_cores = private_cores;
     auto plan = std::make_shared<core::OffloadPlan>(std::move(decision.plan));
-    spec.flow = [&catalog, &pipe, &cm, plan](std::size_t idx) {
-      const auto& meta = catalog.sample(idx);
-      const std::size_t prefix = plan->prefix(idx);
-      sim::SampleFlow f;
-      f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-      f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-      f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-      return f;
-    };
+    spec.flow = [plan, flow = sim::plan_flow(catalog, pipe, cm, plan->assignment())](
+                    std::size_t idx) { return flow(idx); };
     return spec;
   };
 

@@ -20,7 +20,6 @@
 #include "core/metrics.h"
 #include "core/serialize.h"
 #include "dataset/sampler.h"
-#include "net/wire.h"
 #include "prefetch/replay.h"
 #include "util/json.h"
 #include "util/telemetry.h"
@@ -51,13 +50,7 @@ int main() {
 
   // Demand baseline fetches raw blobs (no offloading) — the configuration
   // where the link is most exposed and look-ahead has the most to hide.
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    sim::SampleFlow f;
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, 0));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, 0, cm);
-    return f;
-  };
+  const auto flow = sim::plan_flow(catalog, pipe, cm, {});
 
   TextTable table({"link", "cache", "depth", "bottleneck", "epoch time", "traffic", "hits",
                    "late", "stall", "peak inflight"});

@@ -7,28 +7,8 @@
 // the aggregate core count) and the shard-aware engine.
 #include "bench_common.h"
 #include "core/profiler.h"
-#include "net/wire.h"
 
 using namespace sophon;
-
-namespace {
-
-std::function<sim::SampleFlow(std::size_t)> plan_flows(const dataset::Catalog& catalog,
-                                                       const pipeline::Pipeline& pipe,
-                                                       const pipeline::CostModel& cm,
-                                                       const core::OffloadPlan& plan) {
-  return [&catalog, &pipe, &cm, &plan](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Ablation A6 — sharded storage cluster, shard-aware planning",
@@ -67,8 +47,8 @@ int main() {
       const auto decision =
           core::decide_offloading_sharded(profiles, shards, config.cluster, t_g);
       const auto stats = sim::simulate_epoch_sharded(
-          catalog.size(), plan_flows(catalog, pipe, cm, decision.plan), shards, config.cluster,
-          batch_time, 42, 0);
+          catalog.size(), sim::plan_flow(catalog, pipe, cm, decision.plan.assignment()), shards,
+          config.cluster, batch_time, 42, 0);
       Seconds busiest;
       for (const auto busy : stats.node_cpu_busy) busiest = std::max(busiest, busy);
       table.add_row({strf("%d", nodes), label, strf("%zu", decision.offloaded),
@@ -89,8 +69,8 @@ int main() {
     const auto decision =
         core::decide_offloading_replicated(profiles, replicas, config.cluster, t_g);
     const auto stats = sim::simulate_epoch_sharded(
-        catalog.size(), plan_flows(catalog, pipe, cm, decision.plan), decision.execution_nodes,
-        config.cluster, batch_time, 42, 0);
+        catalog.size(), sim::plan_flow(catalog, pipe, cm, decision.plan.assignment()),
+        decision.execution_nodes, config.cluster, batch_time, 42, 0);
     rep.add_row({strf("%d", r), strf("%zu", decision.offloaded),
                  strf("%.1f s", stats.totals.epoch_time.value()),
                  bench::gb(stats.totals.traffic)});

@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "core/profiler.h"
 #include "core/decision.h"
-#include "net/wire.h"
 #include "sim/trace.h"
 
 using namespace sophon;
@@ -19,17 +18,9 @@ void run_variant(const char* name, const dataset::Catalog& catalog,
                  const sim::ClusterConfig& cluster, Seconds batch_time,
                  const core::OffloadPlan& plan) {
   sim::TraceRecorder recorder;
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
-  const auto stats = sim::simulate_epoch_flows(catalog.size(), flow, cluster, batch_time, 42, 0,
-                                               recorder.sink());
+  const auto stats = sim::simulate_epoch_flows(catalog.size(),
+                                               sim::plan_flow(catalog, pipe, cm, plan.assignment()),
+                                               cluster, batch_time, 42, 0, recorder.sink());
 
   const Seconds bucket(10.0);
   const auto util = recorder.link_utilization(bucket, cluster.bandwidth);

@@ -1,18 +1,18 @@
 // Critical-path what-if accuracy pin: every projection the analyzer ranks
-// must match a real simulator re-run under the same perturbed parameters.
+// must match a simulator re-run under the same perturbed parameters.
 //
-// The analyzer (src/obs/critpath) promises its projections are "as
-// trustworthy as the simulator itself" because the retimer mirrors the
-// discrete-event schedulers operation-for-operation rather than fitting a
-// regression. This bench holds that promise to account across both
-// disciplines (batch-window admission and worker-lane replay with
-// clairvoyant prefetch) and across cluster regimes (a link-bound 100 Mbps
-// edge config and the paper's 500 Mbps evaluation config with a real
-// offload plan in force): for each config it runs the stock what-if
-// scenario set, re-runs the *actual* simulator under each perturbed config,
-// and pins the relative prediction error at 5% — in practice the retimer
-// agrees to float rounding, and errors below 1e-9 are clamped to an exact
-// zero so the committed artifact stays byte-stable for bench-compare.
+// The analyzer (src/obs/critpath) runs the simulators' own scheduling core
+// (src/sim/schedule.h) with provenance recording on, so its projections equal
+// what the simulator computes by construction; this bench pins the plumbing
+// around that (scenario perturbation, discipline selection, the recorded
+// walk) across both disciplines (batch-window admission and worker-lane
+// replay with clairvoyant prefetch) and across cluster regimes (a link-bound
+// 100 Mbps edge config and the paper's 500 Mbps evaluation config with a real
+// offload plan in force): for each config it runs the stock what-if scenario
+// set, re-runs the public simulator entry point under each perturbed config,
+// and pins the relative prediction error at 5%. Errors below 1e-9 are
+// clamped to an exact zero so the committed artifact stays byte-stable for
+// bench-compare.
 //
 // Self-verifies: every scenario within tolerance, at least 3 scenarios
 // validated per config, baseline reconciliation to the observed epoch time,
@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "core/decision.h"
 #include "core/profiler.h"
-#include "net/wire.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
 #include "prefetch/replay.h"
@@ -72,7 +71,7 @@ int main() {
   bench::print_header(
       "Critical-path what-if accuracy — projections vs simulator re-runs "
       "(OpenImages subset)",
-      "(retimer mirrors the DES schedulers exactly, so single-knob projections "
+      "(the analyzer runs the DES scheduling core, so single-knob projections "
       "validate against real re-runs instead of trusting a fitted model)");
 
   const auto catalog = dataset::Catalog::generate(dataset::openimages_profile(kSamples), kSeed);
@@ -141,15 +140,7 @@ int main() {
                                      params.gpu_batch_time * batches)
                  .plan;
     }
-    const auto flow = [&](std::size_t idx) {
-      const auto& meta = catalog.sample(idx);
-      const std::size_t prefix = plan.prefix(idx);
-      sim::SampleFlow f;
-      if (prefix > 0) f.storage_cpu = pipe.prefix_cost(meta.raw, prefix, cm);
-      f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-      f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-      return f;
-    };
+    const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
     const obs::critpath::DemandFn demand = [&flow](std::size_t i) {
       const auto f = flow(i);
       return obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};

@@ -16,7 +16,6 @@
 #include "core/profiler.h"
 #include "net/fault.h"
 #include "net/resilience.h"
-#include "net/wire.h"
 #include "sim/trainer.h"
 
 namespace sophon {
@@ -43,22 +42,8 @@ int run() {
   const auto decision = core::decide_offloading(profiles, config.cluster, gpu_epoch_time);
   const auto& plan = decision.plan;
 
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
-  const auto raw_flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    sim::SampleFlow f;
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, 0));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, 0, cm);
-    return f;
-  };
+  const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
+  const auto raw_flow = sim::plan_flow(catalog, pipe, cm, {});
 
   net::RetryPolicy retry;
   retry.max_attempts = 4;

@@ -1,7 +1,6 @@
 #include "cache/cached_training.h"
 
 #include "dataset/sampler.h"
-#include "net/wire.h"
 #include "util/check.h"
 
 namespace sophon::cache {
@@ -41,21 +40,16 @@ CachedEpochResult CachedTrainingSession::run_epoch() {
     served_from_cache[idx] = hit ? 1 : 0;
   }
 
-  const auto flow = [this, &served_from_cache](std::size_t idx) {
-    const auto& meta = catalog_.sample(idx);
-    const std::size_t prefix = plan_.prefix(idx);
-    sim::SampleFlow f;
+  const auto planned = sim::plan_flow(catalog_, pipeline_, cost_model_, plan_.assignment());
+  const auto flow = [this, &planned, &served_from_cache](std::size_t idx) {
     if (served_from_cache[idx]) {
       // Local raw blob: no storage work, no link transfer, full local
       // preprocessing.
-      f.compute_cpu = pipeline_.suffix_cost(meta.raw, 0, cost_model_);
+      sim::SampleFlow f;
+      f.compute_cpu = pipeline_.suffix_cost(catalog_.sample(idx).raw, 0, cost_model_);
       return f;
     }
-    f.storage_cpu =
-        prefix > 0 ? pipeline_.prefix_cost(meta.raw, prefix, cost_model_) : Seconds(0.0);
-    f.wire = net::wire_size(pipeline_.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipeline_.suffix_cost(meta.raw, prefix, cost_model_);
-    return f;
+    return planned(idx);
   };
 
   CachedEpochResult result;

@@ -11,7 +11,6 @@
 
 #include "core/decision.h"
 #include "core/profiler.h"
-#include "net/wire.h"
 #include "obs/critpath/monitor.h"
 #include "obs/health.h"
 #include "obs/ledger.h"
@@ -67,17 +66,10 @@ class IntervalSampler {
 std::function<sim::SampleFlow(std::size_t)> flow_under(
     std::shared_ptr<const OffloadPlan> lease, const dataset::Catalog& catalog,
     const pipeline::Pipeline& pipeline, const pipeline::CostModel& cost_model) {
-  return [lease = std::move(lease), &catalog, &pipeline, &cost_model](std::size_t i) {
-    const auto& meta = catalog.sample(i);
-    const std::size_t prefix = lease == nullptr ? 0 : lease->prefix(i);
-    sim::SampleFlow flow;
-    flow.storage_cpu = prefix > 0 ? pipeline.prefix_cost(meta.raw, prefix, cost_model)
-                                  : Seconds(0.0);
-    flow.wire = net::wire_size(pipeline.shape_at(meta.raw, prefix));
-    flow.compute_cpu = pipeline.suffix_cost(meta.raw, prefix, cost_model);
-    flow.stage = static_cast<std::uint8_t>(prefix);
-    return flow;
-  };
+  auto flow = sim::plan_flow(catalog, pipeline, cost_model,
+                             lease == nullptr ? std::span<const std::uint8_t>()
+                                              : std::span<const std::uint8_t>(lease->assignment()));
+  return [lease = std::move(lease), flow = std::move(flow)](std::size_t i) { return flow(i); };
 }
 
 }  // namespace
@@ -149,14 +141,10 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     // the fault/ledger wraps above — so captured demands include retry
     // penalties and the ledger is not charged twice. Safe because
     // simulate_epoch_flows calls the flow exactly once per sample.
-    std::vector<obs::critpath::SampleDemand> demands;
+    std::vector<sim::SampleFlow> demands;
     if (telemetry.critpath != nullptr) {
       demands.resize(catalog.size());
-      flow = [inner = std::move(flow), &demands](std::size_t i) {
-        const auto f = inner(i);
-        demands[i] = obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};
-        return f;
-      };
+      flow = [inner = std::move(flow), &demands](std::size_t i) { return demands[i] = inner(i); };
     }
     if (telemetry.ledger != nullptr && replanner.generation() != forecast_noted_generation) {
       forecast_noted_generation = replanner.generation();

@@ -105,20 +105,16 @@ std::function<sim::SampleFlow(std::size_t)> make_compressed_flows(
     const CompressedPlan& plan, const dataset::Catalog& catalog,
     const pipeline::Pipeline& pipeline, const pipeline::CostModel& cost_model,
     const CompressionModel& model) {
-  return [&plan, &catalog, &pipeline, &cost_model, model](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.base.prefix(idx);
-    sim::SampleFlow f;
-    f.storage_cpu =
-        prefix > 0 ? pipeline.prefix_cost(meta.raw, prefix, cost_model) : Seconds(0.0);
-    const auto shape = pipeline.shape_at(meta.raw, prefix);
-    f.wire = net::wire_size(shape);
-    f.compute_cpu = pipeline.suffix_cost(meta.raw, prefix, cost_model);
+  return [&plan, &catalog, &pipeline, model,
+          base = sim::plan_flow(catalog, pipeline, cost_model, plan.base.assignment())](
+             std::size_t idx) {
+    sim::SampleFlow f = base(idx);
     if (plan.compress[idx]) {
-      const Bytes compressed = model.estimate_compressed(shape.pixel_count(), meta.texture);
-      f.wire = compressed + Bytes(net::kFrameOverheadBytes);
-      f.storage_cpu += model.encode_cost(shape.pixel_count());
-      f.compute_cpu += model.decode_cost(shape.pixel_count());
+      const auto& meta = catalog.sample(idx);
+      const auto pixels = pipeline.shape_at(meta.raw, f.stage).pixel_count();
+      f.wire = model.estimate_compressed(pixels, meta.texture) + Bytes(net::kFrameOverheadBytes);
+      f.storage_cpu += model.encode_cost(pixels);
+      f.compute_cpu += model.decode_cost(pixels);
     }
     return f;
   };

@@ -1,6 +1,7 @@
 #include "core/reuse.h"
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "net/wire.h"
 #include "storage/server.h"
@@ -31,30 +32,22 @@ ReuseEvaluation evaluate_preprocess_once(const dataset::Catalog& catalog,
                    "preprocess-once needs storage CPU for the one-time pass");
 
   ReuseEvaluation eval;
+  std::vector<std::uint8_t> stages(catalog.size());
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    stages[i] = static_cast<std::uint8_t>(artifact_stage(pipeline, catalog.sample(i).raw));
+  }
 
   // Epoch 0: storage node runs the one-time prefix per sample and ships the
   // artifact (raw never crosses the link; the artifact is produced next to
   // the data).
-  const auto first_flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const auto stage = artifact_stage(pipeline, meta.raw);
-    sim::SampleFlow f;
-    f.storage_cpu =
-        stage > 0 ? pipeline.prefix_cost(meta.raw, stage, cost_model) : Seconds(0.0);
-    f.wire = net::wire_size(pipeline.shape_at(meta.raw, stage));
-    f.compute_cpu = pipeline.suffix_cost(meta.raw, stage, cost_model);
-    return f;
-  };
+  const auto first_flow = sim::plan_flow(catalog, pipeline, cost_model, stages);
   eval.first_epoch = sim::simulate_epoch_flows(catalog.size(), first_flow, cluster,
                                                gpu_batch_time, seed, 0);
 
   // Steady state: artifacts are served from storage memory with no CPU.
-  const auto steady_flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const auto stage = artifact_stage(pipeline, meta.raw);
-    sim::SampleFlow f;
-    f.wire = net::wire_size(pipeline.shape_at(meta.raw, stage));
-    f.compute_cpu = pipeline.suffix_cost(meta.raw, stage, cost_model);
+  const auto steady_flow = [&first_flow](std::size_t idx) {
+    sim::SampleFlow f = first_flow(idx);
+    f.storage_cpu = Seconds(0.0);
     return f;
   };
   eval.steady_epoch = sim::simulate_epoch_flows(catalog.size(), steady_flow, cluster,
@@ -64,11 +57,10 @@ ReuseEvaluation evaluate_preprocess_once(const dataset::Catalog& catalog,
   // rest). Diversity: raw-served samples keep fresh augmentations every
   // epoch; artifact samples are frozen at one variant.
   std::size_t artifact_samples = 0;
-  for (const auto& meta : catalog.samples()) {
-    const auto stage = artifact_stage(pipeline, meta.raw);
-    if (stage == 0) continue;
+  for (std::size_t i = 0; i < catalog.size(); ++i) {
+    if (stages[i] == 0) continue;
     ++artifact_samples;
-    eval.stored_footprint += pipeline.shape_at(meta.raw, stage).byte_size();
+    eval.stored_footprint += pipeline.shape_at(catalog.sample(i).raw, stages[i]).byte_size();
   }
   const auto n = static_cast<double>(catalog.size());
   eval.variants_per_sample =
@@ -82,7 +74,10 @@ std::size_t count_distinct_variants(const pipeline::Pipeline& pipeline,
                                     const pipeline::SampleData& raw_sample, std::size_t epochs,
                                     std::uint64_t seed, std::uint64_t sample_id, bool reuse) {
   SOPHON_CHECK(epochs >= 1);
-  std::set<std::vector<std::uint8_t>> variants;
+  // Distinct serialized outputs, compared for equality only: a handful of
+  // epochs makes the linear scan cheap, and ordering byte vectors (a
+  // std::set) trips GCC 12's false -Wstringop-overread at -O3.
+  std::vector<std::vector<std::uint8_t>> variants;
   // The artifact, when reusing, is fixed at epoch 0's augmentation streams.
   const auto artifact_seed = storage::augmentation_seed(seed, 0, sample_id);
   pipeline::SampleData artifact = raw_sample;
@@ -98,7 +93,10 @@ std::size_t count_distinct_variants(const pipeline::Pipeline& pipeline,
     const auto stream = storage::augmentation_seed(seed, epoch, sample_id);
     const auto out =
         pipeline.run_seeded(artifact, stage, pipeline.size(), reuse ? artifact_seed : stream);
-    variants.insert(net::serialize_sample(out));
+    auto bytes = net::serialize_sample(out);
+    if (std::find(variants.begin(), variants.end(), bytes) == variants.end()) {
+      variants.push_back(std::move(bytes));
+    }
   }
   return variants.size();
 }

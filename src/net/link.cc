@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/fault.h"
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace sophon::net {
@@ -29,14 +28,6 @@ Seconds SimLink::schedule(Seconds ready, Bytes size) {
   traffic_ += size;
   const Seconds arrival = free_at_ + latency_ + extra_latency;
   if (track_inflight_) inflight_.emplace_back(ready.value(), arrival.value());
-  if (obs::Tracer& tracer = obs::global_tracer(); tracer.enabled()) {
-    // The transmission interval in virtual time; FIFO serialisation means
-    // consecutive spans on the link track never overlap.
-    obs::SpanArgs args;
-    args.bytes = static_cast<std::int64_t>(size.count());
-    tracer.record_at(tracer.track("link"), obs::SpanCategory::kTransfer, "transfer", start,
-                     free_at_, args);
-  }
   return arrival;
 }
 

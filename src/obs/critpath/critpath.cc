@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <utility>
 
-#include "dataset/sampler.h"
-#include "net/fault.h"
-#include "prefetch/admission.h"
+#include "sim/schedule.h"
 #include "util/check.h"
 
 namespace sophon::obs::critpath {
@@ -29,24 +26,6 @@ std::string_view resource_name(Resource resource) {
       return "delay";
   }
   return "unknown";
-}
-
-Seconds BlameVector::of(Resource resource) const {
-  switch (resource) {
-    case Resource::kStorageCpu:
-      return storage_cpu;
-    case Resource::kLink:
-      return link;
-    case Resource::kComputeCpu:
-      return compute_cpu;
-    case Resource::kGpu:
-      return gpu;
-    case Resource::kDelay:
-      return delay;
-    case Resource::kStart:
-      break;
-  }
-  return Seconds(0.0);
 }
 
 Seconds& BlameVector::slot(Resource resource) {
@@ -75,343 +54,41 @@ Resource BlameVector::dominant() const {
   return Resource::kDelay;
 }
 
-namespace {
-
-/// One event of the re-timed schedule. `parent` is the predecessor event
-/// that determined this one's time — the argmax of the scheduling max() —
-/// so following parents from the epoch's last event walks the critical path.
-struct Node {
-  double time = 0.0;
-  std::int32_t parent = -1;
-  Resource via = Resource::kStart;
-  std::int64_t sample = -1;
-  std::int64_t position = -1;
-};
-
-/// A timestamped event with provenance: the value the simulator passes
-/// around as a plain Seconds, plus the node that produced it.
-struct Ref {
-  double time = 0.0;
-  std::int32_t node = 0;
-};
-
-/// Tie-break matches std::max(a, b): keep `a` unless `b` is strictly later.
-Ref later(Ref a, Ref b) { return b.time > a.time ? b : a; }
-
-class Dag {
- public:
-  Dag() { nodes_.push_back(Node{}); }
-
-  [[nodiscard]] Ref root() const { return Ref{}; }
-
-  Ref add(double time, Ref parent, Resource via, std::int64_t sample, std::int64_t position) {
-    nodes_.push_back(Node{time, parent.node, via, sample, position});
-    return Ref{time, static_cast<std::int32_t>(nodes_.size() - 1)};
-  }
-
-  [[nodiscard]] const std::vector<Node>& nodes() const { return nodes_; }
-
- private:
-  std::vector<Node> nodes_;
-};
-
-/// sim::CpuPool with provenance. The pool pops the min of a value heap; the
-/// linear first-min scan here lands on the same *value* (equal free times
-/// are interchangeable for timing), so every schedule() returns the same
-/// completion time as the original.
-class CpuRetimer {
- public:
-  CpuRetimer(int cores, double speed_factor)
-      : speed_factor_(speed_factor), free_(static_cast<std::size_t>(std::max(cores, 0))) {}
-
-  [[nodiscard]] bool can_schedule() const { return !free_.empty(); }
-
-  Ref schedule(Ref ready, Seconds duration, Dag& dag, Resource via, std::int64_t sample,
-               std::int64_t position) {
-    std::size_t core = 0;
-    for (std::size_t i = 1; i < free_.size(); ++i) {
-      if (free_[i].time < free_[core].time) core = i;
-    }
-    const double scaled = duration.value() / speed_factor_;
-    const Ref start = later(ready, free_[core]);
-    const Ref done = dag.add(start.time + scaled, start, via, sample, position);
-    free_[core] = done;
-    return done;
-  }
-
- private:
-  double speed_factor_;
-  std::vector<Ref> free_;
-};
-
-/// net::SimLink with provenance: a FIFO transmit chain plus a propagation
-/// hop, both charged to the link. Consults the fault injector in the same
-/// per-transfer order as the simulator so degraded transfers re-time
-/// identically.
-class LinkRetimer {
- public:
-  LinkRetimer(Bandwidth bandwidth, Seconds latency, const net::FaultInjector* faults)
-      : bandwidth_(bandwidth), latency_(latency.value()), faults_(faults) {}
-
-  Ref schedule(Ref ready, Bytes size, Dag& dag, std::int64_t sample, std::int64_t position) {
-    const Ref start = later(ready, free_);
-    double duration = bandwidth_.transfer_time(size).value();
-    double extra_latency = 0.0;
-    if (faults_ != nullptr) {
-      const net::LinkFault fault = faults_->link_fault(transfer_index_++);
-      duration = duration * fault.bandwidth_factor;
-      extra_latency = fault.extra_latency.value();
-    }
-    const Ref transmitted =
-        dag.add(start.time + duration, start, Resource::kLink, sample, position);
-    free_ = transmitted;
-    // Mirror SimLink::schedule's addition order exactly (free_at + latency +
-    // extra) so the float result is bit-identical.
-    const double arrival = transmitted.time + latency_ + extra_latency;
-    if (arrival == transmitted.time) return transmitted;
-    return dag.add(arrival, transmitted, Resource::kLink, sample, position);
-  }
-
- private:
-  Bandwidth bandwidth_;
-  double latency_;
-  const net::FaultInjector* faults_;
-  std::uint64_t transfer_index_ = 0;
-  Ref free_;
-};
-
-/// sim::GpuResource with provenance: a FIFO batch-service chain.
-class GpuRetimer {
- public:
-  Ref schedule(Ref ready, Seconds batch_time, Dag& dag, std::int64_t position) {
-    const Ref start = later(ready, free_);
-    free_ = dag.add(start.time + batch_time.value(), start, Resource::kGpu, -1, position);
-    return free_;
-  }
-
- private:
-  Ref free_;
-};
-
-/// Injected delay occupies no resource; it is its own edge kind so retry
-/// backoff shows up in the blame vector instead of vanishing into whatever
-/// resource runs next.
-Ref apply_delay(Ref ready, Seconds delay, Dag& dag, std::int64_t sample, std::int64_t position) {
-  if (delay.value() <= 0.0) return ready;
-  return dag.add(ready.time + delay.value(), ready, Resource::kDelay, sample, position);
+Json BlameVector::to_json() const {
+  Json doc = Json::object();
+  doc.set("storage_cpu_seconds", storage_cpu.value());
+  doc.set("link_seconds", link.value());
+  doc.set("compute_cpu_seconds", compute_cpu.value());
+  doc.set("gpu_seconds", gpu.value());
+  doc.set("delay_seconds", delay.value());
+  return doc;
 }
-
-/// Mirror of sim::simulate_epoch_flows (trainer.cc): batch-window admission,
-/// storage pool -> FIFO link -> compute pool per sample, GPU chain per batch.
-Ref retime_batch_window(const DemandFn& demand, const EpochParams& p, Dag& dag) {
-  const dataset::EpochOrder order(p.num_samples, p.seed, p.epoch_index);
-  const auto batches = dataset::make_batches(p.num_samples, p.cluster.batch_size);
-
-  CpuRetimer storage(p.cluster.storage_cores, p.cluster.storage_core_speed);
-  CpuRetimer compute(p.cluster.compute_cores, 1.0);
-  LinkRetimer link(p.cluster.bandwidth, p.cluster.link_latency, p.cluster.link_faults);
-  GpuRetimer gpu;
-
-  std::vector<Ref> batch_gpu_done(batches.size());
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const Ref issue = b < p.cluster.prefetch_batches
-                          ? dag.root()
-                          : batch_gpu_done[b - p.cluster.prefetch_batches];
-    Ref batch_ready = dag.root();
-    for (std::size_t pos = batches[b].begin; pos < batches[b].end; ++pos) {
-      const auto idx = order.at(pos);
-      const SampleDemand f = demand(idx);
-      const auto sample = static_cast<std::int64_t>(idx);
-      const auto position = static_cast<std::int64_t>(pos);
-
-      Ref t = apply_delay(issue, f.delay, dag, sample, position);
-      if (f.storage_cpu.value() > 0.0 && storage.can_schedule()) {
-        t = storage.schedule(t, f.storage_cpu, dag, Resource::kStorageCpu, sample, position);
-      }
-      t = link.schedule(t, f.wire, dag, sample, position);
-      if (f.compute_cpu.value() > 0.0) {
-        t = compute.schedule(t, f.compute_cpu, dag, Resource::kComputeCpu, sample, position);
-      }
-      batch_ready = later(batch_ready, t);
-    }
-    batch_gpu_done[b] =
-        gpu.schedule(batch_ready, p.gpu_batch_time, dag, static_cast<std::int64_t>(b));
-  }
-  return batch_gpu_done.back();
-}
-
-/// Mirror of prefetch::replay_epoch (replay.cc): the clairvoyant scheduler's
-/// depth/byte credits, W synchronous worker lanes claiming positions in
-/// order, demand fallback, and the per-batch GPU chain. Credit releases are
-/// consume-time Refs, so an issue gated on a slot credit routes its
-/// provenance through the consuming worker's chain.
-Ref retime_worker_replay(const DemandFn& demand, const EpochParams& p, Dag& dag) {
-  const auto order = dataset::EpochOrder(p.num_samples, p.seed, p.epoch_index).order();
-  const std::size_t depth = p.replay.prefetch.depth;
-  const Bytes budget = p.replay.prefetch.bytes_budget;
-  const Seconds link_latency = p.cluster.link_latency;
-
-  LinkRetimer link(p.cluster.bandwidth, link_latency, p.cluster.link_faults);
-  CpuRetimer storage(p.cluster.storage_cores, p.cluster.storage_core_speed);
-  CpuRetimer compute(p.cluster.compute_cores, 1.0);
-  GpuRetimer gpu;
-
-  const auto is_local = [&](std::uint64_t id) {
-    return p.replay.served_locally && p.replay.served_locally(id);
-  };
-  const auto request_hop = [&](Ref issue, std::int64_t sample, std::int64_t position) {
-    if (link_latency.value() <= 0.0) return issue;
-    return dag.add(issue.time + link_latency.value(), issue, Resource::kLink, sample, position);
-  };
-
-  struct Staged {
-    Ref arrival;
-    Bytes wire;
-  };
-  std::size_t sched_pos = 0;
-  std::size_t issued_count = 0;
-  std::size_t consumed_count = 0;
-  Bytes outstanding_bytes;
-  double issued_bytes_cum = 0.0;
-  double consumed_bytes_cum = 0.0;
-  Ref last_issue = dag.root();
-  std::vector<Ref> consume_times;
-  std::vector<std::pair<Ref, double>> consume_events;
-  std::size_t bytes_release_ptr = 0;
-  std::map<std::size_t, Staged> staged;
-
-  const auto advance_scheduler = [&]() {
-    if (depth == 0) return;
-    while (sched_pos < p.num_samples) {
-      const std::uint64_t id = order[sched_pos];
-      if (is_local(id)) {
-        ++sched_pos;
-        continue;
-      }
-      const SampleDemand f = demand(id);
-      if (prefetch::admit(p.replay.prefetch, id, 0, f.wire) != prefetch::Admission::kPrefetch) {
-        ++sched_pos;
-        continue;
-      }
-      const std::size_t outstanding = issued_count - consumed_count;
-      if (outstanding >= depth) break;
-      if (budget.count() > 0 && outstanding > 0 && outstanding_bytes + f.wire > budget) break;
-
-      Ref release = dag.root();
-      if (issued_count >= depth) release = consume_times[issued_count - depth];
-      if (budget.count() > 0) {
-        const double required = issued_bytes_cum + static_cast<double>(f.wire.count()) -
-                                static_cast<double>(budget.count());
-        while (bytes_release_ptr < consume_events.size() &&
-               consume_events[bytes_release_ptr].second < required) {
-          ++bytes_release_ptr;
-        }
-        if (required > 0.0 && bytes_release_ptr < consume_events.size()) {
-          release = later(release, consume_events[bytes_release_ptr].first);
-        }
-      }
-      const auto sample = static_cast<std::int64_t>(id);
-      const auto position = static_cast<std::int64_t>(sched_pos);
-      const Ref issue =
-          apply_delay(later(last_issue, release), f.delay, dag, sample, position);
-      last_issue = issue;
-      const Ref at_storage = request_hop(issue, sample, position);
-      const Ref storage_done =
-          (f.storage_cpu.value() > 0.0 && storage.can_schedule())
-              ? storage.schedule(at_storage, f.storage_cpu, dag, Resource::kStorageCpu, sample,
-                                 position)
-              : at_storage;
-      const Ref arrival = link.schedule(storage_done, f.wire, dag, sample, position);
-      staged.emplace(sched_pos, Staged{arrival, f.wire});
-      ++issued_count;
-      issued_bytes_cum += static_cast<double>(f.wire.count());
-      outstanding_bytes += f.wire;
-      ++sched_pos;
-    }
-  };
-
-  std::vector<Ref> worker_free(p.replay.workers, dag.root());
-  Ref batch_ready = dag.root();
-  Ref epoch_end = dag.root();
-
-  for (std::size_t position = 0; position < p.num_samples; ++position) {
-    advance_scheduler();
-
-    std::size_t worker = 0;
-    for (std::size_t i = 1; i < worker_free.size(); ++i) {
-      if (worker_free[i].time < worker_free[worker].time) worker = i;
-    }
-    const Ref t0 = worker_free[worker];
-    const std::uint64_t id = order[position];
-    const auto sample = static_cast<std::int64_t>(id);
-    const auto pos64 = static_cast<std::int64_t>(position);
-
-    Ref done;
-    if (is_local(id)) {
-      const SampleDemand f = demand(id);
-      done = compute.schedule(t0, f.compute_cpu, dag, Resource::kComputeCpu, sample, pos64);
-    } else if (const auto it = staged.find(position); it != staged.end()) {
-      const Staged fetch = it->second;
-      staged.erase(it);
-      const Ref start = later(t0, fetch.arrival);
-      const SampleDemand f = demand(id);
-      done = compute.schedule(start, f.compute_cpu, dag, Resource::kComputeCpu, sample, pos64);
-      ++consumed_count;
-      consume_times.push_back(start);
-      outstanding_bytes -= fetch.wire;
-      consumed_bytes_cum += static_cast<double>(fetch.wire.count());
-      consume_events.emplace_back(start, consumed_bytes_cum);
-    } else {
-      sched_pos = std::max(sched_pos, position + 1);  // consumed-mark semantics
-      const SampleDemand f = demand(id);
-      const Ref issue = apply_delay(t0, f.delay, dag, sample, pos64);
-      const Ref at_storage = request_hop(issue, sample, pos64);
-      const Ref storage_done =
-          (f.storage_cpu.value() > 0.0 && storage.can_schedule())
-              ? storage.schedule(at_storage, f.storage_cpu, dag, Resource::kStorageCpu, sample,
-                                 pos64)
-              : at_storage;
-      const Ref arrival = link.schedule(storage_done, f.wire, dag, sample, pos64);
-      done = compute.schedule(arrival, f.compute_cpu, dag, Resource::kComputeCpu, sample, pos64);
-    }
-    worker_free[worker] = done;
-
-    batch_ready = later(batch_ready, done);
-    if ((position + 1) % p.cluster.batch_size == 0 || position + 1 == p.num_samples) {
-      epoch_end = gpu.schedule(batch_ready, p.gpu_batch_time, dag, pos64);
-      batch_ready = dag.root();
-    }
-  }
-  return epoch_end;
-}
-
-}  // namespace
 
 Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
                        Seconds observed_epoch_time) {
-  SOPHON_CHECK(params.num_samples > 0);
-  SOPHON_CHECK(params.cluster.batch_size > 0);
-  SOPHON_CHECK(params.cluster.compute_cores > 0);
-  SOPHON_CHECK(demand != nullptr);
+  sim::ResourceMap resources(params.cluster);
+  const sim::JobLoad job = sim::single_job(params.cluster, params.num_samples, demand,
+                                           params.gpu_batch_time, params.seed, params.epoch_index);
+  sim::Recorder recorder;
   if (params.discipline == Discipline::kWorkerReplay) {
-    SOPHON_CHECK(params.replay.workers >= 1);
+    sim::LaneStats lanes;
+    (void)sim::run_worker_lanes(recorder, resources, job, prefetch::worker_lanes(params.replay),
+                                lanes);
   } else {
-    SOPHON_CHECK(params.cluster.prefetch_batches >= 1);
+    (void)sim::run_batch_window(recorder, resources, {&job, 1}, params.cluster.prefetch_batches);
   }
 
-  Dag dag;
-  const Ref end = params.discipline == Discipline::kWorkerReplay
-                      ? retime_worker_replay(demand, params, dag)
-                      : retime_batch_window(demand, params, dag);
-
+  // Walk parents back from the last GPU step: each edge is charged to the
+  // resource its later event waited on.
+  const auto& nodes = recorder.nodes();
+  const double end = nodes.back().time;
   Analysis analysis;
-  analysis.epoch_time = Seconds(end.time);
-  analysis.nodes = dag.nodes().size();
-  const auto& nodes = dag.nodes();
-  std::int32_t n = end.node;
+  analysis.epoch_time = Seconds(end);
+  analysis.nodes = nodes.size();
+  auto n = static_cast<std::int32_t>(nodes.size() - 1);
   while (n > 0) {
-    const Node& node = nodes[static_cast<std::size_t>(n)];
-    const Node& parent = nodes[static_cast<std::size_t>(node.parent)];
+    const sim::EventNode& node = nodes[static_cast<std::size_t>(n)];
+    const sim::EventNode& parent = nodes[static_cast<std::size_t>(node.parent)];
     const double edge = node.time - parent.time;
     analysis.blame.slot(node.via) += Seconds(edge);
     if (edge > 0.0) {
@@ -424,7 +101,7 @@ Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
   analysis.observed_epoch_time = observed_epoch_time;
   if (observed_epoch_time.value() > 0.0) {
     analysis.reconcile_error =
-        std::abs(end.time - observed_epoch_time.value()) / observed_epoch_time.value();
+        std::abs(end - observed_epoch_time.value()) / observed_epoch_time.value();
   }
   return analysis;
 }
@@ -436,19 +113,19 @@ std::string Analysis::render() const {
                 "critical path: epoch %.3f s over %zu segments (DAG %zu nodes)\n",
                 epoch_time.value(), path.size(), nodes);
   out += line;
-  const auto row = [&](Resource r) {
-    const double seconds = blame.of(r).value();
-    const double pct = epoch_time.value() > 0.0 ? 100.0 * seconds / epoch_time.value() : 0.0;
+  const auto row = [&](Resource r, Seconds seconds) {
+    const double pct =
+        epoch_time.value() > 0.0 ? 100.0 * seconds.value() / epoch_time.value() : 0.0;
     std::snprintf(line, sizeof(line), "  %-12s %10.3f s  %5.1f%%%s\n",
-                  std::string(resource_name(r)).c_str(), seconds, pct,
+                  std::string(resource_name(r)).c_str(), seconds.value(), pct,
                   r == bottleneck() ? "  <- bottleneck" : "");
     out += line;
   };
-  row(Resource::kStorageCpu);
-  row(Resource::kLink);
-  row(Resource::kComputeCpu);
-  row(Resource::kGpu);
-  row(Resource::kDelay);
+  row(Resource::kStorageCpu, blame.storage_cpu);
+  row(Resource::kLink, blame.link);
+  row(Resource::kComputeCpu, blame.compute_cpu);
+  row(Resource::kGpu, blame.gpu);
+  row(Resource::kDelay, blame.delay);
   if (observed_epoch_time.value() > 0.0) {
     std::snprintf(line, sizeof(line),
                   "  reconciles with observed %.3f s (error %.2e)\n",
@@ -467,13 +144,7 @@ Json Analysis::to_json() const {
     doc.set("observed_epoch_time_seconds", observed_epoch_time.value());
     doc.set("reconcile_error", reconcile_error);
   }
-  Json blame_json = Json::object();
-  blame_json.set("storage_cpu_seconds", blame.storage_cpu.value());
-  blame_json.set("link_seconds", blame.link.value());
-  blame_json.set("compute_cpu_seconds", blame.compute_cpu.value());
-  blame_json.set("gpu_seconds", blame.gpu.value());
-  blame_json.set("delay_seconds", blame.delay.value());
-  doc.set("blame", std::move(blame_json));
+  doc.set("blame", blame.to_json());
   doc.set("bottleneck", std::string(resource_name(bottleneck())));
   doc.set("nodes", static_cast<std::int64_t>(nodes));
   Json segments = Json::array();

@@ -4,26 +4,25 @@
 // go?" in aggregate; once the pipeline overlaps fetch, transfer, and
 // preprocessing, aggregate busy fractions no longer say which resource to
 // buy — a link that is 90% busy off the critical path costs nothing. The
-// analyzer here re-times an epoch's per-sample resource demands under the
-// *exact* scheduling equations of the discrete-event trainers
-// (sim::simulate_epoch_flows for the batch-window loader,
-// prefetch::replay_epoch for worker-lane replay with clairvoyant prefetch),
-// but builds the full dependency DAG while doing so: every scheduling event
-// records which predecessor event made it wait — the admission window, the
-// previous transfer on the FIFO link, the earliest-free CPU core, the GPU's
-// previous batch, an injected retry/backoff delay.
+// analyzer here runs an epoch's per-sample resource demands through the
+// scheduling core every simulator runs (sim/schedule.h) — the batch window of
+// sim::simulate_epoch_flows or the worker lanes of prefetch::replay_epoch —
+// with recording on: every scheduling event keeps the predecessor event that
+// made it wait — the admission window, the previous transfer on the FIFO
+// link, the earliest-free CPU core, the GPU's previous batch, an injected
+// retry/backoff delay.
 //
 // Walking parents back from the final GPU completion yields the epoch
 // critical path: a chain of edges that tiles [0, epoch_time] exactly, each
 // edge charged to one resource. Summing edge lengths per resource is the
 // *blame vector* — the seconds each resource contributed to the epoch, the
-// quantity that tells you which knob to turn. Because the retimer mirrors
-// the simulator's arithmetic operation-for-operation, the path end time
-// reconciles with the simulator's epoch time to float rounding (the
-// analyzer hard-fails tests at 1%, and in practice agrees to ~1e-12).
+// quantity that tells you which knob to turn. The analyzed schedule is the
+// simulator's own, so the path end time equals the simulator's epoch time by
+// construction; the reconcile error against an observed epoch time measures
+// how far the captured demands drifted from the run being explained.
 //
-// whatif.h builds on this: perturb the resource parameters, re-time, and
-// the projected epoch times are as trustworthy as the simulator itself.
+// whatif.h builds on this: perturb the resource parameters, run the core
+// again, and rank the projected epoch times.
 #pragma once
 
 #include <cstdint>
@@ -34,40 +33,29 @@
 
 #include "prefetch/replay.h"
 #include "sim/cluster.h"
+#include "sim/schedule.h"
 #include "util/json.h"
 #include "util/units.h"
 
 namespace sophon::obs::critpath {
 
-/// What a critical-path edge waited on. kStart is the epoch origin (root
-/// node only); kDelay is injected pre-pipeline stall (retry backoff under
-/// fault replay), which occupies no physical resource.
-enum class Resource : std::uint8_t {
-  kStart = 0,
-  kStorageCpu = 1,
-  kLink = 2,
-  kComputeCpu = 3,
-  kGpu = 4,
-  kDelay = 5,
-};
+/// What a critical-path edge waited on (sim::Resource). kStart is the epoch
+/// origin (root node only); kDelay is injected pre-pipeline stall (retry
+/// backoff under fault replay), which occupies no physical resource.
+using Resource = sim::Resource;
 
 [[nodiscard]] std::string_view resource_name(Resource resource);
 
-/// One sample's resource demands — the same currency as sim::SampleFlow,
-/// minus the annotations the retimer does not need. Under fault replay,
-/// capture the demands *after* sim::faulty_flow fattened them (delay holds
-/// the backoff, wire the corrupt-attempt waste) so the retimer replays the
-/// same epoch the simulator ran.
-struct SampleDemand {
-  Seconds storage_cpu;
-  Seconds compute_cpu;
-  Bytes wire;
-  Seconds delay;
-};
+/// One sample's resource demands: the simulators' own currency, so
+/// SampleDemand{storage_cpu, compute_cpu, wire, delay} builds one. Under
+/// fault replay, capture the demands *after* sim::faulty_flow fattened them
+/// (delay holds the backoff, wire the corrupt-attempt waste) so the analyzer
+/// schedules the same epoch the simulator ran.
+using SampleDemand = sim::SampleFlow;
 
 /// Maps a catalog sample index to its demands. Must be pure: the worker-lane
-/// retimer, like prefetch::replay_epoch, consults a sample more than once.
-using DemandFn = std::function<SampleDemand(std::size_t index)>;
+/// discipline consults a sample more than once.
+using DemandFn = sim::FlowFn;
 
 /// Which discrete-event discipline produced the epoch being analyzed.
 enum class Discipline : std::uint8_t {
@@ -77,7 +65,7 @@ enum class Discipline : std::uint8_t {
   kWorkerReplay = 1,
 };
 
-/// Everything the retimer needs to replay an epoch's schedule.
+/// Everything the analyzer needs to schedule an epoch.
 struct EpochParams {
   sim::ClusterConfig cluster;
   Seconds gpu_batch_time;
@@ -102,8 +90,8 @@ struct BlameVector {
   [[nodiscard]] Seconds total() const {
     return storage_cpu + link + compute_cpu + gpu + delay;
   }
-  [[nodiscard]] Seconds of(Resource resource) const;
   Seconds& slot(Resource resource);
+  [[nodiscard]] Json to_json() const;
   /// Largest component; ties resolve link > gpu > storage > compute > delay,
   /// mirroring EpochReport::bottleneck_of's net-first order.
   [[nodiscard]] Resource dominant() const;
@@ -122,10 +110,10 @@ struct PathSegment {
 
 /// The analyzer's output for one epoch.
 struct Analysis {
-  Seconds epoch_time;          ///< re-timed epoch end (== blame.total())
+  Seconds epoch_time;          ///< analyzed epoch end (== blame.total())
   BlameVector blame;
   Seconds observed_epoch_time; ///< what the real run measured (0 = not given)
-  /// |retimed - observed| / observed; ~1e-12 when demands were captured
+  /// |analyzed - observed| / observed; 0 when demands were captured
   /// faithfully. Anything near 1% means the inputs drifted from the run.
   double reconcile_error = 0.0;
   std::size_t nodes = 0;       ///< dependency-DAG size
@@ -136,7 +124,8 @@ struct Analysis {
   [[nodiscard]] Json to_json() const;
 };
 
-/// Re-time one epoch and decompose its critical path. `observed_epoch_time`
+/// Schedule one epoch with recording on and decompose its critical path.
+/// `observed_epoch_time`
 /// is the simulator's (or run's) own epoch time for the reconcile check;
 /// pass zero to skip it.
 [[nodiscard]] Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,

@@ -105,13 +105,7 @@ Json WhatIfReport::to_json() const {
     s.set("projected_epoch_time_seconds", p.projected_epoch_time.value());
     s.set("speedup", p.speedup);
     s.set("bottleneck", std::string(resource_name(p.bottleneck)));
-    Json blame = Json::object();
-    blame.set("storage_cpu_seconds", p.blame.storage_cpu.value());
-    blame.set("link_seconds", p.blame.link.value());
-    blame.set("compute_cpu_seconds", p.blame.compute_cpu.value());
-    blame.set("gpu_seconds", p.blame.gpu.value());
-    blame.set("delay_seconds", p.blame.delay.value());
-    s.set("blame", std::move(blame));
+    s.set("blame", p.blame.to_json());
     list.push_back(std::move(s));
   }
   doc.set("scenarios", std::move(list));

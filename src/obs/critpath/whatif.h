@@ -1,14 +1,13 @@
-// What-if projection engine on top of the critical-path retimer.
+// What-if projection engine on top of the critical-path analyzer.
 //
-// Because analyze_epoch reproduces the simulator's schedule exactly (not a
-// regression fit), re-timing the same demands under perturbed resource
-// parameters yields epoch-time projections that are as trustworthy as
-// running the simulator itself — the validation tests pin predicted vs. an
-// actual simulator re-run under each perturbed config. The engine evaluates
-// a set of named single-knob scenarios (more link bandwidth, more storage
-// cores, deeper prefetch, more workers, a faster GPU) and ranks them by
-// projected speedup, answering the operator's real question: which knob is
-// worth turning *next*.
+// analyze_epoch runs the simulators' own scheduling core, so re-running it on
+// the same demands under perturbed resource parameters projects epoch times
+// exactly as the simulator would compute them under that config (tests pin
+// each projection against a simulator re-run). The engine evaluates a set of
+// named single-knob scenarios (more link bandwidth, more storage cores,
+// deeper prefetch, more workers, a faster GPU) and ranks them by projected
+// speedup, answering the operator's real question: which knob is worth
+// turning *next*.
 #pragma once
 
 #include <functional>
@@ -57,7 +56,7 @@ struct WhatIfReport {
   [[nodiscard]] Json to_json() const;
 };
 
-/// Re-time `demand` under every scenario. `observed_epoch_time` feeds the
+/// Analyze `demand` under every scenario. `observed_epoch_time` feeds the
 /// baseline reconcile check (pass zero to skip).
 [[nodiscard]] WhatIfReport project(const DemandFn& demand, const EpochParams& base,
                                    const std::vector<Scenario>& scenarios,

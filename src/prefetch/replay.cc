@@ -1,228 +1,37 @@
 #include "prefetch/replay.h"
 
-#include <algorithm>
-#include <map>
-#include <vector>
-
-#include "dataset/sampler.h"
-#include "net/link.h"
-#include "obs/trace.h"
 #include "prefetch/admission.h"
-#include "sim/resources.h"
-#include "util/check.h"
 
 namespace sophon::prefetch {
 
-namespace {
-
-/// A prefetched fetch that has arrived (or will) but is not yet consumed.
-struct StagedFetch {
-  Seconds issue;
-  Seconds storage_done;
-  Seconds arrival;
-  Bytes wire;
-};
-
-}  // namespace
+sim::WorkerLanes worker_lanes(const ReplayOptions& options) {
+  sim::WorkerLanes lanes;
+  lanes.workers = options.workers;
+  lanes.depth = options.prefetch.depth;
+  lanes.bytes_budget = options.prefetch.bytes_budget;
+  lanes.admit = [prefetch = options.prefetch](std::uint64_t id, Bytes wire) {
+    return admit(prefetch, id, 0, wire) == Admission::kPrefetch;
+  };
+  lanes.served_locally = options.served_locally;
+  return lanes;
+}
 
 ReplayResult replay_epoch(std::size_t num_samples,
                           const std::function<sim::SampleFlow(std::size_t)>& flow,
                           const sim::ClusterConfig& cluster, Seconds gpu_batch_time,
                           std::uint64_t seed, std::size_t epoch_index,
                           const ReplayOptions& options, const sim::TraceSink& trace) {
-  SOPHON_CHECK(num_samples > 0);
-  SOPHON_CHECK(options.workers >= 1);
-  SOPHON_CHECK(cluster.compute_cores > 0);
-  SOPHON_CHECK(cluster.batch_size > 0);
-
-  const auto order = dataset::EpochOrder(num_samples, seed, epoch_index).order();
-  const std::size_t depth = options.prefetch.depth;
-  const Bytes budget = options.prefetch.bytes_budget;
-
-  net::SimLink link(cluster.bandwidth, cluster.link_latency);
-  link.set_fault_injector(cluster.link_faults);
-  link.set_track_inflight(true);
-  sim::CpuPool storage_pool(cluster.storage_cores, cluster.storage_core_speed);
-  sim::CpuPool compute_pool(cluster.compute_cores);
-  sim::GpuResource gpu;
-
-  const auto is_local = [&](std::uint64_t id) {
-    return options.served_locally && options.served_locally(id);
-  };
-
-  ReplayStats stats;
-
-  // --- Scheduler state -----------------------------------------------------
-  // Prefetched fetches are issued in position order and (because workers
-  // consume positions in order) consumed in the same order, so slot and
-  // byte credits release FIFO: the j-th issue may start once the (j-depth)-th
-  // prefetched sample was consumed and, under a bytes budget, once enough
-  // staged bytes were handed to workers.
-  std::size_t sched_pos = 0;           // first position the scheduler has not decided
-  std::size_t issued_count = 0;        // prefetched fetches issued so far
-  std::size_t consumed_count = 0;      // prefetched fetches consumed so far
-  Bytes outstanding_bytes;             // issued-but-not-consumed payload bytes
-  double issued_bytes_cum = 0.0;
-  double consumed_bytes_cum = 0.0;
-  Seconds last_issue;
-  std::vector<Seconds> consume_times;  // per prefetched fetch, in issue order
-  // (time, cumulative consumed bytes) after each prefetched consumption.
-  std::vector<std::pair<Seconds, double>> consume_events;
-  std::size_t bytes_release_ptr = 0;
-  std::map<std::size_t, StagedFetch> staged;
-
-  const auto advance_scheduler = [&]() {
-    if (depth == 0) return;
-    while (sched_pos < num_samples) {
-      const std::uint64_t id = order[sched_pos];
-      if (is_local(id)) {
-        ++sched_pos;  // a cache hit moves no bytes; prefetching it would
-        continue;
-      }
-      const sim::SampleFlow f = flow(id);
-      if (admit(options.prefetch, id, 0, f.wire) != Admission::kPrefetch) {
-        ++stats.skipped_deprioritized;
-        ++sched_pos;
-        continue;
-      }
-      const std::size_t outstanding = issued_count - consumed_count;
-      if (outstanding >= depth) break;
-      if (budget.count() > 0 && outstanding > 0 && outstanding_bytes + f.wire > budget) break;
-
-      Seconds release;
-      if (issued_count >= depth) release = consume_times[issued_count - depth];
-      if (budget.count() > 0) {
-        // The byte credit for this fetch freed when cumulative consumption
-        // first covered (all bytes issued including this one) - budget.
-        const double required =
-            issued_bytes_cum + static_cast<double>(f.wire.count()) -
-            static_cast<double>(budget.count());
-        while (bytes_release_ptr < consume_events.size() &&
-               consume_events[bytes_release_ptr].second < required) {
-          ++bytes_release_ptr;
-        }
-        if (required > 0.0 && bytes_release_ptr < consume_events.size()) {
-          release = std::max(release, consume_events[bytes_release_ptr].first);
-        }
-      }
-      const Seconds issue = std::max(last_issue, release) + f.delay;
-      last_issue = issue;
-      const Seconds at_storage = issue + cluster.link_latency;  // request propagation
-      const Seconds storage_done =
-          (f.storage_cpu.value() > 0.0 && storage_pool.can_schedule())
-              ? storage_pool.schedule(at_storage, f.storage_cpu)
-              : at_storage;
-      const Seconds arrival = link.schedule(storage_done, f.wire);
-      staged.emplace(sched_pos, StagedFetch{issue, storage_done, arrival, f.wire});
-      ++issued_count;
-      ++stats.issued;
-      issued_bytes_cum += static_cast<double>(f.wire.count());
-      outstanding_bytes += f.wire;
-      ++sched_pos;
-    }
-  };
-
-  // --- Consumption: W synchronous workers in position order ----------------
-  std::vector<Seconds> worker_free(options.workers);
-  sim::EpochStats epoch;
-  Seconds batch_ready;
-  Seconds epoch_end;
-
-  for (std::size_t position = 0; position < num_samples; ++position) {
-    advance_scheduler();
-
-    const auto worker =
-        std::min_element(worker_free.begin(), worker_free.end()) - worker_free.begin();
-    const Seconds t0 = worker_free[static_cast<std::size_t>(worker)];
-    const std::uint64_t id = order[position];
-
-    sim::SampleTimeline row;
-    row.sample_index = static_cast<std::uint32_t>(id);
-    row.position = position;
-    row.worker = static_cast<std::int32_t>(worker);
-    row.claimed = t0;
-
-    Seconds done;
-    if (is_local(id)) {
-      const sim::SampleFlow f = flow(id);
-      done = compute_pool.schedule(t0, f.compute_cpu);
-      ++stats.served_locally;
-      row.issued = t0;
-      row.storage_done = t0;
-      row.link_done = t0;
-    } else if (const auto it = staged.find(position); it != staged.end()) {
-      const StagedFetch fetch = it->second;
-      staged.erase(it);
-      const Seconds start = std::max(t0, fetch.arrival);
-      if (fetch.arrival <= t0) {
-        ++stats.hits;
-      } else {
-        ++stats.hits;
-        ++stats.late_hits;
-        stats.worker_stall += fetch.arrival - t0;
-      }
-      const sim::SampleFlow f = flow(id);
-      done = compute_pool.schedule(start, f.compute_cpu);
-      ++consumed_count;
-      consume_times.push_back(start);
-      outstanding_bytes -= fetch.wire;
-      consumed_bytes_cum += static_cast<double>(fetch.wire.count());
-      consume_events.emplace_back(start, consumed_bytes_cum);
-      if (f.storage_cpu.value() > 0.0) ++epoch.offloaded_samples;
-      row.issued = fetch.issue;
-      row.storage_done = fetch.storage_done;
-      row.link_done = fetch.arrival;
-      row.wire = fetch.wire;
-      row.prefetched = true;
-    } else {
-      // Demand fetch: the worker runs the whole round trip synchronously.
-      sched_pos = std::max(sched_pos, position + 1);  // consumed-mark semantics
-      const sim::SampleFlow f = flow(id);
-      const Seconds issue = t0 + f.delay;
-      const Seconds at_storage = issue + cluster.link_latency;
-      const Seconds storage_done =
-          (f.storage_cpu.value() > 0.0 && storage_pool.can_schedule())
-              ? storage_pool.schedule(at_storage, f.storage_cpu)
-              : at_storage;
-      const Seconds arrival = link.schedule(storage_done, f.wire);
-      stats.worker_stall += arrival - t0;
-      done = compute_pool.schedule(arrival, f.compute_cpu);
-      ++stats.demand_fetches;
-      if (f.storage_cpu.value() > 0.0) ++epoch.offloaded_samples;
-      row.issued = issue;
-      row.storage_done = storage_done;
-      row.link_done = arrival;
-      row.wire = f.wire;
-    }
-    worker_free[static_cast<std::size_t>(worker)] = done;
-    row.ready = done;
-    if (trace) trace(row);
-
-    batch_ready = std::max(batch_ready, done);
-    if ((position + 1) % cluster.batch_size == 0 || position + 1 == num_samples) {
-      const Seconds gpu_start = std::max(batch_ready, gpu.free_at());
-      epoch_end = gpu.schedule(batch_ready, gpu_batch_time);
-      if (obs::global_tracer().enabled()) {
-        obs::SpanArgs args;
-        args.position = static_cast<std::int64_t>(position);
-        obs::global_tracer().record_at(obs::global_tracer().track("gpu"), obs::SpanCategory::kGpu,
-                                       "gpu_batch", gpu_start, epoch_end, args);
-      }
-      batch_ready = Seconds(0.0);
-      ++epoch.batches;
-    }
-  }
-
-  epoch.epoch_time = epoch_end;
-  epoch.traffic = link.traffic();
-  epoch.gpu_busy = gpu.busy_time();
-  epoch.gpu_utilization =
-      epoch.epoch_time.value() > 0.0 ? epoch.gpu_busy / epoch.epoch_time : 0.0;
-  epoch.storage_cpu_busy = storage_pool.busy_time();
-  epoch.compute_cpu_busy = compute_pool.busy_time();
-  epoch.samples = num_samples;
-  stats.max_inflight = link.max_inflight();
-  return ReplayResult{epoch, stats};
+  sim::ResourceMap resources(cluster);
+  resources.link.set_track_inflight(true);
+  const sim::JobLoad job =
+      sim::single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
+  const sim::WorkerLanes lanes = worker_lanes(options);
+  ReplayResult result;
+  sim::NoRecord plain;
+  result.epoch = sim::run_worker_lanes(plain, resources, job, lanes, result.prefetch, trace);
+  result.epoch.storage_cpu_busy = resources.storage_busy();
+  result.prefetch.max_inflight = resources.link.max_inflight();
+  return result;
 }
 
 }  // namespace sophon::prefetch

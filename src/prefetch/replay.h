@@ -1,17 +1,17 @@
 // Discrete-event replay of an epoch under clairvoyant prefetching.
 //
-// The existing sim::simulate_epoch_flows models a loader that admits work
-// by batch window; for studying prefetch we need the sharper contrast the
-// real loader exhibits: W worker threads, each running one synchronous
-// fetch round trip (request latency → storage CPU → FIFO link → response
-// latency) before it can preprocess — so link latency serializes behind
-// compute on every sample. The prefetch replay keeps the same resources
-// (CpuPool, SimLink, GpuResource, identical SampleFlow costs) and only
-// changes who issues the fetch: a scheduler walking the known epoch order,
-// bounded by the same depth/bytes credits the real StagingBuffer enforces.
-// Depth 0 reproduces the pure demand loader, so one entry point yields both
-// sides of every comparison — same flows, same link, byte-identical
-// traffic.
+// The batch-window simulators (sim/trainer.h) admit work a batch window at a
+// time; studying prefetch needs the sharper contrast the real loader shows:
+// W worker threads, each running one synchronous fetch round trip (request
+// latency → storage CPU → FIFO link → response latency) before it can
+// preprocess, so link latency serializes behind compute on every sample.
+// replay_epoch is the worker-lane configuration of the scheduling core
+// (sim/schedule.h): the same resources and SampleFlow costs as the
+// batch-window simulators, with a prefetcher walking the known epoch order
+// under the depth/bytes credits the real StagingBuffer enforces, and
+// prefetch::admit deciding which samples deserve a credit. Depth 0 is the
+// pure demand loader, so one entry point yields both sides of every
+// comparison — same flows, same link, byte-identical traffic.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 
 #include "prefetch/options.h"
 #include "sim/cluster.h"
+#include "sim/schedule.h"
 #include "sim/trace.h"
 #include "sim/trainer.h"
 
@@ -35,21 +36,16 @@ struct ReplayOptions {
 };
 
 /// What the prefetch side of the replay did.
-struct ReplayStats {
-  std::uint64_t issued = 0;        // fetches the scheduler pipelined
-  std::uint64_t hits = 0;          // staged before the worker needed them
-  std::uint64_t late_hits = 0;     // worker blocked on an in-flight fetch
-  std::uint64_t demand_fetches = 0;  // fetched by workers (skipped/depth 0)
-  std::uint64_t served_locally = 0;  // cache hits, no fetch at all
-  std::uint64_t skipped_deprioritized = 0;
-  Seconds worker_stall;            // total time workers waited on arrivals
-  std::uint64_t max_inflight = 0;  // peak concurrent transfers on the link
-};
+using ReplayStats = sim::LaneStats;
 
 struct ReplayResult {
   sim::EpochStats epoch;
   ReplayStats prefetch;
 };
+
+/// The core's worker-lane admission for `options`: a sample is worth a
+/// prefetch credit when prefetch::admit says kPrefetch for its exact payload.
+[[nodiscard]] sim::WorkerLanes worker_lanes(const ReplayOptions& options);
 
 /// Replay one epoch. `flow(i)` gives catalog sample i's resource demands
 /// (same contract as simulate_epoch_flows, composes with sim::faulty_flow);

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "net/link.h"
-#include "sim/resources.h"
+#include "sim/schedule.h"
 #include "util/check.h"
 
 namespace sophon::sim {
@@ -11,104 +10,36 @@ namespace sophon::sim {
 MultiJobStats simulate_multijob_epoch(const std::vector<JobSpec>& jobs,
                                       const ClusterConfig& shared) {
   SOPHON_CHECK(!jobs.empty());
+
+  // Storage pool 0 is the shared one; a job with a private partition gets a
+  // pool of its own. Every job brings its own compute pool and GPU.
+  ResourceMap resources(shared);
+  resources.compute.clear();
+  resources.gpu.clear();
+  std::vector<JobLoad> loads;
+  loads.reserve(jobs.size());
   for (const auto& job : jobs) {
-    SOPHON_CHECK(job.num_samples > 0);
-    SOPHON_CHECK(job.batch_size > 0);
-    SOPHON_CHECK(job.compute_cores > 0);
-    SOPHON_CHECK(job.flow != nullptr);
-  }
-
-  // Shared resources.
-  CpuPool storage_pool(shared.storage_cores, shared.storage_core_speed);
-  net::SimLink link(shared.bandwidth, shared.link_latency);
-
-  // Per-job private state.
-  struct JobState {
-    dataset::EpochOrder order;
-    std::vector<dataset::BatchRange> batches;
-    CpuPool compute_pool;
-    CpuPool private_storage;
-    GpuResource gpu;
-    std::vector<Seconds> batch_gpu_done;
-    std::size_t next_batch = 0;
-    Bytes traffic;
-    Seconds storage_busy;
-    std::size_t offloaded = 0;
-  };
-  std::vector<JobState> state;
-  state.reserve(jobs.size());
-  std::size_t max_batches = 0;
-  for (const auto& job : jobs) {
-    JobState s{dataset::EpochOrder(job.num_samples, job.seed, 0),
-               dataset::make_batches(job.num_samples, job.batch_size),
-               CpuPool(job.compute_cores),
-               CpuPool(std::max(job.private_storage_cores, 0), shared.storage_core_speed),
-               GpuResource{},
-               {},
-               0,
-               Bytes(0),
-               Seconds(0.0),
-               0};
-    s.batch_gpu_done.resize(s.batches.size());
-    max_batches = std::max(max_batches, s.batches.size());
-    state.push_back(std::move(s));
-  }
-
-  // Round-robin by batch index across jobs: shared resources see the jobs'
-  // requests interleaved at batch granularity.
-  for (std::size_t round = 0; round < max_batches; ++round) {
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      auto& s = state[j];
-      if (s.next_batch >= s.batches.size()) continue;
-      const auto b = s.next_batch++;
-      const Seconds issue = b < shared.prefetch_batches
-                                ? Seconds(0.0)
-                                : s.batch_gpu_done[b - shared.prefetch_batches];
-      Seconds batch_ready(0.0);
-      for (std::size_t pos = s.batches[b].begin; pos < s.batches[b].end; ++pos) {
-        const auto idx = s.order.at(pos);
-        const SampleFlow f = jobs[j].flow(idx);
-        Seconds t = issue;
-        if (f.storage_cpu.value() > 0.0) {
-          auto& pool =
-              jobs[j].private_storage_cores >= 0 ? s.private_storage : storage_pool;
-          SOPHON_CHECK_MSG(pool.can_schedule(), "offloading requires storage cores");
-          ++s.offloaded;
-          const Seconds before = pool.busy_time();
-          t = pool.schedule(t, f.storage_cpu);
-          s.storage_busy += pool.busy_time() - before;
-        }
-        const Bytes before_traffic = link.traffic();
-        t = link.schedule(t, f.wire);
-        s.traffic += link.traffic() - before_traffic;
-        if (f.compute_cpu.value() > 0.0) t = s.compute_pool.schedule(t, f.compute_cpu);
-        batch_ready = std::max(batch_ready, t);
-      }
-      s.batch_gpu_done[b] = s.gpu.schedule(batch_ready, jobs[j].gpu_batch_time);
+    loads.push_back(JobLoad{.num_samples = job.num_samples,
+                            .flow = &job.flow,
+                            .seed = job.seed,
+                            .batch_size = job.batch_size,
+                            .gpu_batch_time = job.gpu_batch_time});
+    if (job.private_storage_cores >= 0) {
+      loads.back().storage_pool = resources.storage.size();
+      resources.storage.emplace_back(job.private_storage_cores, shared.storage_core_speed);
     }
+    resources.compute.emplace_back(job.compute_cores);
+    resources.gpu.emplace_back();
   }
 
   MultiJobStats stats;
-  stats.per_job.reserve(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const auto& s = state[j];
-    EpochStats e;
-    e.epoch_time = s.batch_gpu_done.back();
-    e.traffic = s.traffic;
-    e.gpu_busy = s.gpu.busy_time();
-    e.gpu_utilization =
-        e.epoch_time.value() > 0.0 ? e.gpu_busy.value() / e.epoch_time.value() : 0.0;
-    e.storage_cpu_busy = s.storage_busy;
-    e.compute_cpu_busy = s.compute_pool.busy_time();
-    e.samples = jobs[j].num_samples;
-    e.batches = s.batches.size();
-    e.offloaded_samples = s.offloaded;
+  NoRecord plain;
+  stats.per_job = run_batch_window(plain, resources, loads, shared.prefetch_batches);
+  for (const EpochStats& e : stats.per_job) {
     stats.makespan = std::max(stats.makespan, e.epoch_time);
     stats.total_traffic += e.traffic;
-    stats.per_job.push_back(e);
   }
-  stats.shared_storage_busy = storage_pool.busy_time();
-  for (const auto& s : state) stats.shared_storage_busy += s.private_storage.busy_time();
+  stats.shared_storage_busy = resources.storage_busy();
   return stats;
 }
 

@@ -9,18 +9,25 @@ namespace sophon::sim {
 CpuPool::CpuPool(int cores, double speed_factor) : cores_(cores), speed_factor_(speed_factor) {
   SOPHON_CHECK(cores >= 0);
   SOPHON_CHECK(speed_factor > 0.0);
-  for (int i = 0; i < cores; ++i) free_at_.push(0.0);
+  reset();
 }
 
 Seconds CpuPool::schedule(Seconds ready, Seconds duration) {
   SOPHON_CHECK_MSG(can_schedule(), "scheduling on a zero-core pool");
   SOPHON_CHECK(duration.value() >= 0.0);
   const double scaled = duration.value() / speed_factor_;
-  const double core_free = free_at_.top();
-  free_at_.pop();
-  const double start = std::max(ready.value(), core_free);
-  const double done = start + scaled;
-  free_at_.push(done);
+  // Re-key the top core and sift it down: one pass instead of a pop + push.
+  const std::pair<double, int> item{std::max(ready.value(), free_at_.front().first) + scaled,
+                                    free_at_.front().second};
+  const double done = item.first;
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < free_at_.size(); child = 2 * i + 1) {
+    if (child + 1 < free_at_.size() && free_at_[child + 1] < free_at_[child]) ++child;
+    if (!(free_at_[child] < item)) break;
+    free_at_[i] = free_at_[child];
+    i = child;
+  }
+  free_at_[i] = item;
   busy_ += Seconds(scaled);
   last_completion_ = std::max(last_completion_, Seconds(done));
   return Seconds(done);
@@ -31,8 +38,8 @@ Seconds CpuPool::makespan() const {
 }
 
 void CpuPool::reset() {
-  while (!free_at_.empty()) free_at_.pop();
-  for (int i = 0; i < cores_; ++i) free_at_.push(0.0);
+  free_at_.clear();
+  for (int i = 0; i < cores_; ++i) free_at_.emplace_back(0.0, i);
   busy_ = Seconds(0.0);
   last_completion_ = Seconds(0.0);
 }

@@ -6,7 +6,7 @@
 // compute node's preprocessing CPUs.
 #pragma once
 
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "util/units.h"
@@ -26,8 +26,14 @@ class CpuPool {
   [[nodiscard]] bool can_schedule() const { return cores_ > 0; }
 
   /// Schedule a single-core job of `duration` that becomes ready at `ready`.
-  /// Returns its completion time. Precondition: can_schedule().
+  /// It runs on the earliest-free core; among cores free at the same time,
+  /// the lowest-numbered one. Returns its completion time. Precondition:
+  /// can_schedule().
   Seconds schedule(Seconds ready, Seconds duration);
+
+  /// The core the next schedule() call will run on, in [0, cores()).
+  /// Precondition: can_schedule().
+  [[nodiscard]] int next_core() const { return free_at_.front().second; }
 
   /// Cumulative core-busy seconds (after speed scaling).
   [[nodiscard]] Seconds busy_time() const { return busy_; }
@@ -40,8 +46,9 @@ class CpuPool {
  private:
   int cores_;
   double speed_factor_;
-  // Min-heap of per-core next-free times.
-  std::priority_queue<double, std::vector<double>, std::greater<>> free_at_;
+  // Binary min-heap of (next-free time, core); the pairs are distinct, so
+  // the top is the same core whatever order the heap keeps.
+  std::vector<std::pair<double, int>> free_at_;
   Seconds busy_;
   Seconds last_completion_;
 };

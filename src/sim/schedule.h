@@ -1,0 +1,154 @@
+// The scheduling core: the one queueing model of a training epoch that every
+// simulator and the critical-path analyzer run (paper §3–4). Each sample
+// flows admission → storage CPU → FIFO link → compute CPU; each batch then
+// takes one GPU step. run_batch_window admits batch b once batch
+// b - prefetch_batches has left the GPU; run_worker_lanes admits through W
+// synchronous loader workers plus a clairvoyant prefetcher under depth and
+// byte credits.
+//
+// Provenance is a compile-time policy. NoRecord carries bare times; plain
+// runs put the link's "transfer" and the GPU's "gpu_batch" spans on
+// obs::global_tracer() while it records. Recorder also keeps each event's
+// parent — the argmax of the scheduling max() — which is the DAG the
+// critical-path analyzer walks; it emits no spans. Tie-breaks decide blame:
+// among equally free cores the lowest-numbered runs the job, later(a, b)
+// keeps a unless b is strictly later, and the link charges transmission and
+// propagation as two events.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "net/link.h"
+#include "sim/resources.h"
+#include "sim/trainer.h"
+
+namespace sophon::sim {
+
+using FlowFn = std::function<SampleFlow(std::size_t)>;
+
+/// What an event waited on. kStart is the root event; kDelay is injected
+/// stall (retry backoff) that occupies no resource.
+enum class Resource : std::uint8_t {
+  kStart = 0,
+  kStorageCpu = 1,
+  kLink = 2,
+  kComputeCpu = 3,
+  kGpu = 4,
+  kDelay = 5,
+};
+
+/// Provenance policy of the plain simulators: an event is its time.
+struct NoRecord {
+  using Event = double;
+  static constexpr bool kRecords = false;
+  static double time(Event e) { return e; }
+  static Event later(Event a, Event b) { return b > a ? b : a; }
+  static Event add(double time, Event, Resource, std::int64_t, std::int64_t) { return time; }
+};
+
+/// One recorded event.
+struct EventNode {
+  double time = 0.0;
+  std::int32_t parent = -1;  ///< the event that set `time`
+  Resource via = Resource::kStart;
+  std::int64_t sample = -1;    ///< catalog sample id (-1 for GPU steps)
+  std::int64_t position = -1;  ///< epoch position (GPU steps: the batch's last)
+};
+
+/// Provenance policy that records the DAG. Node 0 is the root at time 0; the
+/// last node is the last GPU step scheduled.
+class Recorder {
+ public:
+  struct Event {
+    double time = 0.0;
+    std::int32_t node = 0;
+  };
+  static constexpr bool kRecords = true;
+
+  Recorder() : nodes_(1) {}
+  static double time(Event e) { return e.time; }
+  static Event later(Event a, Event b) { return b.time > a.time ? b : a; }
+  Event add(double time, Event parent, Resource via, std::int64_t sample, std::int64_t position) {
+    nodes_.push_back(EventNode{time, parent.node, via, sample, position});
+    return Event{time, static_cast<std::int32_t>(nodes_.size() - 1)};
+  }
+  [[nodiscard]] const std::vector<EventNode>& nodes() const { return nodes_; }
+
+ private:
+  std::vector<EventNode> nodes_;
+};
+
+/// The servers of one epoch: storage pools (one per node or private
+/// partition), the shared link, and job j's compute[j] and gpu[j]. Built
+/// with `storage_nodes` pools and job 0's servers.
+struct ResourceMap {
+  explicit ResourceMap(const ClusterConfig& cluster, std::size_t storage_nodes = 1);
+
+  std::vector<CpuPool> storage;
+  net::SimLink link;
+  std::vector<CpuPool> compute;
+  std::vector<GpuResource> gpu;
+
+  /// Core-seconds of every storage pool, summed in pool order.
+  [[nodiscard]] Seconds storage_busy() const;
+};
+
+/// One job's epoch.
+struct JobLoad {
+  std::size_t num_samples = 0;
+  const FlowFn* flow = nullptr;  ///< pure function of the catalog index
+  std::uint64_t seed = 42;       ///< visit order: EpochOrder(num_samples, seed, epoch_index)
+  std::size_t epoch_index = 0;
+  std::size_t batch_size = 256;
+  Seconds gpu_batch_time;
+  std::size_t storage_pool = 0;               ///< runs offloaded prefixes, unless `shards`
+  const storage::ShardMap* shards = nullptr;  ///< per sample: the owning node's pool
+};
+
+/// The job of `cluster` alone.
+[[nodiscard]] JobLoad single_job(const ClusterConfig& cluster, std::size_t num_samples,
+                                 const FlowFn& flow, Seconds gpu_batch_time, std::uint64_t seed,
+                                 std::size_t epoch_index);
+
+/// Batch-window admission for `jobs`, interleaved round-robin by batch; each
+/// job is charged its own samples' storage core-seconds.
+template <class Rec>
+std::vector<EpochStats> run_batch_window(Rec& rec, ResourceMap& resources,
+                                         std::span<const JobLoad> jobs,
+                                         std::size_t prefetch_batches,
+                                         const TraceSink& trace = {});
+
+/// Worker-lane admission: loader workers plus the prefetcher's credits.
+struct WorkerLanes {
+  std::size_t workers = 4;
+  std::size_t depth = 0;  ///< prefetch credits in samples; 0 = demand only
+  Bytes bytes_budget;     ///< credits in staged bytes; 0 = unlimited
+  /// Whether a sample earns a prefetch credit (empty: every sample does).
+  std::function<bool(std::uint64_t sample, Bytes wire)> admit;
+  /// Samples served from compute-local storage: no fetch, no bytes.
+  std::function<bool(std::uint64_t sample)> served_locally;
+};
+
+/// What the prefetch side of a worker-lane epoch did.
+struct LaneStats {
+  std::uint64_t issued = 0;          // fetches the prefetcher pipelined
+  std::uint64_t hits = 0;            // staged before the worker needed them
+  std::uint64_t late_hits = 0;       // worker blocked on an in-flight fetch
+  std::uint64_t demand_fetches = 0;  // fetched by workers (skipped/depth 0)
+  std::uint64_t served_locally = 0;  // cache hits, no fetch at all
+  std::uint64_t skipped_deprioritized = 0;
+  Seconds worker_stall;            // total time workers waited on arrivals
+  std::uint64_t max_inflight = 0;  // peak concurrent transfers on the link
+};
+
+/// Worker-lane admission for job 0; fills `lane_stats` except max_inflight
+/// (SimLink tracks that). Requests reach storage one link latency later.
+template <class Rec>
+EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job,
+                            const WorkerLanes& lanes, LaneStats& lane_stats,
+                            const TraceSink& trace = {});
+
+}  // namespace sophon::sim

@@ -4,10 +4,9 @@
 #include <utility>
 
 #include "net/fault.h"
-#include "net/link.h"
 #include "net/resilience.h"
 #include "net/wire.h"
-#include "sim/resources.h"
+#include "sim/schedule.h"
 #include "util/check.h"
 
 namespace sophon::sim {
@@ -17,77 +16,12 @@ EpochStats simulate_epoch_flows(std::size_t num_samples,
                                 const ClusterConfig& cluster, Seconds gpu_batch_time,
                                 std::uint64_t seed, std::size_t epoch_index,
                                 const TraceSink& trace) {
-  SOPHON_CHECK(num_samples > 0);
-  SOPHON_CHECK(cluster.compute_cores > 0);
-  SOPHON_CHECK(cluster.batch_size > 0);
-  SOPHON_CHECK(cluster.prefetch_batches >= 1);
-
-  const dataset::EpochOrder order(num_samples, seed, epoch_index);
-  const auto batches = dataset::make_batches(num_samples, cluster.batch_size);
-
-  CpuPool storage_pool(cluster.storage_cores, cluster.storage_core_speed);
-  CpuPool compute_pool(cluster.compute_cores);
-  net::SimLink link(cluster.bandwidth, cluster.link_latency);
-  link.set_fault_injector(cluster.link_faults);
-  GpuResource gpu;
-
-  std::vector<Seconds> batch_gpu_done(batches.size());
-  std::size_t offloaded = 0;
-
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    // Bounded prefetch: samples of batch b may only be requested once batch
-    // b - prefetch_batches has cleared the GPU (its loader slots freed).
-    const Seconds issue = b < cluster.prefetch_batches
-                              ? Seconds(0.0)
-                              : batch_gpu_done[b - cluster.prefetch_batches];
-
-    Seconds batch_ready(0.0);
-    for (std::size_t pos = batches[b].begin; pos < batches[b].end; ++pos) {
-      const auto idx = order.at(pos);
-      const SampleFlow f = flow(idx);
-      SOPHON_CHECK(f.storage_cpu.value() >= 0.0 && f.compute_cpu.value() >= 0.0);
-      SOPHON_CHECK(f.wire.count() >= 0);
-      SOPHON_CHECK(f.delay.value() >= 0.0);
-
-      Seconds t = issue + f.delay;
-      if (f.storage_cpu.value() > 0.0) {
-        SOPHON_CHECK_MSG(storage_pool.can_schedule(),
-                         "offload assignment requires storage cores");
-        ++offloaded;
-        t = storage_pool.schedule(t, f.storage_cpu);
-      }
-      const Seconds storage_done = t;
-      t = link.schedule(t, f.wire);
-      const Seconds link_done = t;
-      if (f.compute_cpu.value() > 0.0) {
-        t = compute_pool.schedule(t, f.compute_cpu);
-      }
-      if (trace) {
-        trace(SampleTimeline{.sample_index = idx,
-                             .position = pos,
-                             .issued = issue,
-                             .storage_done = storage_done,
-                             .link_done = link_done,
-                             .ready = t,
-                             .wire = f.wire,
-                             .claimed = Seconds()});  // no worker lanes
-      }
-      batch_ready = std::max(batch_ready, t);
-    }
-    batch_gpu_done[b] = gpu.schedule(batch_ready, gpu_batch_time);
-  }
-
-  EpochStats stats;
-  stats.epoch_time = batch_gpu_done.back();
-  stats.traffic = link.traffic();
-  stats.gpu_busy = gpu.busy_time();
-  stats.gpu_utilization =
-      stats.epoch_time.value() > 0.0 ? stats.gpu_busy.value() / stats.epoch_time.value() : 0.0;
-  stats.storage_cpu_busy = storage_pool.busy_time();
-  stats.compute_cpu_busy = compute_pool.busy_time();
-  stats.samples = num_samples;
-  stats.batches = batches.size();
-  stats.offloaded_samples = offloaded;
+  ResourceMap resources(cluster);
+  const JobLoad job = single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
+  NoRecord plain;
+  EpochStats stats =
+      run_batch_window(plain, resources, {&job, 1}, cluster.prefetch_batches, trace).front();
+  stats.storage_cpu_busy = resources.storage_busy();
   return stats;
 }
 
@@ -96,67 +30,15 @@ ShardedEpochStats simulate_epoch_sharded(std::size_t num_samples,
                                          const storage::ShardMap& shards,
                                          const ClusterConfig& cluster, Seconds gpu_batch_time,
                                          std::uint64_t seed, std::size_t epoch_index) {
-  SOPHON_CHECK(num_samples > 0);
   SOPHON_CHECK(shards.size() == num_samples);
-  SOPHON_CHECK(cluster.compute_cores > 0);
-  SOPHON_CHECK(cluster.batch_size > 0);
-  SOPHON_CHECK(cluster.prefetch_batches >= 1);
-
-  const dataset::EpochOrder order(num_samples, seed, epoch_index);
-  const auto batches = dataset::make_batches(num_samples, cluster.batch_size);
-
-  std::vector<CpuPool> node_pools;
-  node_pools.reserve(static_cast<std::size_t>(shards.num_nodes()));
-  for (int n = 0; n < shards.num_nodes(); ++n) {
-    node_pools.emplace_back(cluster.storage_cores, cluster.storage_core_speed);
-  }
-  CpuPool compute_pool(cluster.compute_cores);
-  net::SimLink link(cluster.bandwidth, cluster.link_latency);
-  link.set_fault_injector(cluster.link_faults);
-  GpuResource gpu;
-
-  std::vector<Seconds> batch_gpu_done(batches.size());
-  std::size_t offloaded = 0;
-
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const Seconds issue = b < cluster.prefetch_batches
-                              ? Seconds(0.0)
-                              : batch_gpu_done[b - cluster.prefetch_batches];
-    Seconds batch_ready(0.0);
-    for (std::size_t pos = batches[b].begin; pos < batches[b].end; ++pos) {
-      const auto idx = order.at(pos);
-      const SampleFlow f = flow(idx);
-      Seconds t = issue + f.delay;
-      if (f.storage_cpu.value() > 0.0) {
-        auto& pool = node_pools[static_cast<std::size_t>(shards.node_of(idx))];
-        SOPHON_CHECK_MSG(pool.can_schedule(), "offload assignment requires storage cores");
-        ++offloaded;
-        t = pool.schedule(t, f.storage_cpu);
-      }
-      t = link.schedule(t, f.wire);
-      if (f.compute_cpu.value() > 0.0) t = compute_pool.schedule(t, f.compute_cpu);
-      batch_ready = std::max(batch_ready, t);
-    }
-    batch_gpu_done[b] = gpu.schedule(batch_ready, gpu_batch_time);
-  }
-
+  ResourceMap resources(cluster, static_cast<std::size_t>(shards.num_nodes()));
+  JobLoad job = single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
+  job.shards = &shards;
   ShardedEpochStats stats;
-  stats.totals.epoch_time = batch_gpu_done.back();
-  stats.totals.traffic = link.traffic();
-  stats.totals.gpu_busy = gpu.busy_time();
-  stats.totals.gpu_utilization = stats.totals.epoch_time.value() > 0.0
-                                     ? stats.totals.gpu_busy.value() /
-                                           stats.totals.epoch_time.value()
-                                     : 0.0;
-  stats.totals.compute_cpu_busy = compute_pool.busy_time();
-  stats.totals.samples = num_samples;
-  stats.totals.batches = batches.size();
-  stats.totals.offloaded_samples = offloaded;
-  stats.node_cpu_busy.reserve(node_pools.size());
-  for (const auto& pool : node_pools) {
-    stats.totals.storage_cpu_busy += pool.busy_time();
-    stats.node_cpu_busy.push_back(pool.busy_time());
-  }
+  NoRecord plain;
+  stats.totals = run_batch_window(plain, resources, {&job, 1}, cluster.prefetch_batches).front();
+  stats.totals.storage_cpu_busy = resources.storage_busy();
+  for (const CpuPool& pool : resources.storage) stats.node_cpu_busy.push_back(pool.busy_time());
   return stats;
 }
 
@@ -247,26 +129,31 @@ std::function<SampleFlow(std::size_t)> faulty_flow(std::function<SampleFlow(std:
   };
 }
 
+std::function<SampleFlow(std::size_t)> plan_flow(const dataset::Catalog& catalog,
+                                                 const pipeline::Pipeline& pipeline,
+                                                 const pipeline::CostModel& cost_model,
+                                                 std::span<const std::uint8_t> assignment) {
+  SOPHON_CHECK(assignment.empty() || assignment.size() == catalog.size());
+  return [&catalog, &pipeline, &cost_model, assignment](std::size_t idx) {
+    const auto& raw = catalog.sample(idx).raw;
+    const std::size_t prefix = assignment.empty() ? 0 : assignment[idx];
+    SOPHON_CHECK(prefix <= pipeline.size());
+    SampleFlow f;
+    if (prefix > 0) f.storage_cpu = pipeline.prefix_cost(raw, prefix, cost_model);
+    f.wire = net::wire_size(pipeline.shape_at(raw, prefix));
+    f.compute_cpu = pipeline.suffix_cost(raw, prefix, cost_model);
+    f.stage = static_cast<std::uint8_t>(prefix);
+    return f;
+  };
+}
+
 EpochStats simulate_epoch(const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,
                           const pipeline::CostModel& cost_model, const ClusterConfig& cluster,
                           Seconds gpu_batch_time, std::span<const std::uint8_t> assignment,
                           std::uint64_t seed, std::size_t epoch_index) {
   SOPHON_CHECK(!catalog.empty());
-  SOPHON_CHECK(assignment.empty() || assignment.size() == catalog.size());
-
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = assignment.empty() ? 0 : assignment[idx];
-    SOPHON_CHECK(prefix <= pipeline.size());
-    SampleFlow f;
-    f.storage_cpu =
-        prefix > 0 ? pipeline.prefix_cost(meta.raw, prefix, cost_model) : Seconds(0.0);
-    f.wire = net::wire_size(pipeline.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipeline.suffix_cost(meta.raw, prefix, cost_model);
-    f.stage = static_cast<std::uint8_t>(prefix);
-    return f;
-  };
-  return simulate_epoch_flows(catalog.size(), flow, cluster, gpu_batch_time, seed, epoch_index);
+  return simulate_epoch_flows(catalog.size(), plan_flow(catalog, pipeline, cost_model, assignment),
+                              cluster, gpu_batch_time, seed, epoch_index);
 }
 
 EpochStats simulate_epochs(const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,

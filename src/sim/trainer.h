@@ -12,6 +12,10 @@
 //     op costs (every policy sees the same deterministic cost model),
 //   * the loader admits new samples with a bounded look-ahead window, like
 //     a DataLoader with a fixed prefetch depth.
+//
+// These entry points are the batch-window configurations of the scheduling
+// core (sim/schedule.h), which multijob.h, prefetch::replay_epoch and the
+// critical-path analyzer configure too; the equations live only there.
 #pragma once
 
 #include <cstdint>
@@ -49,13 +53,14 @@ struct EpochStats {
 };
 
 /// Per-sample resource demands, the generic currency of the simulator: what
-/// the storage node computes, what crosses the link, what the compute node
-/// finishes. Extensions (e.g. selective payload compression, fault replay)
-/// express themselves as different flows for the same sample.
+/// the storage node computes, what the compute node finishes, what crosses
+/// the link. Extensions (e.g. selective payload compression, fault replay)
+/// express themselves as different flows for the same sample. Positional
+/// initialisers rely on the field order.
 struct SampleFlow {
   Seconds storage_cpu;  // zero means "not offloaded"
-  Bytes wire;
   Seconds compute_cpu;
+  Bytes wire;
   /// Idle stall charged before the sample enters the pipeline (e.g. retry
   /// backoff replayed from a fault trace). Occupies no resource.
   Seconds delay;
@@ -72,6 +77,14 @@ struct SampleFlow {
     std::size_t num_samples, const std::function<SampleFlow(std::size_t)>& flow,
     const ClusterConfig& cluster, Seconds gpu_batch_time, std::uint64_t seed,
     std::size_t epoch_index = 0, const TraceSink& trace = {});
+
+/// The flows of an offload assignment: sample `i` runs the first
+/// `assignment[i]` pipeline ops on the storage node (prefix cost), ships the
+/// stage's wire payload, and finishes the suffix locally. An empty span means
+/// no offloading. The returned function borrows every argument.
+[[nodiscard]] std::function<SampleFlow(std::size_t)> plan_flow(
+    const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,
+    const pipeline::CostModel& cost_model, std::span<const std::uint8_t> assignment);
 
 /// Simulate one training epoch.
 ///

@@ -117,15 +117,7 @@ TEST(ReplicatedDecision, SimulatorAgreesWithPrediction) {
   const auto result = decide_offloading_replicated(f.profiles, replicas, f.cluster, f.t_g);
   ASSERT_GT(result.offloaded, 0u);
 
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = f.catalog.sample(idx);
-    const std::size_t prefix = result.plan.prefix(idx);
-    sim::SampleFlow fl;
-    fl.storage_cpu = prefix > 0 ? f.pipe.prefix_cost(meta.raw, prefix, f.cm) : Seconds(0.0);
-    fl.wire = Bytes(f.profiles[idx].stage_sizes[prefix].count());
-    fl.compute_cpu = f.pipe.suffix_cost(meta.raw, prefix, f.cm);
-    return fl;
-  };
+  const auto flow = sim::plan_flow(f.catalog, f.pipe, f.cm, result.plan.assignment());
   const auto stats = sim::simulate_epoch_sharded(f.catalog.size(), flow, result.execution_nodes,
                                                  f.cluster, Seconds::millis(85.0), 42, 0);
   ASSERT_EQ(stats.node_cpu_busy.size(), result.node_cpu.size());

@@ -12,6 +12,7 @@
 #include "obs/critpath/whatif.h"
 #include "prefetch/replay.h"
 #include "sim/trainer.h"
+#include "obs/trace.h"
 #include "util/telemetry.h"
 
 namespace sophon::obs::critpath {
@@ -160,6 +161,21 @@ TEST(CritPath, AnalysisIsDeterministic) {
   const std::string a = analyze_epoch(demand_for, p).to_json().dump();
   const std::string b = analyze_epoch(demand_for, p).to_json().dump();
   EXPECT_EQ(a, b);
+}
+
+TEST(CritPath, AnalyzerRecordsNoSpansWhileTracing) {
+  // `sophonctl simulate --critpath-out` analyzes with the global tracer on;
+  // the analyzer's schedule must not add link or GPU spans to the trace of
+  // the epoch it explains.
+  Tracer& tracer = global_tracer();
+  (void)tracer.drain();
+  tracer.set_enabled(true);
+  for (const EpochParams& p : {batch_params(), worker_params()}) {
+    (void)analyze_epoch(demand_for, p);
+    (void)project(demand_for, p, default_scenarios(p));
+  }
+  tracer.set_enabled(false);
+  EXPECT_TRUE(tracer.drain().empty());
 }
 
 TEST(WhatIf, DefaultScenariosCoverRequiredKnobs) {

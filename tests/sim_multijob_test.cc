@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "net/wire.h"
+#include <map>
+#include <vector>
+
 #include "util/check.h"
 
 namespace sophon::sim {
@@ -20,16 +22,13 @@ struct Fixture {
     spec.gpu_batch_time = batch_time;
     spec.batch_size = 64;
     spec.seed = seed;
-    spec.flow = [this, prefix](std::size_t idx) {
-      const auto& meta = catalog.sample(idx);
-      SampleFlow f;
-      f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-      f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-      f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-      return f;
-    };
+    const auto& assignment = uniform.try_emplace(prefix, catalog.size(), prefix).first->second;
+    spec.flow = plan_flow(catalog, pipe, cm, assignment);
     return spec;
   }
+
+  // Uniform assignments by prefix length, kept alive for the flows.
+  std::map<std::uint8_t, std::vector<std::uint8_t>> uniform;
 };
 
 TEST(MultiJob, SingleJobMatchesSingleJobSimulator) {
@@ -43,6 +42,24 @@ TEST(MultiJob, SingleJobMatchesSingleJobSimulator) {
   ASSERT_EQ(multi.per_job.size(), 1u);
   EXPECT_DOUBLE_EQ(multi.per_job[0].epoch_time.value(), single.epoch_time.value());
   EXPECT_EQ(multi.per_job[0].traffic, single.traffic);
+
+  // Injected delay (fault-replay backoff) stalls a multi-job sample exactly
+  // as it stalls a single-job one.
+  JobSpec delayed = f.job(2);
+  delayed.flow = [base = f.job(2).flow](std::size_t idx) {
+    SampleFlow flow = base(idx);
+    if (idx % 5 == 0) flow.delay = Seconds::millis(500.0);
+    return flow;
+  };
+  const auto multi_delayed = simulate_multijob_epoch({delayed}, shared);
+  const auto single_delayed = simulate_epoch_flows(f.catalog.size(), delayed.flow, shared,
+                                                   Seconds::millis(40.0), 42, 0);
+  EXPECT_DOUBLE_EQ(multi_delayed.per_job[0].epoch_time.value(),
+                   single_delayed.epoch_time.value());
+  EXPECT_GT(single_delayed.epoch_time.value(),
+            simulate_epoch_flows(f.catalog.size(), f.job(2).flow, shared, Seconds::millis(40.0),
+                                 42, 0)
+                .epoch_time.value());
 }
 
 TEST(MultiJob, SharingHalvesEffectiveBandwidth) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "net/wire.h"
+#include <map>
+#include <vector>
+
 #include "sim/trainer.h"
 #include "util/check.h"
 
@@ -20,15 +22,12 @@ struct Fixture {
     return c;
   }();
 
+  // Uniform assignments by prefix length, kept alive for the flows.
+  std::map<std::uint8_t, std::vector<std::uint8_t>> uniform;
+
   std::function<SampleFlow(std::size_t)> flows(std::uint8_t prefix) {
-    return [this, prefix](std::size_t idx) {
-      const auto& meta = catalog.sample(idx);
-      SampleFlow f;
-      f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-      f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-      f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-      return f;
-    };
+    const auto& assignment = uniform.try_emplace(prefix, catalog.size(), prefix).first->second;
+    return plan_flow(catalog, pipe, cm, assignment);
   }
 };
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "net/wire.h"
+#include "obs/critpath/critpath.h"
+#include "prefetch/replay.h"
 #include "util/check.h"
 
 namespace sophon::sim {
@@ -120,6 +122,26 @@ TEST(Trainer, OffloadWithZeroStorageCoresIsRejected) {
   EXPECT_THROW((void)f.run(all), ContractViolation);
   // But a no-offload run is fine.
   EXPECT_NO_THROW((void)f.run({}));
+
+  // Worker-lane replay (demand and prefetch) and the critical-path analyzer
+  // (both disciplines) apply the same rule to the same offloaded flows.
+  const auto flow = plan_flow(f.catalog, f.pipeline, f.cost_model, all);
+  for (const std::size_t depth : {0, 4}) {
+    prefetch::ReplayOptions options;
+    options.prefetch.depth = depth;
+    EXPECT_THROW((void)prefetch::replay_epoch(f.catalog.size(), flow, f.cluster, f.batch_time, 42,
+                                              0, options),
+                 ContractViolation);
+  }
+  obs::critpath::EpochParams params;
+  params.cluster = f.cluster;
+  params.gpu_batch_time = f.batch_time;
+  params.num_samples = f.catalog.size();
+  for (const auto discipline :
+       {obs::critpath::Discipline::kBatchWindow, obs::critpath::Discipline::kWorkerReplay}) {
+    params.discipline = discipline;
+    EXPECT_THROW((void)obs::critpath::analyze_epoch(flow, params), ContractViolation);
+  }
 }
 
 TEST(Trainer, RejectsMalformedAssignment) {
@@ -147,20 +169,38 @@ TEST(Trainer, FlowsApiMatchesAssignmentApi) {
   for (std::size_t i = 0; i < some.size(); i += 3) some[i] = 2;
   const auto direct = f.run(some);
 
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = f.catalog.sample(idx);
-    const std::size_t prefix = some[idx];
-    SampleFlow fl;
-    fl.storage_cpu =
-        prefix > 0 ? f.pipeline.prefix_cost(meta.raw, prefix, f.cost_model) : Seconds(0.0);
-    fl.wire = net::wire_size(f.pipeline.shape_at(meta.raw, prefix));
-    fl.compute_cpu = f.pipeline.suffix_cost(meta.raw, prefix, f.cost_model);
-    return fl;
-  };
-  const auto via_flows = simulate_epoch_flows(f.catalog.size(), flow, f.cluster, f.batch_time,
-                                              42, 0);
+  const auto via_flows =
+      simulate_epoch_flows(f.catalog.size(), plan_flow(f.catalog, f.pipeline, f.cost_model, some),
+                           f.cluster, f.batch_time, 42, 0);
   EXPECT_EQ(via_flows.traffic, direct.traffic);
   EXPECT_DOUBLE_EQ(via_flows.epoch_time.value(), direct.epoch_time.value());
+}
+
+TEST(Trainer, PlanFlowChargesPrefixWireAndSuffix) {
+  Fixture f;
+  std::vector<std::uint8_t> assignment(f.catalog.size());
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    assignment[i] = static_cast<std::uint8_t>(i % (f.pipeline.size() + 1));
+  }
+  const auto flow = plan_flow(f.catalog, f.pipeline, f.cost_model, assignment);
+  const auto raw = plan_flow(f.catalog, f.pipeline, f.cost_model, {});
+  for (std::size_t i = 0; i < 50; ++i) {
+    const auto& meta = f.catalog.sample(i);
+    const std::size_t prefix = assignment[i];
+    const SampleFlow fl = flow(i);
+    EXPECT_EQ(fl.storage_cpu.value(),
+              prefix > 0 ? f.pipeline.prefix_cost(meta.raw, prefix, f.cost_model).value() : 0.0);
+    EXPECT_EQ(fl.wire, net::wire_size(f.pipeline.shape_at(meta.raw, prefix)));
+    EXPECT_EQ(fl.compute_cpu.value(),
+              f.pipeline.suffix_cost(meta.raw, prefix, f.cost_model).value());
+    EXPECT_EQ(fl.delay.value(), 0.0);
+    EXPECT_EQ(fl.stage, prefix);
+    // No assignment ships every sample raw.
+    EXPECT_EQ(raw(i).wire, net::wire_size(f.pipeline.shape_at(meta.raw, 0)));
+    EXPECT_EQ(raw(i).storage_cpu.value(), 0.0);
+  }
+  const std::vector<std::uint8_t> wrong_size(5, 0);
+  EXPECT_THROW((void)plan_flow(f.catalog, f.pipeline, f.cost_model, wrong_size), ContractViolation);
 }
 
 TEST(Trainer, MultiEpochAverage) {

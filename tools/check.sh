@@ -4,7 +4,8 @@
 #   tools/check.sh            configure + build + full ctest (build/)
 #   tools/check.sh --tsan     same, in a ThreadSanitizer build (build-tsan/),
 #                             restricted to the concurrency-sensitive suites
-#                             (loader, prefetch, resilience, net) — TSan slows
+#                             (loader, prefetch, resilience, net) and the
+#                             scheduling core's (sim, critpath) — TSan slows
 #                             the rest down ~10x for no extra signal.
 #   tools/check.sh --asan     AddressSanitizer build (build-asan/), same suite
 #                             restriction — heap abuse hides in the same
@@ -41,15 +42,16 @@
 #                             analysis JSON and the flow-annotated trace.
 #                             Also runs as part of the default check.
 #   tools/check.sh --bench-regress
-#                             re-run the ablations that commit BENCH_*.json
-#                             artifacts (prefetch, adapt, materialize) in a
-#                             scratch directory and compare every numeric
-#                             field against the committed artifact with
-#                             `sophonctl bench-compare` (5% tolerance). The
-#                             runs are deterministic DES output, so a
-#                             mismatch means the substrate drifted, not the
-#                             machine. Opt-in like the sanitizer modes: three
-#                             full ablation runs are too slow for every edit.
+#                             re-run the benches that commit BENCH_*.json
+#                             artifacts (prefetch, adapt, materialize,
+#                             critpath) in a scratch directory and compare
+#                             every numeric field against the committed
+#                             artifact with `sophonctl bench-compare` at zero
+#                             tolerance. The runs are deterministic DES
+#                             output, so any mismatch means the substrate
+#                             drifted, not the machine. Opt-in like the
+#                             sanitizer modes: four full bench runs are too
+#                             slow for every edit.
 #
 # Each sanitizer needs its own build directory: objects built with
 # -fsanitize=thread or -fsanitize=address are not link-compatible with a
@@ -107,10 +109,12 @@ sanitized_targets=(
   net_resilience_test net_rpc_test net_link_test net_wire_test
   obs_concurrency_test obs_timeseries_test obs_health_test obs_telemetry_server_test
   obs_critpath_test
+  sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test sim_trace_test
+  sim_golden_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize'
+sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize'
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses
@@ -189,7 +193,7 @@ elif [[ "${1:-}" == "--bench-regress" ]]; then
     "$repo/build/tools/sophonctl" bench-compare \
       --baseline "$repo/BENCH_$bench.json" \
       --candidate "$tmp/BENCH_$bench.json" \
-      --tolerance 0.05
+      --tolerance 0
   done
   echo "bench-regress OK: prefetch, adapt, materialize, critpath match the committed artifacts"
 elif [[ $# -gt 0 ]]; then

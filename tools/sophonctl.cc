@@ -51,7 +51,6 @@
 #include "core/serialize.h"
 #include "net/fault.h"
 #include "net/resilience.h"
-#include "net/wire.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
 #include "obs/health.h"
@@ -89,15 +88,17 @@ class Flags {
         std::fprintf(stderr, "expected --flag, got '%s'\n", argv[i]);
         std::exit(2);
       }
-      const std::string body = argv[i] + 2;
-      if (const auto eq = body.find('='); eq != std::string::npos) {
-        values_[body.substr(0, eq)] = body.substr(eq + 1);
+      // One map assignment per flag: assigning a literal into the map slot
+      // trips GCC 12's false -Wrestrict at -O3.
+      std::string key = argv[i] + 2;
+      std::string value = "1";  // a bare --flag
+      if (const auto eq = key.find('='); eq != std::string::npos) {
+        value = key.substr(eq + 1);
+        key.resize(eq);
       } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[body] = argv[i + 1];
-        ++i;
-      } else {
-        values_[body] = "1";
+        value = argv[++i];
       }
+      values_[key] = std::move(value);
     }
   }
 
@@ -161,6 +162,29 @@ sim::ClusterConfig cluster_from(const Flags& flags) {
   cluster.storage_core_speed = flags.number("storage-speed", 1.0);
   cluster.batch_size = static_cast<std::size_t>(flags.integer("batch-size", 256));
   return cluster;
+}
+
+/// The loader shape --workers/--prefetch-depth/--prefetch-budget-mib ask for.
+prefetch::ReplayOptions replay_options_from(const Flags& flags) {
+  prefetch::ReplayOptions options;
+  options.workers = static_cast<std::size_t>(flags.integer("workers", 4));
+  options.prefetch.depth = static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
+  options.prefetch.bytes_budget = Bytes::mib(flags.integer("prefetch-budget-mib", 0));
+  return options;
+}
+
+/// The --plan file's offload plan for `catalog` (all raw without the flag);
+/// nullopt, after a message, when the file is unreadable or the wrong size.
+std::optional<core::OffloadPlan> plan_from(const Flags& flags, const dataset::Catalog& catalog) {
+  const auto path = flags.str("plan", "");
+  if (path.empty()) return core::OffloadPlan(catalog.size());
+  const auto loaded = core::load_json_file(path);
+  auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
+  if (!parsed || parsed->size() != catalog.size()) {
+    std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
+    return std::nullopt;
+  }
+  return parsed;
 }
 
 int cmd_gen_profiles(const Flags& flags) {
@@ -472,16 +496,9 @@ int cmd_simulate(const Flags& flags) {
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
 
-  core::OffloadPlan plan(catalog.size());
-  if (const auto path = flags.str("plan", ""); !path.empty()) {
-    const auto loaded = core::load_json_file(path);
-    auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
-    if (!parsed || parsed->size() != catalog.size()) {
-      std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
-      return 1;
-    }
-    plan = std::move(*parsed);
-  }
+  auto loaded_plan = plan_from(flags, catalog);
+  if (!loaded_plan) return 1;
+  core::OffloadPlan plan = std::move(*loaded_plan);
 
   auto cluster = cluster_from(flags);
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
@@ -538,31 +555,23 @@ int cmd_simulate(const Flags& flags) {
                                  gpu.batch_time(cluster.batch_size), faults, seed);
   }
 
-  std::function<sim::SampleFlow(std::size_t)> flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    if (prefix > 0) {
-      if (adjusted.empty()) {
-        f.storage_cpu = pipe.prefix_cost(meta.raw, prefix, cm);
-      } else {
-        for (std::size_t j = 0; j < prefix; ++j) f.storage_cpu += adjusted[idx].op_costs[j];
+  std::function<sim::SampleFlow(std::size_t)> flow =
+      sim::plan_flow(catalog, pipe, cm, plan.assignment());
+  if (!adjusted.empty()) {
+    // A materialized prefix costs its adjusted profile, not live prefix CPU.
+    flow = [&adjusted, planned = std::move(flow)](std::size_t idx) {
+      sim::SampleFlow f = planned(idx);
+      if (f.stage > 0) {
+        f.storage_cpu = Seconds(0.0);
+        for (std::size_t j = 0; j < f.stage; ++j) f.storage_cpu += adjusted[idx].op_costs[j];
       }
-    }
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
+      return f;
+    };
+  }
   sim::FaultReplayStats replay;
   if (faults.enabled()) {
     cluster.link_faults = &faults;
-    const auto raw_flow = [&](std::size_t idx) {
-      const auto& meta = catalog.sample(idx);
-      sim::SampleFlow f;
-      f.wire = net::wire_size(pipe.shape_at(meta.raw, 0));
-      f.compute_cpu = pipe.suffix_cost(meta.raw, 0, cm);
-      return f;
-    };
+    const auto raw_flow = sim::plan_flow(catalog, pipe, cm, {});
     net::RetryPolicy retry;
     retry.max_attempts = static_cast<std::uint32_t>(flags.integer("retries", 3)) + 1;
     retry.seed = fault_profile.seed;
@@ -591,14 +600,12 @@ int cmd_simulate(const Flags& flags) {
   // the worker-level loader model, demand vs. prefetch (see src/prefetch/).
   if (const auto depth = static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
       depth > 0) {
-    prefetch::ReplayOptions replay_options;
-    replay_options.workers = static_cast<std::size_t>(flags.integer("workers", 4));
+    auto replay_options = replay_options_from(flags);
+    replay_options.prefetch.depth = 0;
     const auto gpu_batch = gpu.batch_time(cluster.batch_size);
     const auto demand = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch, seed,
                                                epoch, replay_options);
     replay_options.prefetch.depth = depth;
-    replay_options.prefetch.bytes_budget =
-        Bytes::mib(flags.integer("prefetch-budget-mib", 0));
     const auto prefetched = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch,
                                                    seed, epoch, replay_options);
     const double speedup =
@@ -627,11 +634,7 @@ int cmd_simulate(const Flags& flags) {
   const auto critpath_out = flags.str("critpath-out", "");
   const bool want_report = flags.flag("report");
   if (!trace_out.empty() || want_report || !critpath_out.empty()) {
-    prefetch::ReplayOptions replay_options;
-    replay_options.workers = static_cast<std::size_t>(flags.integer("workers", 4));
-    replay_options.prefetch.depth =
-        static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
-    replay_options.prefetch.bytes_budget = Bytes::mib(flags.integer("prefetch-budget-mib", 0));
+    const auto replay_options = replay_options_from(flags);
     const auto gpu_batch = gpu.batch_time(cluster.batch_size);
 
     auto& tracer = obs::global_tracer();
@@ -657,9 +660,10 @@ int cmd_simulate(const Flags& flags) {
     };
     const auto flows = obs::build_replay_trace(recorder.rows(), costs, tracer);
 
-    // Critical-path analysis of the traced epoch: re-time the exact same
-    // demands, decompose the blame vector, rank the stock what-if scenarios,
-    // and overlay the path as a highlighted track in the Chrome trace.
+    // Critical-path analysis of the traced epoch: schedule the same demands
+    // again with recording on (no spans), decompose the blame vector, rank
+    // the stock what-if scenarios, and overlay the path as a highlighted
+    // track in the Chrome trace.
     if (!critpath_out.empty()) {
       obs::critpath::EpochParams params;
       params.cluster = cluster;
@@ -669,11 +673,7 @@ int cmd_simulate(const Flags& flags) {
       params.num_samples = catalog.size();
       params.discipline = obs::critpath::Discipline::kWorkerReplay;
       params.replay = replay_options;
-      const obs::critpath::DemandFn demand = [&flow](std::size_t i) {
-        const auto f = flow(i);
-        return obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};
-      };
-      const auto whatif = obs::critpath::project(demand, params,
+      const auto whatif = obs::critpath::project(flow, params,
                                                  obs::critpath::default_scenarios(params),
                                                  traced.epoch.epoch_time);
       const auto& analysis = whatif.baseline;
@@ -745,7 +745,7 @@ Seconds simulate_under_params(const obs::critpath::EpochParams& params,
       .epoch_time;
 }
 
-/// Re-time one epoch, decompose the critical path, rank the stock what-if
+/// Analyze one epoch, decompose the critical path, rank the stock what-if
 /// scenarios, and (by default) validate every projection against a real
 /// simulator re-run under the perturbed config.
 int cmd_whatif(const Flags& flags) {
@@ -757,16 +757,9 @@ int cmd_whatif(const Flags& flags) {
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
 
-  core::OffloadPlan plan(catalog.size());
-  if (const auto path = flags.str("plan", ""); !path.empty()) {
-    const auto loaded = core::load_json_file(path);
-    auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
-    if (!parsed || parsed->size() != catalog.size()) {
-      std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
-      return 1;
-    }
-    plan = std::move(*parsed);
-  }
+  auto loaded_plan = plan_from(flags, catalog);
+  if (!loaded_plan) return 1;
+  core::OffloadPlan plan = std::move(*loaded_plan);
 
   const auto cluster = cluster_from(flags);
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
@@ -779,28 +772,13 @@ int cmd_whatif(const Flags& flags) {
   params.num_samples = catalog.size();
   if (flags.integer("replay", 0) != 0) {
     params.discipline = obs::critpath::Discipline::kWorkerReplay;
-    params.replay.workers = static_cast<std::size_t>(flags.integer("workers", 4));
-    params.replay.prefetch.depth =
-        static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
-    params.replay.prefetch.bytes_budget = Bytes::mib(flags.integer("prefetch-budget-mib", 0));
+    params.replay = replay_options_from(flags);
   }
 
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    if (prefix > 0) f.storage_cpu = pipe.prefix_cost(meta.raw, prefix, cm);
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
-  const obs::critpath::DemandFn demand = [&flow](std::size_t i) {
-    const auto f = flow(i);
-    return obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};
-  };
+  const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
 
   const Seconds observed = simulate_under_params(params, flow);
-  const auto report = obs::critpath::project(demand, params,
+  const auto report = obs::critpath::project(flow, params,
                                              obs::critpath::default_scenarios(params), observed);
   std::printf("%s%s", report.baseline.render().c_str(), report.render().c_str());
 
@@ -808,7 +786,7 @@ int cmd_whatif(const Flags& flags) {
   Json doc = report.to_json();
   if (flags.integer("validate", 1) != 0) {
     // Every projection must match a real simulator re-run under the
-    // perturbed config — the check that keeps the retimer honest.
+    // perturbed config.
     const double tolerance = flags.number("tolerance", 0.05);
     std::size_t validated = 0;
     Json verdicts = Json::array();
@@ -1098,29 +1076,15 @@ int cmd_trace(const Flags& flags) {
   const pipeline::CostModel cm;
   const auto cluster = cluster_from(flags);
 
-  core::OffloadPlan plan(catalog.size());
-  if (const auto path = flags.str("plan", ""); !path.empty()) {
-    const auto loaded = core::load_json_file(path);
-    auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
-    if (!parsed || parsed->size() != catalog.size()) {
-      std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
-      return 1;
-    }
-    plan = std::move(*parsed);
-  }
+  auto loaded_plan = plan_from(flags, catalog);
+  if (!loaded_plan) return 1;
+  core::OffloadPlan plan = std::move(*loaded_plan);
 
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
   sim::TraceRecorder recorder;
-  const auto flow = [&](std::size_t idx) {
-    const auto& meta = catalog.sample(idx);
-    const std::size_t prefix = plan.prefix(idx);
-    sim::SampleFlow f;
-    f.storage_cpu = prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
-    f.wire = net::wire_size(pipe.shape_at(meta.raw, prefix));
-    f.compute_cpu = pipe.suffix_cost(meta.raw, prefix, cm);
-    return f;
-  };
-  const auto stats = sim::simulate_epoch_flows(catalog.size(), flow, cluster,
+  const auto stats = sim::simulate_epoch_flows(catalog.size(),
+                                               sim::plan_flow(catalog, pipe, cm, plan.assignment()),
+                                               cluster,
                                                gpu.batch_time(cluster.batch_size), seed, 0,
                                                recorder.sink());
   std::printf("epoch %.1f s | traffic %s | mean per-sample latency %s\n",
