@@ -69,6 +69,37 @@ TEST(Color, SplitMergeRoundTripOnSmoothContent) {
   EXPECT_LT(err / static_cast<double>(img.data().size()), 4.0);
 }
 
+TEST(Color, MergeMatchesPointConversionOnEveryInput) {
+  // Chroma sample (cb, cr) sits at column cb and row cr of 256x256 planes;
+  // its 2x2 luma block holds 4 consecutive values, so 64 merges visit every
+  // (y, cb, cr) triple once.
+  Plane cb(256, 256);
+  Plane cr(256, 256);
+  for (int v = 0; v < 256; ++v) {
+    for (int u = 0; u < 256; ++u) {
+      cb.set(u, v, static_cast<std::uint8_t>(u));
+      cr.set(u, v, static_cast<std::uint8_t>(v));
+    }
+  }
+  std::int64_t mismatches = 0;
+  for (int base = 0; base < 256; base += 4) {
+    Plane luma(512, 512);
+    for (int y = 0; y < 512; ++y)
+      for (int x = 0; x < 512; ++x)
+        luma.set(x, y, static_cast<std::uint8_t>(base + 2 * (y % 2) + x % 2));
+    const auto rgb = merge_ycbcr_420(luma, cb, cr, 512, 512);
+    for (int y = 0; y < 512; ++y) {
+      for (int x = 0; x < 512; ++x) {
+        const auto want = ycbcr_to_rgb(luma.at(x, y), static_cast<std::uint8_t>(x / 2),
+                                       static_cast<std::uint8_t>(y / 2));
+        mismatches += rgb.at(x, y, 0) != want.r || rgb.at(x, y, 1) != want.g ||
+                      rgb.at(x, y, 2) != want.b;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(Color, MergeRejectsMismatchedPlanes) {
   Plane y(8, 8);
   Plane cb(4, 4);

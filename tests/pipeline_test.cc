@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "codec/sjpg.h"
+#include "dataset/synth.h"
+#include "net/message.h"
+#include "net/wire.h"
 #include "util/check.h"
+#include "util/crc32.h"
 
 namespace sophon::pipeline {
 namespace {
@@ -159,6 +165,99 @@ TEST(Pipeline, CustomTargetSize) {
   Rng rng(4);
   const auto out = pipe.run(encoded_sample(300, 300), 0, 2, rng);
   EXPECT_EQ(std::get<image::Image>(out).width(), 96);
+}
+
+// Tensor pins: crc32 of the float bytes `run_seeded` delivers for a grid of
+// synthetic images, cut at every stage and carried across the wire in
+// between, as an offloaded sample is. Recorded from the per-element
+// accessor kernels and the per-pixel decode loop that the row-pointer
+// kernels replaced; any change to decode, crop, flip, ToTensor, Normalize
+// or the wire format moves them.
+
+struct PinnedImage {
+  const char* name;
+  int width;
+  int height;
+  int channels;
+  double texture;
+};
+
+constexpr std::array<PinnedImage, 8> kPinnedImages{{
+    {"rgb_1x37", 1, 37, 3, 0.3},
+    {"gray_2x19", 2, 19, 1, 0.6},
+    {"rgb_3x5", 3, 5, 3, 0.9},
+    {"rgb_33x17", 33, 17, 3, 0.8},
+    {"gray_57x41", 57, 41, 1, 0.5},
+    {"rgb_97x63", 97, 63, 3, 0.05},
+    {"gray_251x187", 251, 187, 1, 0.3},
+    {"rgb_301x227", 301, 227, 3, 0.5},
+}};
+constexpr std::array<int, 3> kPinnedQualities{55, 60, 95};
+constexpr std::array<std::uint64_t, 3> kPinnedStreams{1, 2, 3};
+
+// Indexed [kPinnedImages entry][kPinnedQualities entry]; each value folds
+// the tensors of every kPinnedStreams seed.
+constexpr std::uint32_t kPinnedTensorCrc[8][3] = {
+    {0xfe1b2bfd, 0x19ca4030, 0x8d4cf191},  // rgb_1x37
+    {0xe8ad5005, 0xae3452ae, 0x0896a1a1},  // gray_2x19
+    {0x3ffe183c, 0x892adc77, 0xc661dcf7},  // rgb_3x5
+    {0x256780b2, 0x4772f299, 0xeaa053e3},  // rgb_33x17
+    {0x862f335f, 0x966587a7, 0xe1e9ad8b},  // gray_57x41
+    {0x2ddc63f4, 0xb8bf6bd8, 0x1db6af8f},  // rgb_97x63
+    {0xfa67a172, 0x724f974c, 0xc6877e05},  // gray_251x187
+    {0x15335370, 0xf3fc9333, 0x6df31aee},  // rgb_301x227
+};
+
+image::Image pinned_image(const PinnedImage& spec, std::uint64_t seed) {
+  dataset::SampleMeta meta;
+  meta.id = seed;
+  meta.raw = SampleShape::encoded(Bytes(1), spec.width, spec.height, 3);
+  meta.texture = spec.texture;
+  const auto rgb = dataset::generate_synthetic_image(meta, seed);
+  if (spec.channels == 3) return rgb;
+  image::Image gray(spec.width, spec.height, 1);
+  for (std::size_t i = 0; i < gray.data().size(); ++i) gray.data()[i] = rgb.data()[3 * i + 1];
+  return gray;
+}
+
+/// A stage-k payload as the loader receives it: framed by the storage node,
+/// then unpacked on the compute side.
+SampleData over_the_wire(const SampleData& payload, std::size_t stage) {
+  net::FetchResponse response;
+  response.stage = static_cast<std::uint8_t>(stage);
+  response.payload = net::serialize_sample(payload);
+  auto unpacked = net::unpack_response(response);
+  SOPHON_CHECK(unpacked.has_value());
+  return std::move(*unpacked);
+}
+
+std::uint32_t tensor_crc(const image::Tensor& t, std::uint32_t seed) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(t.data().data());
+  return crc32(std::span(bytes, t.data().size() * sizeof(float)), seed);
+}
+
+TEST(Pipeline, TensorsArePinned) {
+  const auto pipe = Pipeline::standard();
+  for (std::size_t i = 0; i < kPinnedImages.size(); ++i) {
+    const auto& spec = kPinnedImages[i];
+    const auto img = pinned_image(spec, i + 1);
+    for (std::size_t q = 0; q < kPinnedQualities.size(); ++q) {
+      const SampleData blob = EncodedBlob{codec::sjpg_encode(img, kPinnedQualities[q])};
+      for (std::size_t k = 0; k <= pipe.size(); ++k) {
+        std::uint32_t crc = 0;
+        for (const auto stream : kPinnedStreams) {
+          auto prefix = pipe.run_seeded(blob, 0, k, stream);
+          const auto out = pipe.run_seeded(over_the_wire(prefix, k), k, pipe.size(), stream);
+          const auto& tensor = std::get<image::Tensor>(out);
+          ASSERT_EQ(tensor.channels(), spec.channels);
+          crc = tensor_crc(tensor, crc);
+        }
+        EXPECT_EQ(crc, kPinnedTensorCrc[i][q])
+            << spec.name << " q" << kPinnedQualities[q] << " cut at " << k << ": 0x" << std::hex
+            << crc;
+      }
+    }
+  }
 }
 
 }  // namespace
