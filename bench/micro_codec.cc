@@ -4,6 +4,7 @@
 
 #include "codec/sjpg.h"
 #include "dataset/synth.h"
+#include "image/color.h"
 #include "image/ops.h"
 
 namespace sophon {
@@ -38,15 +39,30 @@ BENCHMARK(BM_SjpgEncode)
     ->Args({90, 95})
     ->Args({90, 55});
 
+// Args: width, height, quality. 800x600 at quality 60 is the perfbench
+// corpus's quality on an image near its median size.
 void BM_SjpgDecode(benchmark::State& state) {
-  const auto blob = codec::sjpg_encode(synth(512, 384, 0.5), static_cast<int>(state.range(0)));
+  const auto w = static_cast<int>(state.range(0));
+  const auto h = static_cast<int>(state.range(1));
+  const auto blob = codec::sjpg_encode(synth(w, h, 0.5), static_cast<int>(state.range(2)));
   for (auto _ : state) {
     auto img = codec::sjpg_decode(blob);
     benchmark::DoNotOptimize(img);
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512 * 384 * 3);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * w * h * 3);
 }
-BENCHMARK(BM_SjpgDecode)->Arg(95)->Arg(55);
+BENCHMARK(BM_SjpgDecode)->Args({512, 384, 95})->Args({512, 384, 55})->Args({800, 600, 60});
+
+// The decoder's last step: 4:2:0 planes of an 800x600 image back to RGB.
+void BM_MergeYcbcr420(benchmark::State& state) {
+  const auto planes = image::split_ycbcr_420(synth(800, 600, 0.5));
+  for (auto _ : state) {
+    auto img = image::merge_ycbcr_420(planes.y, planes.cb, planes.cr, 800, 600);
+    benchmark::DoNotOptimize(img);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 800 * 600 * 3);
+}
+BENCHMARK(BM_MergeYcbcr420);
 
 void BM_ResizeBilinear(benchmark::State& state) {
   const auto img = synth(static_cast<int>(state.range(0)), static_cast<int>(state.range(0)), 0.5);
@@ -58,10 +74,10 @@ void BM_ResizeBilinear(benchmark::State& state) {
 BENCHMARK(BM_ResizeBilinear)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_HorizontalFlip(benchmark::State& state) {
-  const auto img = synth(224, 224, 0.5);
+  auto img = synth(224, 224, 0.5);
   for (auto _ : state) {
-    auto out = image::horizontal_flip(img);
-    benchmark::DoNotOptimize(out);
+    img = image::horizontal_flip(std::move(img));  // in place, as the pipeline op flips
+    benchmark::DoNotOptimize(img);
   }
 }
 BENCHMARK(BM_HorizontalFlip);

@@ -142,8 +142,9 @@ void HuffmanEncoder::encode(BitWriter& out, std::uint32_t symbol) const {
   out.put(codes_[symbol], lengths_[symbol]);
 }
 
-HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths) {
+HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths, std::uint32_t escape) {
   for (const auto len : lengths) max_len_ = std::max<int>(max_len_, len);
+  SOPHON_CHECK_MSG(max_len_ <= kMaxCodeBits, "code length exceeds kMaxCodeBits");
   first_code_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
   first_index_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
   count_.assign(static_cast<std::size_t>(max_len_) + 1, 0);
@@ -177,29 +178,43 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths) {
     const std::uint64_t end = std::min<std::uint64_t>(first + count_[l], std::uint64_t{1} << len);
     const int spread = kTableBits - len;
     for (std::uint64_t c = first; c < end; ++c) {
-      const Entry entry{sorted_symbols_[first_index_[l] + (c - first)],
-                        static_cast<std::uint8_t>(len)};
+      const Entry entry{.symbol = sorted_symbols_[first_index_[l] + (c - first)],
+                        .length = static_cast<std::uint8_t>(len)};
       for (std::uint64_t i = c << spread; i < (c + 1) << spread; ++i) {
         if (table_[i].length == 0) table_[i] = entry;
       }
     }
   }
+
+  // A second code of length at most kTableBits - first.length is fixed by
+  // the index bits after the first, so the entry its zero-filled index
+  // holds is the one a lookup at the real position finds.
+  constexpr std::size_t kMask = (std::size_t{1} << kTableBits) - 1;
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    Entry& first = table_[i];
+    if (first.length == 0 || first.symbol == escape) continue;
+    const Entry& next = table_[(i << first.length) & kMask];
+    if (next.length == 0 || next.length > kTableBits - first.length || next.symbol == escape ||
+        next.symbol > 0xffff) {
+      continue;
+    }
+    first.second = static_cast<std::uint16_t>(next.symbol);
+    first.pair_length = static_cast<std::uint8_t>(first.length + next.length);
+  }
 }
 
-std::uint32_t HuffmanDecoder::decode_long(BitReader& in) const {
+HuffmanDecoder::Entry HuffmanDecoder::decode_long(std::uint32_t window) const {
   // No code of up to kTableBits bits matched; the walk would have read them
-  // all. Continue it from there.
-  const int prefix = std::min(max_len_, kTableBits);
-  auto code = static_cast<std::uint32_t>(in.peek(prefix));
-  in.skip(prefix);
-  for (int len = prefix + 1; len <= max_len_; ++len) {
-    code = (code << 1) | static_cast<std::uint32_t>(in.get_bit());
+  // all. Continue it from there, one more bit of the window per length.
+  for (int len = std::min(max_len_, kTableBits) + 1; len <= max_len_; ++len) {
+    const std::uint32_t code = window >> (kMaxCodeBits - len);
     const auto l = static_cast<std::size_t>(len);
     if (count_[l] > 0 && code < first_code_[l] + count_[l] && code >= first_code_[l]) {
-      return sorted_symbols_[first_index_[l] + (code - first_code_[l])];
+      return {.symbol = sorted_symbols_[first_index_[l] + (code - first_code_[l])],
+              .length = static_cast<std::uint8_t>(len)};
     }
   }
-  return invalid_symbol();
+  return {.symbol = invalid_symbol(), .length = static_cast<std::uint8_t>(max_len_)};
 }
 
 void write_code_lengths(BitWriter& out, const std::vector<std::uint8_t>& lengths) {

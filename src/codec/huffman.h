@@ -6,7 +6,9 @@
 // DEFLATE/JPEG do.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "codec/bitio.h"
@@ -45,17 +47,40 @@ class HuffmanEncoder {
 /// left off. Corrupt tables decode exactly as the walk alone would: the
 /// table holds only codes reachable at their length, and where an
 /// over-subscribed table lets codes overlap, the shortest one wins.
+///
+/// Where two codes fit in the lookup width, the same entry also holds the
+/// second one, so `decode_pair` resolves both with one lookup.
 class HuffmanDecoder {
  public:
-  explicit HuffmanDecoder(const std::vector<std::uint8_t>& lengths);
+  /// Longest code the decoder accepts (the serialised lengths are 5-bit).
+  static constexpr int kMaxCodeBits = 32;
+
+  /// Every length must be at most kMaxCodeBits. `escape`, when given, is a
+  /// symbol the stream follows with raw bits (SJPG's zero-run marker), so
+  /// no pair starts or ends with it.
+  explicit HuffmanDecoder(const std::vector<std::uint8_t>& lengths,
+                          std::uint32_t escape = invalid_symbol());
 
   /// Decode one symbol. On a corrupt stream returns `invalid_symbol()` —
-  /// callers must treat it as a decode failure.
+  /// callers must treat it as a decode failure. Only `in` changes, and the
+  /// slow path reads a copy of its next bits, so a caller's local reader
+  /// never has its address taken.
   [[nodiscard]] std::uint32_t decode(BitReader& in) const {
-    const Entry e = table_[in.peek(kTableBits)];
-    if (e.length == 0) return decode_long(in);
+    Entry e = table_[in.peek(kTableBits)];
+    if (e.length == 0) e = decode_long(static_cast<std::uint32_t>(in.peek(kMaxCodeBits)));
     in.skip(e.length);
     return e.symbol;
+  }
+
+  /// Decode the next two symbols when both codes lie within the lookup
+  /// width and neither is the escape; they are exactly the symbols two
+  /// `decode` calls would return. Otherwise consume nothing and return
+  /// nullopt, and the caller decodes one symbol.
+  [[nodiscard]] std::optional<std::array<std::uint32_t, 2>> decode_pair(BitReader& in) const {
+    const Entry e = table_[in.peek(kTableBits)];
+    if (e.pair_length == 0) return std::nullopt;
+    in.skip(e.pair_length);
+    return std::array<std::uint32_t, 2>{e.symbol, e.second};
   }
 
   [[nodiscard]] static constexpr std::uint32_t invalid_symbol() { return 0xffffffffu; }
@@ -65,11 +90,15 @@ class HuffmanDecoder {
 
   struct Entry {
     std::uint32_t symbol = 0;
-    std::uint8_t length = 0;  // 0: no code of at most kTableBits bits
+    std::uint16_t second = 0;      // the following code's symbol, if pair_length > 0
+    std::uint8_t length = 0;       // 0: no code of at most kTableBits bits
+    std::uint8_t pair_length = 0;  // both codes' bits; 0: no pair in this entry
   };
 
-  /// The walk for codes longer than kTableBits (or no code at all).
-  [[nodiscard]] std::uint32_t decode_long(BitReader& in) const;
+  /// The walk for codes longer than kTableBits (or no code at all) over
+  /// `window`, the next kMaxCodeBits bits. A failed walk reads max_len_ bits
+  /// and yields invalid_symbol().
+  [[nodiscard]] Entry decode_long(std::uint32_t window) const;
 
   int max_len_ = 0;
   // Indexed by code length 1..max_len_.

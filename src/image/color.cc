@@ -1,6 +1,7 @@
 #include "image/color.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/check.h"
 
@@ -77,6 +78,50 @@ YcbcrPlanes split_ycbcr_420(const Image& rgb) {
   return planes;
 }
 
+namespace {
+/// chroma_terms split into per-value tables, so a 4:2:0 merge pays a few
+/// lookups and an add per chroma sample: r = cr_to_r[cr], b = cb_to_b[cb],
+/// and g = (cb_to_g[cb] + cr_to_g[cr]) >> 16, whose sum is exactly the
+/// numerator chroma_terms shifts. `clamp` saturates y + term (at least
+/// -256 and below 512 for every luma and chroma value) to a byte without a
+/// branch: clamp[v + kClampOffset].
+constexpr int kClampOffset = 256;
+
+struct ChromaTables {
+  std::array<int, 256> cr_to_r{};
+  std::array<int, 256> cb_to_b{};
+  std::array<int, 256> cb_to_g{};
+  std::array<int, 256> cr_to_g{};
+  std::array<std::uint8_t, 768> clamp{};
+};
+
+constexpr ChromaTables make_chroma_tables() {
+  ChromaTables t;
+  for (int v = 0; v < 256; ++v) {
+    const auto i = static_cast<std::size_t>(v);
+    t.cr_to_r[i] = (91881 * (v - 128) + 32768) >> 16;
+    t.cb_to_b[i] = (116130 * (v - 128) + 32768) >> 16;
+    t.cb_to_g[i] = 22554 * (v - 128) + 32768;
+    t.cr_to_g[i] = 46802 * (v - 128);
+  }
+  for (int v = 0; v < 768; ++v) {
+    t.clamp[static_cast<std::size_t>(v)] =
+        static_cast<std::uint8_t>(std::clamp(v - kClampOffset, 0, 255));
+  }
+  return t;
+}
+
+constexpr ChromaTables kChroma = make_chroma_tables();
+
+/// Writes one RGB pixel of luma `y` under the chroma terms (r, g, b).
+void put_rgb(std::uint8_t* dst, int y, int r, int g, int b) {
+  const std::uint8_t* clamp = kChroma.clamp.data() + kClampOffset;
+  dst[0] = clamp[y + r];
+  dst[1] = clamp[y - g];
+  dst[2] = clamp[y + b];
+}
+}  // namespace
+
 Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr, int width, int height) {
   SOPHON_CHECK(y.width() == width && y.height() == height);
   SOPHON_CHECK(cb.width() == (width + 1) / 2 && cb.height() == (height + 1) / 2);
@@ -89,11 +134,14 @@ Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr, int widt
     const std::uint8_t* blue = cb.data().data() + (py / 2) * cw;
     const std::uint8_t* red = cr.data().data() + (py / 2) * cw;
     std::uint8_t* dst = out.data().data() + py * w * 3;
-    for (std::size_t px = 0; px < w; ++px) {
-      const ChromaTerms t = chroma_terms(blue[px / 2], red[px / 2]);
-      dst[3 * px] = clamp_u8(luma[px] + t.r);
-      dst[3 * px + 1] = clamp_u8(luma[px] - t.g);
-      dst[3 * px + 2] = clamp_u8(luma[px] + t.b);
+    // One chroma sample covers two luma samples; an odd width ends on one.
+    for (std::size_t cx = 0; cx < cw; ++cx) {
+      const int r = kChroma.cr_to_r[red[cx]];
+      const int g = (kChroma.cb_to_g[blue[cx]] + kChroma.cr_to_g[red[cx]]) >> 16;
+      const int b = kChroma.cb_to_b[blue[cx]];
+      put_rgb(dst + 6 * cx, luma[2 * cx], r, g, b);
+      if (2 * cx + 1 == w) break;
+      put_rgb(dst + 6 * cx + 3, luma[2 * cx + 1], r, g, b);
     }
   }
   return out;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
@@ -87,18 +88,25 @@ Image resize_bilinear(const Image& src, int out_width, int out_height) {
   return resample_rect(src, {0, 0, src.width(), src.height()}, out_width, out_height);
 }
 
-Image horizontal_flip(const Image& src) {
-  SOPHON_CHECK(!src.empty());
-  Image out(src.width(), src.height(), src.channels());
-  const int ch = src.channels();
-  for (int y = 0; y < src.height(); ++y) {
-    for (int x = 0; x < src.width(); ++x) {
-      for (int c = 0; c < ch; ++c) {
-        out.set(src.width() - 1 - x, y, c, src.at(x, y, c));
-      }
+Image horizontal_flip(Image img) {
+  SOPHON_CHECK(!img.empty());
+  const auto w = static_cast<std::size_t>(img.width());
+  std::uint8_t* row = img.data().data();
+  for (int y = 0; y < img.height(); ++y) {
+    if (img.channels() == 1) {
+      std::reverse(row, row + w);
+      row += w;
+      continue;
     }
+    // Swap RGB triples from both ends towards the middle.
+    for (std::uint8_t *lo = row, *hi = row + 3 * (w - 1); lo < hi; lo += 3, hi -= 3) {
+      std::swap(lo[0], hi[0]);
+      std::swap(lo[1], hi[1]);
+      std::swap(lo[2], hi[2]);
+    }
+    row += 3 * w;
   }
-  return out;
+  return img;
 }
 
 CropRect sample_resized_crop_rect(int src_width, int src_height, Rng& rng, double scale_lo,
@@ -147,27 +155,28 @@ Tensor to_tensor(const Image& src) {
   SOPHON_CHECK(!src.empty());
   Tensor out(src.channels(), src.height(), src.width());
   constexpr float kInv255 = 1.0f / 255.0f;
-  for (int c = 0; c < src.channels(); ++c) {
-    for (int y = 0; y < src.height(); ++y) {
-      for (int x = 0; x < src.width(); ++x) {
-        out.set(c, y, x, static_cast<float>(src.at(x, y, c)) * kInv255);
-      }
-    }
+  const auto ch = static_cast<std::size_t>(src.channels());
+  const std::size_t plane =
+      static_cast<std::size_t>(src.width()) * static_cast<std::size_t>(src.height());
+  const std::uint8_t* const pixels = src.data().data();
+  for (std::size_t c = 0; c < ch; ++c) {
+    float* dst = out.data().data() + c * plane;
+    const std::uint8_t* from = pixels + c;
+    for (std::size_t i = 0; i < plane; ++i) dst[i] = static_cast<float>(from[i * ch]) * kInv255;
   }
   return out;
 }
 
 void normalize(Tensor& t, const std::array<float, 3>& mean, const std::array<float, 3>& stddev) {
   SOPHON_CHECK(t.channels() <= 3);
-  for (int c = 0; c < t.channels(); ++c) {
-    SOPHON_CHECK_MSG(stddev[static_cast<std::size_t>(c)] > 0.0f, "stddev must be positive");
-    const float m = mean[static_cast<std::size_t>(c)];
-    const float inv_s = 1.0f / stddev[static_cast<std::size_t>(c)];
-    for (int y = 0; y < t.height(); ++y) {
-      for (int x = 0; x < t.width(); ++x) {
-        t.set(c, y, x, (t.at(c, y, x) - m) * inv_s);
-      }
-    }
+  const std::size_t plane =
+      static_cast<std::size_t>(t.width()) * static_cast<std::size_t>(t.height());
+  for (std::size_t c = 0; c < static_cast<std::size_t>(t.channels()); ++c) {
+    SOPHON_CHECK_MSG(stddev[c] > 0.0f, "stddev must be positive");
+    const float m = mean[c];
+    const float inv_s = 1.0f / stddev[c];
+    float* values = t.data().data() + c * plane;
+    for (std::size_t i = 0; i < plane; ++i) values[i] = (values[i] - m) * inv_s;
   }
 }
 

@@ -27,8 +27,9 @@ struct CropRect {
 /// (align_corners = false), matching PIL/torchvision behaviour closely.
 [[nodiscard]] Image resize_bilinear(const Image& src, int out_width, int out_height);
 
-/// Mirror the image around its vertical axis.
-[[nodiscard]] Image horizontal_flip(const Image& src);
+/// Mirror the image around its vertical axis, in place: pass an image the
+/// caller no longer needs by std::move and nothing is allocated.
+[[nodiscard]] Image horizontal_flip(Image img);
 
 /// Sample the RandomResizedCrop geometry exactly as torchvision does:
 /// area scale in [scale_lo, scale_hi] of the source, log-uniform aspect

@@ -1,4 +1,5 @@
 #include <array>
+#include <utility>
 
 #include "codec/sjpg.h"
 #include "image/ops.h"
@@ -96,10 +97,10 @@ class RandomHorizontalFlipOp final : public PreprocessOp {
   [[nodiscard]] bool is_random() const override { return true; }
 
   [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override {
-    const auto* img = std::get_if<image::Image>(&in);
+    auto* img = std::get_if<image::Image>(&in);
     SOPHON_CHECK_MSG(img != nullptr, "RandomHorizontalFlip expects a decoded image");
-    if (!rng.bernoulli(probability_)) return in;
-    return SampleData(image::horizontal_flip(*img));
+    if (rng.bernoulli(probability_)) *img = image::horizontal_flip(std::move(*img));
+    return in;
   }
 
   [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
