@@ -15,6 +15,8 @@
 #                             parsers and SJPG decoder do byte-level decoding
 #                             of untrusted input, exactly where misaligned
 #                             loads, wild shifts and integer overflow hide.
+#                             The image kernels and pipeline ops that walk
+#                             raw row pointers run in all three modes too.
 #   tools/check.sh --trace-smoke
 #                             build sophonctl, run a small traced simulation
 #                             and schema-check the emitted Chrome trace JSON
@@ -113,8 +115,9 @@ sanitized_targets=(
   sim_golden_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
+  image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize'
+sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses
