@@ -1,13 +1,14 @@
 // Ablation A13 — link-utilisation timeline.
 //
-// The per-sample trace makes the bottleneck visible over time: under No-Off
+// The recorded epoch makes the bottleneck visible over time: under No-Off
 // the inter-cluster link is pinned at ~100% for the whole epoch; under
 // SOPHON the same training work finishes in half the time at a similar
 // saturation level but with half the bytes, and per-sample latency drops.
 #include "bench_common.h"
 #include "core/profiler.h"
 #include "core/decision.h"
-#include "sim/trace.h"
+#include "obs/critpath/critpath.h"
+#include "obs/replay_trace.h"
 
 using namespace sophon;
 
@@ -17,16 +18,18 @@ void run_variant(const char* name, const dataset::Catalog& catalog,
                  const pipeline::Pipeline& pipe, const pipeline::CostModel& cm,
                  const sim::ClusterConfig& cluster, Seconds batch_time,
                  const core::OffloadPlan& plan) {
-  sim::TraceRecorder recorder;
-  const auto stats = sim::simulate_epoch_flows(catalog.size(),
-                                               sim::plan_flow(catalog, pipe, cm, plan.assignment()),
-                                               cluster, batch_time, 42, 0, recorder.sink());
+  obs::critpath::EpochParams params;
+  params.cluster = cluster;
+  params.gpu_batch_time = batch_time;
+  params.num_samples = catalog.size();
+  const auto traced =
+      obs::critpath::record_epoch(sim::plan_flow(catalog, pipe, cm, plan.assignment()), params);
 
   const Seconds bucket(10.0);
-  const auto util = recorder.link_utilization(bucket, cluster.bandwidth);
+  const auto util = obs::link_utilization(traced.record, bucket);
   std::printf("%s: epoch %.1f s, traffic %s, mean per-sample latency %s\n", name,
-              stats.epoch_time.value(), bench::gb(stats.traffic).c_str(),
-              human_seconds(recorder.mean_latency()).c_str());
+              traced.epoch.epoch_time.value(), bench::gb(traced.epoch.traffic).c_str(),
+              human_seconds(obs::mean_latency(traced.record)).c_str());
   std::printf("link utilisation per 10 s bucket:\n  ");
   for (std::size_t b = 0; b < util.size(); ++b) {
     static const char* kGlyphs[] = {" ", ".", ":", "-", "=", "#"};

@@ -9,8 +9,9 @@
 // replay with clairvoyant prefetch) and across cluster regimes (a link-bound
 // 100 Mbps edge config and the paper's 500 Mbps evaluation config with a real
 // offload plan in force): for each config it runs the stock what-if scenario
-// set, re-runs the public simulator entry point under each perturbed config,
-// and pins the relative prediction error at 5%. Errors below 1e-9 are
+// set, re-runs the plain (unrecorded) core under each perturbed config
+// (critpath::run_epoch, the simulate_epoch_flows / replay_epoch
+// configuration), and pins the relative prediction error at 5%. Errors below 1e-9 are
 // clamped to an exact zero so the committed artifact stays byte-stable for
 // bench-compare.
 //
@@ -29,7 +30,6 @@
 #include "core/profiler.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
-#include "prefetch/replay.h"
 #include "sim/trainer.h"
 #include "util/json.h"
 
@@ -50,20 +50,6 @@ struct BenchConfig {
 /// Prediction errors this far below the pin are float rounding; publish them
 /// as an exact zero so re-runs diff clean against the committed artifact.
 double clamp_error(double error) { return error < 1e-9 ? 0.0 : error; }
-
-/// Ground truth: the real simulator under one (possibly perturbed) config.
-Seconds simulate(const obs::critpath::EpochParams& params,
-                 const std::function<sim::SampleFlow(std::size_t)>& flow) {
-  if (params.discipline == obs::critpath::Discipline::kWorkerReplay) {
-    return prefetch::replay_epoch(params.num_samples, flow, params.cluster,
-                                  params.gpu_batch_time, params.seed, params.epoch_index,
-                                  params.replay)
-        .epoch.epoch_time;
-  }
-  return sim::simulate_epoch_flows(params.num_samples, flow, params.cluster,
-                                   params.gpu_batch_time, params.seed, params.epoch_index)
-      .epoch_time;
-}
 
 }  // namespace
 
@@ -146,7 +132,7 @@ int main() {
       return obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};
     };
 
-    const Seconds observed = simulate(params, flow);
+    const Seconds observed = obs::critpath::run_epoch(flow, params).epoch.epoch_time;
     const auto report = obs::critpath::project(
         demand, params, obs::critpath::default_scenarios(params), observed);
     const auto rerun = obs::critpath::project(
@@ -172,7 +158,7 @@ int main() {
     rows.push_back(baseline_row);
 
     for (const auto& projection : report.ranked) {
-      const Seconds actual = simulate(projection.params, flow);
+      const Seconds actual = obs::critpath::run_epoch(flow, projection.params).epoch.epoch_time;
       const double error =
           clamp_error(std::fabs(projection.projected_epoch_time.value() - actual.value()) /
                       std::max(actual.value(), 1e-12));

@@ -83,9 +83,6 @@ std::size_t count_distinct_variants(const pipeline::Pipeline& pipeline,
   pipeline::SampleData artifact = raw_sample;
   std::size_t stage = 0;
   if (reuse) {
-    const auto shape = pipeline::shape_of(raw_sample);
-    // Decode to discover dims if needed; artifact stage 2 covers both cases.
-    (void)shape;
     stage = 2;
     artifact = pipeline.run_seeded(artifact, 0, stage, artifact_seed);
   }

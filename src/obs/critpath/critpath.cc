@@ -64,23 +64,55 @@ Json BlameVector::to_json() const {
   return doc;
 }
 
-Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
-                       Seconds observed_epoch_time) {
+namespace {
+
+/// The one discipline dispatcher: `params`' epoch through the core under
+/// provenance policy Rec, configured as simulate_epoch_flows (batch window)
+/// or replay_epoch (worker lanes) configures it.
+template <class Rec>
+void schedule_epoch(Rec& rec, const DemandFn& demand, const EpochParams& params,
+                    prefetch::ReplayResult& out) {
   sim::ResourceMap resources(params.cluster);
   const sim::JobLoad job = sim::single_job(params.cluster, params.num_samples, demand,
                                            params.gpu_batch_time, params.seed, params.epoch_index);
-  sim::Recorder recorder;
   if (params.discipline == Discipline::kWorkerReplay) {
-    sim::LaneStats lanes;
-    (void)sim::run_worker_lanes(recorder, resources, job, prefetch::worker_lanes(params.replay),
-                                lanes);
+    // Only a plain run counts peak in-flight transfers: the record already
+    // holds every transfer's interval, and the count costs a sort.
+    resources.link.set_track_inflight(!Rec::kRecords);
+    out.epoch = sim::run_worker_lanes(rec, resources, job, prefetch::worker_lanes(params.replay),
+                                      out.prefetch);
+    out.prefetch.max_inflight = resources.link.max_inflight();
   } else {
-    (void)sim::run_batch_window(recorder, resources, {&job, 1}, params.cluster.prefetch_batches);
+    out.epoch =
+        sim::run_batch_window(rec, resources, {&job, 1}, params.cluster.prefetch_batches).front();
   }
+  out.epoch.storage_cpu_busy = resources.storage_busy();
+}
 
+}  // namespace
+
+RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params) {
+  RecordedEpoch out;
+  schedule_epoch(out.record, demand, params, out);
+  return out;
+}
+
+prefetch::ReplayResult run_epoch(const DemandFn& demand, const EpochParams& params) {
+  prefetch::ReplayResult out;
+  sim::NoRecord plain;
+  schedule_epoch(plain, demand, params, out);
+  return out;
+}
+
+Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
+                       Seconds observed_epoch_time) {
+  return critical_path(record_epoch(demand, params).record, observed_epoch_time);
+}
+
+Analysis critical_path(const sim::Recorder& record, Seconds observed_epoch_time) {
   // Walk parents back from the last GPU step: each edge is charged to the
   // resource its later event waited on.
-  const auto& nodes = recorder.nodes();
+  const auto& nodes = record.nodes();
   const double end = nodes.back().time;
   Analysis analysis;
   analysis.epoch_time = Seconds(end);

@@ -7,10 +7,11 @@
 // analyzer here runs an epoch's per-sample resource demands through the
 // scheduling core every simulator runs (sim/schedule.h) — the batch window of
 // sim::simulate_epoch_flows or the worker lanes of prefetch::replay_epoch —
-// with recording on: every scheduling event keeps the predecessor event that
-// made it wait — the admission window, the previous transfer on the FIFO
-// link, the earliest-free CPU core, the GPU's previous batch, an injected
-// retry/backoff delay.
+// with recording on (record_epoch): every scheduling event keeps the
+// predecessor event that made it wait — the admission window, the previous
+// transfer on the FIFO link, the earliest-free CPU core, the GPU's previous
+// batch, an injected retry/backoff delay. That record is also what the
+// trace, timeline and utilization views read (obs/replay_trace.h).
 //
 // Walking parents back from the final GPU completion yields the epoch
 // critical path: a chain of edges that tiles [0, epoch_time] exactly, each
@@ -124,10 +125,27 @@ struct Analysis {
   [[nodiscard]] Json to_json() const;
 };
 
-/// Schedule one epoch with recording on and decompose its critical path.
-/// `observed_epoch_time`
-/// is the simulator's (or run's) own epoch time for the reconcile check;
-/// pass zero to skip it.
+/// One epoch scheduled with recording on: the core's DAG and visit rows,
+/// plus the stats the plain run reports (`prefetch` under worker lanes only;
+/// its max_inflight stays 0, since each visit holds its transfer's interval).
+struct RecordedEpoch : prefetch::ReplayResult {
+  sim::Recorder record;
+};
+
+/// Schedule one epoch with recording on: the one observable run of the core.
+[[nodiscard]] RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params);
+
+/// The same epoch without recording: what sim::simulate_epoch_flows or
+/// prefetch::replay_epoch computes for `params`' discipline.
+[[nodiscard]] prefetch::ReplayResult run_epoch(const DemandFn& demand, const EpochParams& params);
+
+/// Decompose a recorded epoch's critical path. `observed_epoch_time` is the
+/// simulator's (or run's) own epoch time for the reconcile check; pass zero
+/// to skip it.
+[[nodiscard]] Analysis critical_path(const sim::Recorder& record,
+                                     Seconds observed_epoch_time = Seconds(0.0));
+
+/// record_epoch, then critical_path.
 [[nodiscard]] Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
                                      Seconds observed_epoch_time = Seconds(0.0));
 

@@ -46,8 +46,13 @@ std::vector<Scenario> default_scenarios(const EpochParams& base) {
 
 WhatIfReport project(const DemandFn& demand, const EpochParams& base,
                      const std::vector<Scenario>& scenarios, Seconds observed_epoch_time) {
+  return project(analyze_epoch(demand, base, observed_epoch_time), demand, base, scenarios);
+}
+
+WhatIfReport project(Analysis baseline, const DemandFn& demand, const EpochParams& base,
+                     const std::vector<Scenario>& scenarios) {
   WhatIfReport report;
-  report.baseline = analyze_epoch(demand, base, observed_epoch_time);
+  report.baseline = std::move(baseline);
   const double baseline_time = report.baseline.epoch_time.value();
 
   report.ranked.reserve(scenarios.size());

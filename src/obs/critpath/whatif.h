@@ -62,4 +62,9 @@ struct WhatIfReport {
                                    const std::vector<Scenario>& scenarios,
                                    Seconds observed_epoch_time = Seconds(0.0));
 
+/// The same around an analyzed baseline: critical_path of a recorded `base`.
+[[nodiscard]] WhatIfReport project(Analysis baseline, const DemandFn& demand,
+                                   const EpochParams& base,
+                                   const std::vector<Scenario>& scenarios);
+
 }  // namespace sophon::obs::critpath

@@ -1,6 +1,9 @@
 #include "obs/replay_trace.h"
 
 #include <algorithm>
+#include <cmath>
+
+#include "util/check.h"
 
 namespace sophon::obs {
 
@@ -12,8 +15,29 @@ struct StorageSpan {
   SpanArgs args;
 };
 
-bool is_cache_hit(const sim::SampleTimeline& row) {
-  return !row.prefetched && row.wire.count() == 0 && row.link_done <= row.claimed;
+/// The link's "transfer" and the GPU's "gpu_batch" spans, in the order the
+/// core scheduled them: each is [parent, node] of the node its server
+/// completed, which is the interval SimLink and GpuResource charged.
+void record_server_spans(const sim::Recorder& record, Tracer& tracer) {
+  const auto& nodes = record.nodes();
+  std::vector<std::int64_t> sent_bytes(nodes.size(), -1);
+  for (const sim::Visit& visit : record.visits()) {
+    if (visit.transmission >= 0) {
+      sent_bytes[static_cast<std::size_t>(visit.transmission)] = visit.wire.count();
+    }
+  }
+  // Tracks register on first use, as the spans they carry first appear.
+  for (std::size_t n = 1; n < nodes.size(); ++n) {
+    const sim::EventNode& node = nodes[n];
+    const Seconds begin(record.node(node.parent).time);
+    if (sent_bytes[n] >= 0) {
+      tracer.record_at(tracer.track("link"), SpanCategory::kTransfer, "transfer", begin,
+                       Seconds(node.time), SpanArgs{.bytes = sent_bytes[n]});
+    } else if (node.via == sim::Resource::kGpu) {
+      tracer.record_at(tracer.track("gpu"), SpanCategory::kGpu, "gpu_batch", begin,
+                       Seconds(node.time), SpanArgs{.position = node.position});
+    }
+  }
 }
 
 std::uint64_t virtual_ns(Seconds t) {
@@ -22,11 +46,12 @@ std::uint64_t virtual_ns(Seconds t) {
 
 }  // namespace
 
-std::vector<TraceFlow> build_replay_trace(const std::vector<sim::SampleTimeline>& rows,
-                                          const SampleCostFn& costs, Tracer& tracer) {
+std::vector<TraceFlow> build_replay_trace(const sim::Recorder& record, const SampleCostFn& costs,
+                                          Tracer& tracer) {
   std::vector<TraceFlow> flows;
   if (!tracer.enabled()) return flows;
 
+  record_server_spans(record, tracer);
   const std::uint32_t prefetch_track = tracer.track("prefetch");
   std::vector<std::uint32_t> worker_tracks;
   const auto worker_track = [&](std::int32_t worker) {
@@ -40,83 +65,85 @@ std::vector<TraceFlow> build_replay_trace(const std::vector<sim::SampleTimeline>
 
   std::vector<StorageSpan> storage_spans;
 
-  for (const auto& row : rows) {
-    if (row.worker < 0) continue;
-    const std::uint32_t track = worker_track(row.worker);
+  const auto at = [&](std::int32_t node) { return Seconds(record.node(node).time); };
+  for (const sim::Visit& visit : record.visits()) {
+    if (visit.worker < 0) continue;
+    const std::uint32_t track = worker_track(visit.worker);
+    const Seconds claimed = at(visit.claim);
+    const Seconds issued = at(visit.issue);
+    const Seconds link_done = at(visit.arrival);
+    const Seconds ready = at(visit.ready);
+    const std::int64_t position = record.node(visit.ready).position;
+    const auto sample = static_cast<std::uint32_t>(record.node(visit.ready).sample);
 
     SpanArgs args;
-    args.sample = static_cast<std::int64_t>(row.sample_index);
-    args.position = static_cast<std::int64_t>(row.position);
-    const SampleOpCosts detail = costs ? costs(row.sample_index) : SampleOpCosts{};
+    args.sample = static_cast<std::int64_t>(sample);
+    args.position = position;
+    const SampleOpCosts detail = costs ? costs(sample) : SampleOpCosts{};
     args.prefix = detail.prefix;
 
-    const bool local = is_cache_hit(row);
-    if (local) {
+    if (visit.transmission < 0) {
       args.cache_hit = 1;
     } else {
-      args.bytes = static_cast<std::int64_t>(row.wire.count());
-      args.prefetched = row.prefetched ? 1 : 0;
-      if (row.prefetched) {
+      args.bytes = static_cast<std::int64_t>(visit.wire.count());
+      args.prefetched = visit.prefetched ? 1 : 0;
+      if (visit.prefetched) {
         // Prefetched: the worker only waits when the fetch is still in
         // flight at claim time (a late hit).
-        if (row.link_done > row.claimed) {
-          tracer.record_at(track, SpanCategory::kStagingWait, "staging_wait", row.claimed,
-                           row.link_done, args);
+        if (link_done > claimed) {
+          tracer.record_at(track, SpanCategory::kStagingWait, "staging_wait", claimed,
+                           link_done, args);
         }
         // The issue->claim dependency as a visible span on the prefetch
         // scheduler's track plus a flow arrow to the consuming worker.
-        tracer.record_at(prefetch_track, SpanCategory::kOther, "prefetch_issue", row.issued,
-                         row.link_done, args);
+        tracer.record_at(prefetch_track, SpanCategory::kOther, "prefetch_issue", issued,
+                         link_done, args);
         TraceFlow flow;
-        flow.id = static_cast<std::uint64_t>(row.position) + 1;
+        flow.id = static_cast<std::uint64_t>(position) + 1;
         flow.name = "prefetch";
         flow.from_track = prefetch_track;
-        flow.from_ns = virtual_ns(row.issued);
+        flow.from_ns = virtual_ns(issued);
         flow.to_track = track;
-        flow.to_ns = virtual_ns(std::max(row.claimed, row.link_done));
+        flow.to_ns = virtual_ns(std::max(claimed, link_done));
         flows.push_back(std::move(flow));
       } else {
         // Demand: the worker runs the whole round trip synchronously.
-        tracer.record_at(track, SpanCategory::kFetch, "fetch", row.claimed, row.link_done, args);
-        if (row.issued > row.claimed) {
-          tracer.record_at(track, SpanCategory::kRetry, "retry_backoff", row.claimed, row.issued,
+        tracer.record_at(track, SpanCategory::kFetch, "fetch", claimed, link_done, args);
+        if (issued > claimed) {
+          tracer.record_at(track, SpanCategory::kRetry, "retry_backoff", claimed, issued,
                            args);
           // Arrow from the moment the backoff ladder released the final
           // (successful) attempt to that attempt's completed fetch.
           TraceFlow flow;
-          flow.id = (std::uint64_t{1} << 32) + static_cast<std::uint64_t>(row.position);
+          flow.id = (std::uint64_t{1} << 32) + static_cast<std::uint64_t>(position);
           flow.name = "retry";
           flow.from_track = track;
-          flow.from_ns = virtual_ns(row.issued);
+          flow.from_ns = virtual_ns(issued);
           flow.to_track = track;
-          flow.to_ns = virtual_ns(row.link_done);
+          flow.to_ns = virtual_ns(link_done);
           flows.push_back(std::move(flow));
         }
       }
-      if (detail.storage_prefix.value() > 0.0 && row.storage_done > row.issued) {
-        StorageSpan prep;
-        prep.end = row.storage_done;
-        prep.begin = std::max(row.issued,
-                              row.storage_done - std::min(detail.storage_prefix,
-                                                          row.storage_done - row.issued));
-        prep.args = args;
-        storage_spans.push_back(prep);
+      // The offloaded prefix: [parent, node] of its storage-CPU node.
+      if (const sim::EventNode& prep = record.node(visit.storage_done);
+          prep.via == sim::Resource::kStorageCpu) {
+        storage_spans.push_back(StorageSpan{at(prep.parent), Seconds(prep.time), args});
       }
     }
 
     // Compute window: [claim-or-arrival, ready]. Per-op children are laid
     // end-to-end finishing at ready; any core-queueing gap lands at the
     // front as parent self time (still preprocess).
-    const Seconds start = std::max(row.claimed, row.link_done);
-    if (row.ready > start) {
-      tracer.record_at(track, SpanCategory::kPreprocess, "preprocess", start, row.ready, args);
+    const Seconds start = std::max(claimed, link_done);
+    if (ready > start) {
+      tracer.record_at(track, SpanCategory::kPreprocess, "preprocess", start, ready, args);
       if (!detail.compute_ops.empty()) {
         Seconds total;
         for (const auto& [name, cost] : detail.compute_ops) total += cost;
-        const double window = (row.ready - start).value();
+        const double window = (ready - start).value();
         const double scale =
             total.value() > window && total.value() > 0.0 ? window / total.value() : 1.0;
-        Seconds cursor = row.ready - total * scale;
+        Seconds cursor = ready - total * scale;
         for (const auto& [name, cost] : detail.compute_ops) {
           const Seconds op_end = cursor + cost * scale;
           tracer.record_at(track, SpanCategory::kPreprocess, name, cursor, op_end, args);
@@ -152,6 +179,67 @@ std::vector<TraceFlow> build_replay_trace(const std::vector<sim::SampleTimeline>
   }
 
   return flows;
+}
+
+std::vector<double> link_utilization(const sim::Recorder& record, Seconds bucket) {
+  SOPHON_CHECK(bucket.value() > 0.0);
+  const auto& visits = record.visits();
+  if (visits.empty()) return {};
+  double horizon = 0.0;
+  for (const sim::Visit& visit : visits) {
+    horizon = std::max(horizon, record.node(visit.arrival).time);
+  }
+  const auto buckets = static_cast<std::size_t>(std::ceil(horizon / bucket.value()));
+  std::vector<double> busy(std::max<std::size_t>(buckets, 1), 0.0);
+  for (const sim::Visit& visit : visits) {
+    if (visit.transmission < 0) continue;
+    // Spread the transmission interval across the buckets it spans.
+    const sim::EventNode& sent = record.node(visit.transmission);
+    double start = record.node(sent.parent).time;
+    const double end = sent.time;
+    while (start < end) {
+      const auto b = std::min(static_cast<std::size_t>(start / bucket.value()), busy.size() - 1);
+      const double bucket_end = (static_cast<double>(b) + 1.0) * bucket.value();
+      const double span = std::min(end, bucket_end) - start;
+      busy[b] += span;
+      start += span;
+      if (span <= 0.0) break;  // numerical guard
+    }
+  }
+  for (auto& fraction : busy) fraction /= bucket.value();
+  return busy;
+}
+
+Seconds mean_latency(const sim::Recorder& record) {
+  const auto& visits = record.visits();
+  SOPHON_CHECK(!visits.empty());
+  double sum = 0.0;
+  for (const sim::Visit& visit : visits) {
+    sum += record.node(visit.ready).time - record.node(visit.issue).time;
+  }
+  return Seconds(sum / static_cast<double>(visits.size()));
+}
+
+Json timeline_json(const sim::Recorder& record) {
+  Json out = Json::array();
+  const auto at = [&](std::int32_t node) { return record.node(node).time; };
+  for (const sim::Visit& visit : record.visits()) {
+    Json entry = Json::object();
+    entry.set("sample", static_cast<std::int64_t>(record.node(visit.ready).sample));
+    entry.set("position", static_cast<std::int64_t>(record.node(visit.ready).position));
+    entry.set("issued_s", at(visit.issue));
+    entry.set("storage_done_s", at(visit.storage_done));
+    entry.set("link_done_s", at(visit.arrival));
+    entry.set("ready_s", at(visit.ready));
+    entry.set("wire_bytes", static_cast<std::int64_t>(visit.wire.count()));
+    entry.set("prefetched", visit.prefetched);
+    if (visit.worker >= 0) {
+      entry.set("worker", static_cast<std::int64_t>(visit.worker));
+      entry.set("claimed_s", at(visit.claim));
+    }
+    out.push_back(std::move(entry));
+  }
+  return out;
 }
 
 }  // namespace sophon::obs

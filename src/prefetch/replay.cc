@@ -20,7 +20,7 @@ ReplayResult replay_epoch(std::size_t num_samples,
                           const std::function<sim::SampleFlow(std::size_t)>& flow,
                           const sim::ClusterConfig& cluster, Seconds gpu_batch_time,
                           std::uint64_t seed, std::size_t epoch_index,
-                          const ReplayOptions& options, const sim::TraceSink& trace) {
+                          const ReplayOptions& options) {
   sim::ResourceMap resources(cluster);
   resources.link.set_track_inflight(true);
   const sim::JobLoad job =
@@ -28,7 +28,7 @@ ReplayResult replay_epoch(std::size_t num_samples,
   const sim::WorkerLanes lanes = worker_lanes(options);
   ReplayResult result;
   sim::NoRecord plain;
-  result.epoch = sim::run_worker_lanes(plain, resources, job, lanes, result.prefetch, trace);
+  result.epoch = sim::run_worker_lanes(plain, resources, job, lanes, result.prefetch);
   result.epoch.storage_cpu_busy = resources.storage_busy();
   result.prefetch.max_inflight = resources.link.max_inflight();
   return result;

@@ -20,7 +20,6 @@
 #include "prefetch/options.h"
 #include "sim/cluster.h"
 #include "sim/schedule.h"
-#include "sim/trace.h"
 #include "sim/trainer.h"
 
 namespace sophon::prefetch {
@@ -55,7 +54,6 @@ struct ReplayResult {
                                         const std::function<sim::SampleFlow(std::size_t)>& flow,
                                         const sim::ClusterConfig& cluster,
                                         Seconds gpu_batch_time, std::uint64_t seed,
-                                        std::size_t epoch_index, const ReplayOptions& options,
-                                        const sim::TraceSink& trace = {});
+                                        std::size_t epoch_index, const ReplayOptions& options);
 
 }  // namespace sophon::prefetch

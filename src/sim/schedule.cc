@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "dataset/sampler.h"
-#include "obs/trace.h"
 #include "util/check.h"
 
 namespace sophon::sim {
@@ -51,12 +50,15 @@ class Servers {
  public:
   using Event = typename Rec::Event;
 
-  /// One fetch: issued, storage prefix done, payload arrived.
+  /// One fetch: issued, storage prefix done, last byte sent, payload
+  /// arrived. `fetched` is false for a sample served locally.
   struct Trip {
     Event issue;
     Event storage_done;
+    Event transmission;
     Event arrival;
     Bytes wire;
+    bool fetched = true;
   };
 
   Servers(Rec& rec, ResourceMap& resources, std::span<const JobLoad> jobs)
@@ -103,16 +105,14 @@ class Servers {
       stats_[j].storage_cpu_busy += pool.busy_time() - before;
     }
     net::SimLink& link = res_.link;
-    const double start = std::max(Rec::time(t), link.free_at().value());
     const double arrival = link.schedule(Seconds(Rec::time(t)), f.wire).value();
     const double sent = link.free_at().value();
     stats_[j].traffic += f.wire;
-    trace("link", obs::SpanCategory::kTransfer, "transfer", start, sent,
-          obs::SpanArgs{.bytes = static_cast<std::int64_t>(f.wire.count())});
     const Event transmitted = served(link_free_, t, sent, Resource::kLink, sample, position);
-    return Trip{issue, t, arrival == sent ? transmitted
-                                         : rec_.add(arrival, transmitted, Resource::kLink,
-                                                    sample, position),
+    return Trip{issue, t, transmitted,
+                arrival == sent
+                    ? transmitted
+                    : rec_.add(arrival, transmitted, Resource::kLink, sample, position),
                 f.wire};
   }
 
@@ -125,14 +125,20 @@ class Servers {
 
   /// One batch step on job j's GPU; `position` is the batch's last.
   Event gpu(std::size_t j, Seconds batch_time, Event ready, std::int64_t position) {
-    GpuResource& gpu = res_.gpu[j];
-    const double start = std::max(Rec::time(ready), gpu.free_at().value());
-    const double done = gpu.schedule(Seconds(Rec::time(ready)), batch_time).value();
-    trace("gpu", obs::SpanCategory::kGpu, "gpu_batch", start, done,
-          obs::SpanArgs{.position = position});
+    const double done = res_.gpu[j].schedule(Seconds(Rec::time(ready)), batch_time).value();
     stats_[j].epoch_time = Seconds(done);
     ++stats_[j].batches;
     return served(gpu_free_[j], ready, done, Resource::kGpu, -1, position);
+  }
+
+  /// Recording only: one sample's visit, as the ids of its nodes.
+  void visit(Event issue, const Trip& trip, Event ready, Event claim, std::int32_t worker,
+             bool prefetched) {
+    if constexpr (Rec::kRecords) {
+      rec_.visit(Visit{issue.node, trip.storage_done.node,
+                       trip.fetched ? trip.transmission.node : -1, trip.arrival.node,
+                       ready.node, claim.node, worker, prefetched, trip.wire});
+    }
   }
 
   /// Every job's EpochStats; storage_cpu_busy is the job's own share.
@@ -168,20 +174,8 @@ class Servers {
     }
   }
 
-  /// Plain runs trace the link and the GPU while the global tracer records.
-  void trace(const char* track, obs::SpanCategory category, const char* name, double start,
-             double end, const obs::SpanArgs& args) {
-    if constexpr (!Rec::kRecords) {
-      if (tracer_.enabled()) {
-        tracer_.record_at(tracer_.track(track), category, name, Seconds(start), Seconds(end),
-                          args);
-      }
-    }
-  }
-
   Rec& rec_;
   ResourceMap& res_;
-  obs::Tracer& tracer_ = obs::global_tracer();
   std::vector<EpochStats> stats_;
   // Recording only: the event that last freed each core, the link, each GPU.
   std::vector<std::vector<Event>> storage_free_;
@@ -195,7 +189,7 @@ class Servers {
 template <class Rec>
 std::vector<EpochStats> run_batch_window(Rec& rec, ResourceMap& resources,
                                          std::span<const JobLoad> jobs,
-                                         std::size_t prefetch_batches, const TraceSink& trace) {
+                                         std::size_t prefetch_batches) {
   using Event = typename Rec::Event;
   SOPHON_CHECK(prefetch_batches >= 1);
   Servers<Rec> servers(rec, resources, jobs);
@@ -229,16 +223,7 @@ std::vector<EpochStats> run_batch_window(Rec& rec, ResourceMap& resources,
         const Event ready = f.compute_cpu.value() > 0.0
                                 ? servers.compute(j, trip.arrival, f.compute_cpu, idx, position)
                                 : trip.arrival;
-        if (trace) {
-          trace(SampleTimeline{.sample_index = idx,
-                               .position = pos,
-                               .issued = Seconds(Rec::time(issue)),
-                               .storage_done = Seconds(Rec::time(trip.storage_done)),
-                               .link_done = Seconds(Rec::time(trip.arrival)),
-                               .ready = Seconds(Rec::time(ready)),
-                               .wire = f.wire,
-                               .claimed = Seconds()});  // no worker lanes
-        }
+        servers.visit(issue, trip, ready, Event{}, -1, false);
         batch_ready = Rec::later(batch_ready, ready);
       }
       gpu_done[j][b] = servers.gpu(j, job.gpu_batch_time, batch_ready,
@@ -250,7 +235,7 @@ std::vector<EpochStats> run_batch_window(Rec& rec, ResourceMap& resources,
 
 template <class Rec>
 EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job,
-                            const WorkerLanes& lanes, LaneStats& stats, const TraceSink& trace) {
+                            const WorkerLanes& lanes, LaneStats& stats) {
   using Event = typename Rec::Event;
   using Trip = typename Servers<Rec>::Trip;
   SOPHON_CHECK(lanes.workers >= 1);
@@ -323,7 +308,7 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
     // Staged positions only grow and none lies behind the workers, so a
     // prefetched sample is at the front of the queue.
     const bool prefetched = !staged.empty() && staged.front().first == position;
-    Trip trip{claimed, claimed, claimed, Bytes(0)};
+    Trip trip{claimed, claimed, claimed, claimed, Bytes(0), false};
     Event start = claimed;  // preprocessing may begin
     if (is_local(id)) {
       ++stats.served_locally;
@@ -350,18 +335,7 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
     }
     const Event done = servers.compute(0, start, f.compute_cpu, sample, pos);
     worker_free[worker] = done;
-    if (trace) {
-      trace(SampleTimeline{.sample_index = static_cast<std::uint32_t>(id),
-                           .position = position,
-                           .issued = Seconds(Rec::time(trip.issue)),
-                           .storage_done = Seconds(Rec::time(trip.storage_done)),
-                           .link_done = Seconds(Rec::time(trip.arrival)),
-                           .ready = Seconds(Rec::time(done)),
-                           .wire = trip.wire,
-                           .prefetched = prefetched,
-                           .worker = static_cast<std::int32_t>(worker),
-                           .claimed = Seconds(Rec::time(claimed))});
-    }
+    servers.visit(trip.issue, trip, done, claimed, static_cast<std::int32_t>(worker), prefetched);
     batch_ready = Rec::later(batch_ready, done);
     if ((position + 1) % job.batch_size == 0 || position + 1 == job.num_samples) {
       servers.gpu(0, job.gpu_batch_time, batch_ready, pos);
@@ -371,11 +345,11 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
   return servers.finish().front();
 }
 
-#define SOPHON_SCHEDULE_INSTANTIATE(Rec)                                                       \
-  template std::vector<EpochStats> run_batch_window<Rec>(                                    \
-      Rec&, ResourceMap&, std::span<const JobLoad>, std::size_t, const TraceSink&);          \
-  template EpochStats run_worker_lanes<Rec>(Rec&, ResourceMap&, const JobLoad&,              \
-                                            const WorkerLanes&, LaneStats&, const TraceSink&);
+#define SOPHON_SCHEDULE_INSTANTIATE(Rec)                                                     \
+  template std::vector<EpochStats> run_batch_window<Rec>(Rec&, ResourceMap&,               \
+                                                         std::span<const JobLoad>, std::size_t); \
+  template EpochStats run_worker_lanes<Rec>(Rec&, ResourceMap&, const JobLoad&,            \
+                                            const WorkerLanes&, LaneStats&);
 SOPHON_SCHEDULE_INSTANTIATE(NoRecord)
 SOPHON_SCHEDULE_INSTANTIATE(Recorder)
 #undef SOPHON_SCHEDULE_INSTANTIATE

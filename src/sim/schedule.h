@@ -6,14 +6,15 @@
 // synchronous loader workers plus a clairvoyant prefetcher under depth and
 // byte credits.
 //
-// Provenance is a compile-time policy. NoRecord carries bare times; plain
-// runs put the link's "transfer" and the GPU's "gpu_batch" spans on
-// obs::global_tracer() while it records. Recorder also keeps each event's
-// parent — the argmax of the scheduling max() — which is the DAG the
-// critical-path analyzer walks; it emits no spans. Tie-breaks decide blame:
-// among equally free cores the lowest-numbered runs the job, later(a, b)
-// keeps a unless b is strictly later, and the link charges transmission and
-// propagation as two events.
+// Provenance is a compile-time policy. NoRecord carries bare times and
+// leaves no trace: plain runs return their stats and nothing else. Recorder
+// keeps each event's parent — the argmax of the scheduling max() — which is
+// the DAG the critical-path analyzer walks, plus one visit row per sample
+// naming that sample's nodes. It is the one record of an epoch: spans,
+// timelines and link utilization are all derived from it (obs/replay_trace.h).
+// Tie-breaks decide blame: among equally free cores the lowest-numbered runs
+// the job, later(a, b) keeps a unless b is strictly later, and the link
+// charges transmission and propagation as two events.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +55,28 @@ struct EventNode {
   double time = 0.0;
   std::int32_t parent = -1;  ///< the event that set `time`
   Resource via = Resource::kStart;
-  std::int64_t sample = -1;    ///< catalog sample id (-1 for GPU steps)
-  std::int64_t position = -1;  ///< epoch position (GPU steps: the batch's last)
+  std::int32_t sample = -1;    ///< catalog sample id (-1 for GPU steps)
+  std::int32_t position = -1;  ///< epoch position (GPU steps: the batch's last)
+};
+
+/// One sample's pass through the core, as the ids of its recorded nodes.
+/// A server's job is [parent.time, node.time] of the node it completed: the
+/// transmission node's interval is exactly the link's busy span.
+struct Visit {
+  std::int32_t issue = 0;          ///< admitted (worker lanes: after injected delay)
+  std::int32_t storage_done = 0;   ///< request hop and offloaded prefix done
+  std::int32_t transmission = -1;  ///< last byte sent; -1 when served locally
+  std::int32_t arrival = 0;        ///< payload landed (served locally: the claim)
+  std::int32_t ready = 0;          ///< preprocessing done; names sample and position
+  std::int32_t claim = 0;          ///< lane claimed the sample (batch window: root)
+  std::int32_t worker = -1;        ///< -1 under batch-window admission
+  bool prefetched = false;         ///< issued by the prefetcher, not on demand
+  Bytes wire;
 };
 
 /// Provenance policy that records the DAG. Node 0 is the root at time 0; the
-/// last node is the last GPU step scheduled.
+/// last node is the last GPU step scheduled. Visits follow epoch position
+/// (batch window with several jobs: interleaved by batch, as scheduled).
 class Recorder {
  public:
   struct Event {
@@ -72,13 +89,20 @@ class Recorder {
   static double time(Event e) { return e.time; }
   static Event later(Event a, Event b) { return b.time > a.time ? b : a; }
   Event add(double time, Event parent, Resource via, std::int64_t sample, std::int64_t position) {
-    nodes_.push_back(EventNode{time, parent.node, via, sample, position});
+    nodes_.push_back(EventNode{time, parent.node, via, static_cast<std::int32_t>(sample),
+                               static_cast<std::int32_t>(position)});
     return Event{time, static_cast<std::int32_t>(nodes_.size() - 1)};
   }
+  void visit(const Visit& visit) { visits_.push_back(visit); }
   [[nodiscard]] const std::vector<EventNode>& nodes() const { return nodes_; }
+  [[nodiscard]] const std::vector<Visit>& visits() const { return visits_; }
+  [[nodiscard]] const EventNode& node(std::int32_t id) const {
+    return nodes_[static_cast<std::size_t>(id)];
+  }
 
  private:
   std::vector<EventNode> nodes_;
+  std::vector<Visit> visits_;
 };
 
 /// The servers of one epoch: storage pools (one per node or private
@@ -118,8 +142,7 @@ struct JobLoad {
 template <class Rec>
 std::vector<EpochStats> run_batch_window(Rec& rec, ResourceMap& resources,
                                          std::span<const JobLoad> jobs,
-                                         std::size_t prefetch_batches,
-                                         const TraceSink& trace = {});
+                                         std::size_t prefetch_batches);
 
 /// Worker-lane admission: loader workers plus the prefetcher's credits.
 struct WorkerLanes {
@@ -148,7 +171,6 @@ struct LaneStats {
 /// (SimLink tracks that). Requests reach storage one link latency later.
 template <class Rec>
 EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job,
-                            const WorkerLanes& lanes, LaneStats& lane_stats,
-                            const TraceSink& trace = {});
+                            const WorkerLanes& lanes, LaneStats& lane_stats);
 
 }  // namespace sophon::sim

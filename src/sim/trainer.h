@@ -28,7 +28,6 @@
 #include "pipeline/cost_model.h"
 #include "pipeline/pipeline.h"
 #include "sim/cluster.h"
-#include "sim/trace.h"
 #include "storage/sharding.h"
 #include "util/units.h"
 
@@ -71,12 +70,11 @@ struct SampleFlow {
 };
 
 /// Generic epoch simulation over arbitrary per-sample flows. `flow(i)` must
-/// be a pure function of the catalog index `i`. An optional trace sink
-/// receives every sample's timeline (see sim/trace.h).
+/// be a pure function of the catalog index `i`.
 [[nodiscard]] EpochStats simulate_epoch_flows(
     std::size_t num_samples, const std::function<SampleFlow(std::size_t)>& flow,
     const ClusterConfig& cluster, Seconds gpu_batch_time, std::uint64_t seed,
-    std::size_t epoch_index = 0, const TraceSink& trace = {});
+    std::size_t epoch_index = 0);
 
 /// The flows of an offload assignment: sample `i` runs the first
 /// `assignment[i]` pipeline ops on the storage node (prefix cost), ships the

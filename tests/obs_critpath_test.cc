@@ -166,14 +166,21 @@ TEST(CritPath, AnalysisIsDeterministic) {
 TEST(CritPath, AnalyzerRecordsNoSpansWhileTracing) {
   // `sophonctl simulate --critpath-out` analyzes with the global tracer on;
   // the analyzer's schedule must not add link or GPU spans to the trace of
-  // the epoch it explains.
+  // the epoch it explains. Plain runs are pure too: every span is derived
+  // from a record (obs/replay_trace.h), never emitted by the core.
   Tracer& tracer = global_tracer();
   (void)tracer.drain();
   tracer.set_enabled(true);
   for (const EpochParams& p : {batch_params(), worker_params()}) {
     (void)analyze_epoch(demand_for, p);
     (void)project(demand_for, p, default_scenarios(p));
+    (void)run_epoch(demand_for, p);
   }
+  const EpochParams p = worker_params();
+  (void)sim::simulate_epoch_flows(p.num_samples, flow_for, p.cluster, p.gpu_batch_time, p.seed,
+                                  p.epoch_index);
+  (void)prefetch::replay_epoch(p.num_samples, flow_for, p.cluster, p.gpu_batch_time, p.seed,
+                               p.epoch_index, p.replay);
   tracer.set_enabled(false);
   EXPECT_TRUE(tracer.drain().empty());
 }

@@ -10,16 +10,31 @@
 
 #include "net/fault.h"
 #include "net/resilience.h"
+#include "obs/critpath/critpath.h"
 #include "obs/replay_trace.h"
 #include "prefetch/replay.h"
 #include "sim/cluster.h"
-#include "sim/trace.h"
 #include "sim/trainer.h"
 
 namespace sophon::obs {
 namespace {
 
 using Labels = std::vector<std::pair<std::uint32_t, std::string>>;
+
+/// The worker-lane epoch both replay tests trace: seed 42, epoch 1, and a
+/// 50 ms GPU step.
+critpath::EpochParams replay_params(const sim::ClusterConfig& cluster, std::size_t samples,
+                                    const prefetch::ReplayOptions& options) {
+  critpath::EpochParams params;
+  params.cluster = cluster;
+  params.gpu_batch_time = Seconds(0.05);
+  params.seed = 42;
+  params.epoch_index = 1;
+  params.num_samples = samples;
+  params.discipline = critpath::Discipline::kWorkerReplay;
+  params.replay = options;
+  return params;
+}
 
 SpanEvent make_span(std::uint32_t track, SpanCategory category, const char* name, double begin_s,
                     double end_s) {
@@ -152,20 +167,18 @@ TEST(EpochReport, ReplayReconciliationWithinOnePercent) {
   options.workers = kWorkers;
   options.prefetch.depth = 16;
 
+  const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
   Tracer& tracer = global_tracer();
   (void)tracer.drain();  // discard anything a previous test left behind
   tracer.set_capacity(kSamples * 8 + 1024);
   tracer.set_enabled(true);
-  sim::TraceRecorder recorder;
-  const auto result = prefetch::replay_epoch(kSamples, flow, cluster, Seconds(0.05),
-                                             /*seed=*/42, /*epoch=*/1, options, recorder.sink());
   const SampleCostFn costs = [&](std::uint32_t) {
     SampleOpCosts detail;
     detail.compute_ops = {{"decode", compute_cost * 0.5}, {"augment", compute_cost * 0.5}};
     detail.prefix = 0;
     return detail;
   };
-  build_replay_trace(recorder.rows(), costs, tracer);
+  build_replay_trace(result.record, costs, tracer);
   tracer.set_enabled(false);
   const auto spans = tracer.drain();
   ASSERT_FALSE(spans.empty());
@@ -243,14 +256,12 @@ TEST(EpochReport, FaultyReplayReconcilesWithRetryBucket) {
   options.workers = 4;
   options.prefetch.depth = 0;  // all demand: the flow runs exactly once per sample
 
+  const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
   Tracer& tracer = global_tracer();
   (void)tracer.drain();
   tracer.set_capacity(kSamples * 8 + 1024);
   tracer.set_enabled(true);
-  sim::TraceRecorder recorder;
-  const auto result = prefetch::replay_epoch(kSamples, flow, cluster, Seconds(0.05),
-                                             /*seed=*/42, /*epoch=*/1, options, recorder.sink());
-  const auto flows = build_replay_trace(recorder.rows(), {}, tracer);
+  const auto flows = build_replay_trace(result.record, {}, tracer);
   tracer.set_enabled(false);
   const auto spans = tracer.drain();
   ASSERT_GT(replay_stats.retries, 0u);
@@ -272,8 +283,11 @@ TEST(EpochReport, FaultyReplayReconcilesWithRetryBucket) {
   // Every retried sample emitted one retry->success flow arrow, ids in the
   // dedicated retry id space.
   std::size_t retried_rows = 0;
-  for (const auto& row : recorder.rows()) {
-    if (!row.prefetched && row.issued > row.claimed) ++retried_rows;
+  const sim::Recorder& record = result.record;
+  for (const sim::Visit& visit : record.visits()) {
+    if (!visit.prefetched && record.node(visit.issue).time > record.node(visit.claim).time) {
+      ++retried_rows;
+    }
   }
   std::size_t retry_flows = 0;
   for (const auto& flow_event : flows) {

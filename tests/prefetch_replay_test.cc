@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "sim/trace.h"
+#include "obs/critpath/critpath.h"
 
 namespace sophon::prefetch {
 namespace {
@@ -127,16 +127,23 @@ TEST(PrefetchReplay, LocallyServedSamplesMoveNoBytes) {
 }
 
 TEST(PrefetchReplay, TraceMarksPrefetchedSamples) {
-  sim::TraceRecorder recorder;
-  const auto result = replay_epoch(kSamples, uniform_flow, test_cluster(), Seconds::millis(5.0),
-                                   kSeed, 0, with_depth(8), recorder.sink());
-  ASSERT_EQ(recorder.size(), kSamples);
-  std::set<std::size_t> positions;
-  for (const auto& row : recorder.rows()) {
-    positions.insert(row.position);
-    EXPECT_TRUE(row.prefetched) << "position " << row.position;
-    EXPECT_LE(row.issued.value(), row.link_done.value());
-    EXPECT_LE(row.link_done.value(), row.ready.value());
+  obs::critpath::EpochParams params;
+  params.cluster = test_cluster();
+  params.gpu_batch_time = Seconds::millis(5.0);
+  params.seed = kSeed;
+  params.num_samples = kSamples;
+  params.discipline = obs::critpath::Discipline::kWorkerReplay;
+  params.replay = with_depth(8);
+  const auto result = obs::critpath::record_epoch(uniform_flow, params);
+  const sim::Recorder& record = result.record;
+  ASSERT_EQ(record.visits().size(), kSamples);
+  std::set<std::int64_t> positions;
+  for (const sim::Visit& visit : record.visits()) {
+    const std::int64_t position = record.node(visit.ready).position;
+    positions.insert(position);
+    EXPECT_TRUE(visit.prefetched) << "position " << position;
+    EXPECT_LE(record.node(visit.issue).time, record.node(visit.arrival).time);
+    EXPECT_LE(record.node(visit.arrival).time, record.node(visit.ready).time);
   }
   EXPECT_EQ(positions.size(), kSamples);
   EXPECT_EQ(result.prefetch.hits, kSamples);

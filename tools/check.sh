@@ -110,14 +110,14 @@ sanitized_targets=(
   prefetch_staging_test prefetch_replay_test
   net_resilience_test net_rpc_test net_link_test net_wire_test
   obs_concurrency_test obs_timeseries_test obs_health_test obs_telemetry_server_test
-  obs_critpath_test
-  sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test sim_trace_test
+  obs_critpath_test obs_replay_trace_test obs_report_test
+  sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
   sim_golden_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
   image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses

@@ -67,7 +67,6 @@
 #include "shard/format.h"
 #include "shard/pack.h"
 #include "shard/planner.h"
-#include "sim/trace.h"
 #include "sim/trainer.h"
 #include "dataset/calibrate.h"
 #include "storage/disk_store.h"
@@ -628,54 +627,48 @@ int cmd_simulate(const Flags& flags) {
         static_cast<unsigned long long>(ps.max_inflight));
   }
 
-  // Traced run: replay the epoch through the worker-level model with span
-  // tracing on, export Chrome trace JSON and/or the stall attribution.
+  // Recorded run: schedule the epoch once through the worker-level model
+  // with recording on; the Chrome trace, the stall attribution and the
+  // critical path are all views of that one record.
   const auto trace_out = flags.str("trace-out", "");
   const auto critpath_out = flags.str("critpath-out", "");
   const bool want_report = flags.flag("report");
   if (!trace_out.empty() || want_report || !critpath_out.empty()) {
-    const auto replay_options = replay_options_from(flags);
-    const auto gpu_batch = gpu.batch_time(cluster.batch_size);
+    const obs::critpath::EpochParams params{
+        .cluster = cluster,
+        .gpu_batch_time = gpu.batch_time(cluster.batch_size),
+        .seed = seed,
+        .epoch_index = epoch,
+        .num_samples = catalog.size(),
+        .discipline = obs::critpath::Discipline::kWorkerReplay,
+        .replay = replay_options_from(flags)};
+    const auto traced = obs::critpath::record_epoch(flow, params);
 
     auto& tracer = obs::global_tracer();
     // Everything records from this thread: one ring must hold the whole
     // epoch (fetch/wait + preprocess + per-op + storage + link + gpu spans).
     tracer.set_capacity(catalog.size() * 12 + 4096);
     tracer.set_enabled(true);
-    sim::TraceRecorder recorder;
-    const auto traced = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch, seed,
-                                               epoch, replay_options, recorder.sink());
     const obs::SampleCostFn costs = [&](std::uint32_t idx) {
       const auto& meta = catalog.sample(idx);
       const std::size_t prefix = plan.prefix(idx);
       obs::SampleOpCosts detail;
       detail.prefix = static_cast<std::int32_t>(prefix);
-      detail.storage_prefix =
-          prefix > 0 ? pipe.prefix_cost(meta.raw, prefix, cm) : Seconds(0.0);
       for (std::size_t i = prefix; i < pipe.size(); ++i) {
         detail.compute_ops.emplace_back(std::string(pipe.op(i).name()),
                                         pipe.op_cost(meta.raw, i, cm));
       }
       return detail;
     };
-    const auto flows = obs::build_replay_trace(recorder.rows(), costs, tracer);
+    const auto flows = obs::build_replay_trace(traced.record, costs, tracer);
 
-    // Critical-path analysis of the traced epoch: schedule the same demands
-    // again with recording on (no spans), decompose the blame vector, rank
-    // the stock what-if scenarios, and overlay the path as a highlighted
-    // track in the Chrome trace.
+    // Critical-path analysis of the recorded epoch: decompose the blame
+    // vector, rank the stock what-if scenarios, and overlay the path as a
+    // highlighted track in the Chrome trace.
     if (!critpath_out.empty()) {
-      obs::critpath::EpochParams params;
-      params.cluster = cluster;
-      params.gpu_batch_time = gpu_batch;
-      params.seed = seed;
-      params.epoch_index = epoch;
-      params.num_samples = catalog.size();
-      params.discipline = obs::critpath::Discipline::kWorkerReplay;
-      params.replay = replay_options;
-      const auto whatif = obs::critpath::project(flow, params,
-                                                 obs::critpath::default_scenarios(params),
-                                                 traced.epoch.epoch_time);
+      const auto whatif = obs::critpath::project(
+          obs::critpath::critical_path(traced.record, traced.epoch.epoch_time), flow, params,
+          obs::critpath::default_scenarios(params));
       const auto& analysis = whatif.baseline;
       std::printf("%s%s", analysis.render().c_str(), whatif.render().c_str());
       const std::uint32_t critpath_track = tracer.track("critical-path");
@@ -714,7 +707,8 @@ int cmd_simulate(const Flags& flags) {
       const auto profiles = core::profile_stage2(catalog, pipe, cm);
       const double batches = std::ceil(static_cast<double>(catalog.size()) /
                                        static_cast<double>(cluster.batch_size));
-      const auto predicted = core::evaluate_plan(profiles, plan, cluster, gpu_batch * batches);
+      const auto predicted =
+          core::evaluate_plan(profiles, plan, cluster, params.gpu_batch_time * batches);
       report.set_predicted(obs::EpochReport::Costs{predicted.t_g, predicted.t_cc,
                                                    predicted.t_cs, predicted.t_net});
       std::printf("%s", report.render().c_str());
@@ -728,21 +722,6 @@ int cmd_simulate(const Flags& flags) {
     }
   }
   return 0;
-}
-
-/// Run the real simulator under one EpochParams config — the ground truth
-/// the what-if projections are validated against.
-Seconds simulate_under_params(const obs::critpath::EpochParams& params,
-                              const std::function<sim::SampleFlow(std::size_t)>& flow) {
-  if (params.discipline == obs::critpath::Discipline::kWorkerReplay) {
-    return prefetch::replay_epoch(params.num_samples, flow, params.cluster,
-                                  params.gpu_batch_time, params.seed, params.epoch_index,
-                                  params.replay)
-        .epoch.epoch_time;
-  }
-  return sim::simulate_epoch_flows(params.num_samples, flow, params.cluster,
-                                   params.gpu_batch_time, params.seed, params.epoch_index)
-      .epoch_time;
 }
 
 /// Analyze one epoch, decompose the critical path, rank the stock what-if
@@ -777,7 +756,7 @@ int cmd_whatif(const Flags& flags) {
 
   const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
 
-  const Seconds observed = simulate_under_params(params, flow);
+  const Seconds observed = obs::critpath::run_epoch(flow, params).epoch.epoch_time;
   const auto report = obs::critpath::project(flow, params,
                                              obs::critpath::default_scenarios(params), observed);
   std::printf("%s%s", report.baseline.render().c_str(), report.render().c_str());
@@ -791,7 +770,7 @@ int cmd_whatif(const Flags& flags) {
     std::size_t validated = 0;
     Json verdicts = Json::array();
     for (const auto& projection : report.ranked) {
-      const Seconds actual = simulate_under_params(projection.params, flow);
+      const Seconds actual = obs::critpath::run_epoch(flow, projection.params).epoch.epoch_time;
       const double reference = std::max(actual.value(), 1e-12);
       const double error =
           std::fabs(projection.projected_epoch_time.value() - actual.value()) / reference;
@@ -1081,21 +1060,23 @@ int cmd_trace(const Flags& flags) {
   core::OffloadPlan plan = std::move(*loaded_plan);
 
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
-  sim::TraceRecorder recorder;
-  const auto stats = sim::simulate_epoch_flows(catalog.size(),
-                                               sim::plan_flow(catalog, pipe, cm, plan.assignment()),
-                                               cluster,
-                                               gpu.batch_time(cluster.batch_size), seed, 0,
-                                               recorder.sink());
+  obs::critpath::EpochParams params;
+  params.cluster = cluster;
+  params.gpu_batch_time = gpu.batch_time(cluster.batch_size);
+  params.seed = seed;
+  params.num_samples = catalog.size();
+  const auto traced =
+      obs::critpath::record_epoch(sim::plan_flow(catalog, pipe, cm, plan.assignment()), params);
   std::printf("epoch %.1f s | traffic %s | mean per-sample latency %s\n",
-              stats.epoch_time.value(), human_bytes(stats.traffic).c_str(),
-              human_seconds(recorder.mean_latency()).c_str());
+              traced.epoch.epoch_time.value(), human_bytes(traced.epoch.traffic).c_str(),
+              human_seconds(obs::mean_latency(traced.record)).c_str());
   if (const auto out = flags.str("out", ""); !out.empty()) {
-    if (!core::save_json_file(recorder.to_json(), out)) {
+    if (!core::save_json_file(obs::timeline_json(traced.record), out)) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());
       return 1;
     }
-    std::printf("wrote %zu timeline records to %s\n", recorder.size(), out.c_str());
+    std::printf("wrote %zu timeline records to %s\n", traced.record.visits().size(),
+                out.c_str());
   }
   return 0;
 }
