@@ -151,6 +151,61 @@ TEST(Decision, EfficiencyOrderBeatsRandomOrderUnderTightCores) {
   EXPECT_LE(by_eff.final_cost.t_net.value(), random.final_cost.t_net.value() + 1e-9);
 }
 
+// Two efficiency tiers of identical samples: every third sample saves twice
+// the bytes for the same prefix cost. The greedy must take the high tier,
+// then the low tier, each in ascending index order, so where it stops inside
+// the low tier the offloaded samples are exactly that tier's first ones.
+std::vector<SampleProfile> tied_profiles() {
+  std::vector<SampleProfile> profiles(30);
+  for (std::uint32_t i = 0; i < profiles.size(); ++i) {
+    SampleProfile& p = profiles[i];
+    const bool high = i % 3 == 0;
+    p.sample_index = i;
+    p.stage_sizes = {Bytes(high ? 180'000 : 100'000), Bytes(20'000), Bytes(30'000)};
+    p.op_costs = {Seconds::millis(1.0), Seconds::millis(1.0)};
+    p.min_stage = 1;
+    p.reduction = p.stage_sizes[0] - p.stage_sizes[1];
+    p.prefix_time = p.op_costs[0];
+  }
+  return profiles;
+}
+
+void expect_tiers_in_index_order(const std::vector<SampleProfile>& profiles,
+                                 const OffloadPlan& plan) {
+  std::size_t low_taken = 0;
+  bool low_gap = false;
+  for (std::uint32_t i = 0; i < profiles.size(); ++i) {
+    const bool taken = plan.prefix(i) > 0;
+    if (i % 3 == 0) {
+      EXPECT_TRUE(taken) << "high-efficiency sample " << i;
+    } else if (taken) {
+      EXPECT_FALSE(low_gap) << "low-efficiency sample " << i << " taken after a skipped one";
+      ++low_taken;
+    } else {
+      low_gap = true;
+    }
+  }
+  // The stop falls strictly inside the low tier, so the order is observable.
+  EXPECT_GT(low_taken, 0u);
+  EXPECT_LT(low_taken, 20u);
+}
+
+TEST(Decision, EqualEfficienciesOffloadInAscendingIndexOrder) {
+  const auto profiles = tied_profiles();
+  sim::ClusterConfig cluster;
+  cluster.storage_cores = 1;
+  cluster.bandwidth = Bandwidth::mbps(600.0);
+  const Seconds t_g = Seconds::millis(1.0);
+
+  expect_tiers_in_index_order(profiles, decide_offloading(profiles, cluster, t_g).plan);
+  const auto one_node = storage::ShardMap::contiguous(profiles.size(), 1);
+  expect_tiers_in_index_order(profiles,
+                              decide_offloading_sharded(profiles, one_node, cluster, t_g).plan);
+  const auto replicas = storage::ReplicaMap::replicated(one_node, 1, 3);
+  expect_tiers_in_index_order(
+      profiles, decide_offloading_replicated(profiles, replicas, cluster, t_g).plan);
+}
+
 TEST(EvaluatePlan, MatchesDecisionAccounting) {
   Fixture f;
   const auto result = decide_offloading(f.profiles, f.cluster, f.t_g);
