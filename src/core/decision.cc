@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -30,6 +31,29 @@ EpochCostVector baseline_cost(const std::vector<SampleProfile>& profiles,
 /// Effective storage-core capacity (cores x speed factor).
 double storage_capacity(const sim::ClusterConfig& cluster) {
   return static_cast<double>(cluster.storage_cores) * cluster.storage_core_speed;
+}
+
+/// The greedy's candidates, in index order: samples whose size shrinks at
+/// some intermediate stage.
+std::vector<std::uint32_t> beneficial_candidates(const std::vector<SampleProfile>& profiles) {
+  std::vector<std::uint32_t> candidates;
+  for (const auto& p : profiles) {
+    if (p.benefits() && p.efficiency() > 0.0) candidates.push_back(p.sample_index);
+  }
+  return candidates;
+}
+
+/// The paper's greedy order: efficiency descending, then index ascending.
+/// Each efficiency is computed once, as a sort key.
+void sort_by_efficiency(const std::vector<SampleProfile>& profiles,
+                        std::vector<std::uint32_t>& candidates) {
+  std::vector<std::pair<double, std::uint32_t>> keys;
+  keys.reserve(candidates.size());
+  for (const auto idx : candidates) keys.emplace_back(profiles[idx].efficiency(), idx);
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  for (std::size_t i = 0; i < keys.size(); ++i) candidates[i] = keys[i].second;
 }
 
 }  // namespace
@@ -74,11 +98,7 @@ DecisionResult decide_offloading(const std::vector<SampleProfile>& profiles,
   result.baseline = baseline_cost(profiles, cluster, gpu_epoch_time);
   result.final_cost = result.baseline;
 
-  // Candidates: samples whose size shrinks at some intermediate stage.
-  std::vector<std::uint32_t> candidates;
-  for (const auto& p : profiles) {
-    if (p.benefits() && p.efficiency() > 0.0) candidates.push_back(p.sample_index);
-  }
+  std::vector<std::uint32_t> candidates = beneficial_candidates(profiles);
   result.beneficial_candidates = candidates.size();
 
   const double capacity = storage_capacity(cluster);
@@ -86,12 +106,7 @@ DecisionResult decide_offloading(const std::vector<SampleProfile>& profiles,
 
   switch (options.order) {
     case CandidateOrder::kByEfficiency:
-      std::sort(candidates.begin(), candidates.end(), [&](std::uint32_t a, std::uint32_t b) {
-        const double ea = profiles[a].efficiency();
-        const double eb = profiles[b].efficiency();
-        if (ea != eb) return ea > eb;
-        return a < b;
-      });
+      sort_by_efficiency(profiles, candidates);
       break;
     case CandidateOrder::kByReduction:
       std::sort(candidates.begin(), candidates.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -151,23 +166,14 @@ ShardedDecisionResult decide_offloading_sharded(const std::vector<SampleProfile>
   result.final_cost = result.baseline;
   result.node_cpu.assign(static_cast<std::size_t>(shards.num_nodes()), Seconds(0.0));
 
-  std::vector<std::uint32_t> candidates;
-  for (const auto& p : profiles) {
-    if (p.benefits() && p.efficiency() > 0.0) candidates.push_back(p.sample_index);
-  }
+  std::vector<std::uint32_t> candidates = beneficial_candidates(profiles);
   result.beneficial_candidates = candidates.size();
 
   // Per-node capacity (cores x speed); zero per-node capacity → no offload.
-  const double node_capacity =
-      static_cast<double>(cluster.storage_cores) * cluster.storage_core_speed;
+  const double node_capacity = storage_capacity(cluster);
   if (node_capacity <= 0.0 || candidates.empty()) return result;
 
-  std::sort(candidates.begin(), candidates.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const double ea = profiles[a].efficiency();
-    const double eb = profiles[b].efficiency();
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
+  sort_by_efficiency(profiles, candidates);
 
   EpochCostVector cost = result.baseline;
   const double bytes_per_sec = cluster.bandwidth.bytes_per_sec();
@@ -223,26 +229,17 @@ ReplicatedDecisionResult decide_offloading_replicated(const std::vector<SamplePr
   std::vector<std::uint16_t> execution(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) execution[i] = replicas.replicas_of(i)[0];
 
-  std::vector<std::uint32_t> candidates;
-  for (const auto& p : profiles) {
-    if (p.benefits() && p.efficiency() > 0.0) candidates.push_back(p.sample_index);
-  }
+  std::vector<std::uint32_t> candidates = beneficial_candidates(profiles);
   result.beneficial_candidates = candidates.size();
 
-  const double node_capacity =
-      static_cast<double>(cluster.storage_cores) * cluster.storage_core_speed;
+  const double node_capacity = storage_capacity(cluster);
   if (node_capacity <= 0.0 || candidates.empty()) {
     result.execution_nodes =
         storage::ShardMap::explicit_map(std::move(execution), replicas.num_nodes());
     return result;
   }
 
-  std::sort(candidates.begin(), candidates.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const double ea = profiles[a].efficiency();
-    const double eb = profiles[b].efficiency();
-    if (ea != eb) return ea > eb;
-    return a < b;
-  });
+  sort_by_efficiency(profiles, candidates);
 
   EpochCostVector cost = result.baseline;
   const double bytes_per_sec = cluster.bandwidth.bytes_per_sec();

@@ -1,6 +1,7 @@
 #include "sim/schedule.h"
 
 #include <algorithm>
+#include <climits>
 #include <deque>
 #include <utility>
 
@@ -15,6 +16,15 @@ ResourceMap::ResourceMap(const ClusterConfig& cluster, std::size_t storage_nodes
       compute{CpuPool(cluster.compute_cores)},
       gpu(1) {
   link.set_fault_injector(cluster.link_faults);
+}
+
+void Recorder::reserve(std::size_t samples, std::size_t batches) {
+  constexpr auto kMaxNodes = static_cast<std::size_t>(INT32_MAX);
+  SOPHON_CHECK_MSG(samples <= (kMaxNodes - nodes_.size()) / kNodesPerSample &&
+                       batches <= kMaxNodes - nodes_.size() - kNodesPerSample * samples,
+                   "epoch too large for 32-bit node ids");
+  nodes_.reserve(nodes_.size() + kNodesPerSample * samples + batches);
+  visits_.reserve(visits_.size() + samples);
 }
 
 Seconds ResourceMap::storage_busy() const {
@@ -74,6 +84,13 @@ class Servers {
       stats_[j].samples = job.num_samples;
     }
     if constexpr (Rec::kRecords) {
+      std::size_t samples = 0;
+      std::size_t batches = 0;
+      for (const JobLoad& job : jobs) {
+        samples += job.num_samples;
+        batches += job.num_samples / job.batch_size + (job.num_samples % job.batch_size != 0);
+      }
+      rec_.reserve(samples, batches);
       for (const CpuPool& pool : res_.storage) storage_free_.emplace_back(pool.cores());
       for (const CpuPool& pool : res_.compute) compute_free_.emplace_back(pool.cores());
     }
@@ -258,11 +275,17 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
   std::size_t bytes_released = 0;
   std::deque<std::pair<std::size_t, Trip>> staged;  // (position, fetch) not yet consumed
   Bytes staged_bytes;
+  // (position, flow) the prefetcher evaluated and no worker consumed yet:
+  // staged fetches, samples `admit` passed over, and the sample it stopped at.
+  std::deque<std::pair<std::size_t, SampleFlow>> decided;
   const auto prefetch = [&] {
     for (; lanes.depth > 0 && next < job.num_samples; ++next) {
       const std::uint64_t id = order[next];
       if (is_local(id)) continue;  // a cache hit moves no bytes; prefetching it would
-      const SampleFlow f = checked_flow(job, id);
+      if (decided.empty() || decided.back().first != next) {
+        decided.emplace_back(next, checked_flow(job, id));
+      }
+      const SampleFlow& f = decided.back().second;
       if (lanes.admit && !lanes.admit(id, f.wire)) {
         ++stats.skipped_deprioritized;
         continue;
@@ -303,7 +326,11 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
     const std::uint64_t id = order[position];
     const auto sample = static_cast<std::int64_t>(id);
     const auto pos = static_cast<std::int64_t>(position);
-    const SampleFlow f = checked_flow(job, id);
+    // Positions only grow on both sides, so a flow the prefetcher evaluated
+    // for this position is at the front.
+    const bool decided_here = !decided.empty() && decided.front().first == position;
+    const SampleFlow f = decided_here ? decided.front().second : checked_flow(job, id);
+    if (decided_here) decided.pop_front();
 
     // Staged positions only grow and none lies behind the workers, so a
     // prefetched sample is at the front of the queue.

@@ -77,6 +77,14 @@ struct Visit {
 /// Provenance policy that records the DAG. Node 0 is the root at time 0; the
 /// last node is the last GPU step scheduled. Visits follow epoch position
 /// (batch window with several jobs: interleaved by batch, as scheduled).
+///
+/// Before its first event a run reserves the record's bound: at most
+/// kNodesPerSample nodes per sample (injected delay, request hop, storage
+/// prefix, transmission, propagation, preprocessing), one GPU node per batch
+/// and one visit per sample. The record is then allocated once instead of
+/// being copied as it doubles, and the pages it never writes are never
+/// faulted in. Node ids, sample ids and positions are 32-bit, so a bound past
+/// INT32_MAX is a ContractViolation before anything is allocated.
 class Recorder {
  public:
   struct Event {
@@ -84,8 +92,11 @@ class Recorder {
     std::int32_t node = 0;
   };
   static constexpr bool kRecords = true;
+  static constexpr std::size_t kNodesPerSample = 6;
 
   Recorder() : nodes_(1) {}
+  /// Room for `samples` more samples in `batches` more batches.
+  void reserve(std::size_t samples, std::size_t batches);
   static double time(Event e) { return e.time; }
   static Event later(Event a, Event b) { return b.time > a.time ? b : a; }
   Event add(double time, Event parent, Resource via, std::int64_t sample, std::int64_t position) {
@@ -123,8 +134,9 @@ struct ResourceMap {
 /// One job's epoch.
 struct JobLoad {
   std::size_t num_samples = 0;
-  const FlowFn* flow = nullptr;  ///< pure function of the catalog index
-  std::uint64_t seed = 42;       ///< visit order: EpochOrder(num_samples, seed, epoch_index)
+  /// Pure function of the catalog index; a run evaluates it once per sample.
+  const FlowFn* flow = nullptr;
+  std::uint64_t seed = 42;  ///< visit order: EpochOrder(num_samples, seed, epoch_index)
   std::size_t epoch_index = 0;
   std::size_t batch_size = 256;
   Seconds gpu_batch_time;

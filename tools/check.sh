@@ -112,12 +112,12 @@ sanitized_targets=(
   obs_concurrency_test obs_timeseries_test obs_health_test obs_telemetry_server_test
   obs_critpath_test obs_replay_trace_test obs_report_test
   sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
-  sim_golden_test
+  sim_golden_test sim_schedule_test sim_metamorphic_test core_decision_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
   image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses
