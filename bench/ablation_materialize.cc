@@ -19,7 +19,6 @@
 // in the budget for both pipelines, the re-ranked predicted epoch time never
 // regresses versus the unmaterialised baseline, and the validation pipeline
 // shows the traffic crossover at the top budget. Emits BENCH_materialize.json.
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <vector>
@@ -66,9 +65,8 @@ int main() {
   // more offloading — and with it, the traffic cut.
   const auto config = bench::paper_config(2);
   const auto gpu = model::GpuModel::lookup(config.net, config.gpu);
-  const double batches = std::ceil(static_cast<double>(catalog.size()) /
-                                   static_cast<double>(config.cluster.batch_size));
-  const Seconds gpu_epoch = gpu.batch_time(config.cluster.batch_size) * batches;
+  const Seconds gpu_epoch = core::gpu_epoch_time(catalog.size(), config.cluster.batch_size,
+                                                 gpu.batch_time(config.cluster.batch_size));
   const pipeline::CostModel cm;
   const std::vector<std::int64_t> budgets = {0, 256, 1024, 4096, kUnlimited};
 

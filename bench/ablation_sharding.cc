@@ -3,8 +3,9 @@
 // The paper models the storage side as one node; real deployments shard the
 // dataset across a cluster whose nodes each contribute preprocessing CPU.
 // This bench sweeps cluster width and compares balanced (hashed) placement
-// against a skewed one, for both the flat decision engine (which only sees
-// the aggregate core count) and the shard-aware engine.
+// against a skewed one under the shard-aware engine, which budgets each
+// node's cores (replica-aware planning at replication 1: every prefix runs on
+// its primary), then buys the skew back with replication.
 #include "bench_common.h"
 #include "core/profiler.h"
 
@@ -23,9 +24,7 @@ int main() {
   auto config = bench::paper_config();
   config.cluster.storage_cores = 1;  // per node
   const Seconds batch_time = gpu.batch_time(config.cluster.batch_size);
-  const Seconds t_g = batch_time * static_cast<double>(
-                                       (catalog.size() + config.cluster.batch_size - 1) /
-                                       config.cluster.batch_size);
+  const Seconds t_g = core::gpu_epoch_time(catalog.size(), config.cluster.batch_size, batch_time);
 
   // Skewed placement: 70% of samples on node 0, rest spread evenly.
   auto skewed_map = [&](int nodes) {
@@ -44,8 +43,8 @@ int main() {
     for (const auto& [label, shards] :
          {std::pair{"hashed (balanced)", storage::ShardMap::hashed(catalog.size(), nodes, 5)},
           {"skewed (70% on node 0)", skewed_map(nodes)}}) {
-      const auto decision =
-          core::decide_offloading_sharded(profiles, shards, config.cluster, t_g);
+      const auto decision = core::decide_offloading_replicated(
+          profiles, storage::ReplicaMap::replicated(shards, 1, 5), config.cluster, t_g);
       const auto stats = sim::simulate_epoch_sharded(
           catalog.size(), sim::plan_flow(catalog, pipe, cm, decision.plan.assignment()), shards,
           config.cluster, batch_time, 42, 0);

@@ -120,10 +120,10 @@ int main() {
     core::OffloadPlan plan(catalog.size());
     if (config.offload_plan) {
       const auto profiles = core::profile_stage2(catalog, pipe, cm);
-      const double batches = std::ceil(static_cast<double>(catalog.size()) /
-                                       static_cast<double>(params.cluster.batch_size));
       plan = core::decide_offloading(profiles, params.cluster,
-                                     params.gpu_batch_time * batches)
+                                     core::gpu_epoch_time(catalog.size(),
+                                                          params.cluster.batch_size,
+                                                          params.gpu_batch_time))
                  .plan;
     }
     const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());

@@ -34,9 +34,8 @@ int run() {
   const auto gpu = model::GpuModel::lookup(config.net, config.gpu);
   const Seconds batch_time = gpu.batch_time(config.cluster.batch_size);
 
-  const std::size_t num_batches =
-      (catalog.size() + config.cluster.batch_size - 1) / config.cluster.batch_size;
-  const Seconds gpu_epoch_time = batch_time * static_cast<double>(num_batches);
+  const Seconds gpu_epoch_time =
+      core::gpu_epoch_time(catalog.size(), config.cluster.batch_size, batch_time);
 
   const auto profiles = core::profile_stage2(catalog, pipe, cm);
   const auto decision = core::decide_offloading(profiles, config.cluster, gpu_epoch_time);

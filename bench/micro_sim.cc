@@ -91,10 +91,10 @@ struct PlannedEpoch {
     params.num_samples = catalog.size();
     params.replay.workers = 8;
     params.replay.prefetch.depth = 32;
-    const auto batches =
-        (catalog.size() + params.cluster.batch_size - 1) / params.cluster.batch_size;
     plan = core::decide_offloading(core::profile_stage2(catalog, pipe(), cm), params.cluster,
-                                   params.gpu_batch_time * static_cast<double>(batches))
+                                   core::gpu_epoch_time(catalog.size(),
+                                                        params.cluster.batch_size,
+                                                        params.gpu_batch_time))
                .plan;
     flow = sim::plan_flow(catalog, pipe(), cm, plan.assignment());
   }

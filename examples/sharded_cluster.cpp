@@ -58,7 +58,8 @@ int main() {
   cluster.storage_core_speed = 0.3;   // slow cores: skew matters
   const Seconds t_g(0.3);
 
-  const auto pinned = core::decide_offloading_sharded(profiles, primaries, cluster, t_g);
+  const auto pinned = core::decide_offloading_replicated(
+      profiles, storage::ReplicaMap::replicated(primaries, 1, 7), cluster, t_g);
   const auto routed = core::decide_offloading_replicated(profiles, replicas, cluster, t_g);
   std::printf("shard-aware (primaries only): offload %zu, predicted epoch %.1f s\n",
               pinned.offloaded, pinned.final_cost.predicted_epoch_time().value());

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -80,10 +80,6 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
   SOPHON_CHECK(!catalog.empty());
   SOPHON_CHECK(options.epochs > 0);
 
-  const std::size_t num_batches =
-      (catalog.size() + planned.batch_size - 1) / planned.batch_size;
-  const Seconds gpu_epoch_time = gpu_batch_time * static_cast<double>(num_batches);
-
   const TelemetryHooks& telemetry = options.telemetry;
 
   // One replanner for both modes keeps the initial plan identical between a
@@ -96,7 +92,8 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
   if (telemetry.ledger != nullptr && options.initial_plan != nullptr) {
     forecast_profiles = profiles;
   }
-  AdaptiveReplanner replanner(std::move(profiles), planned, gpu_epoch_time,
+  AdaptiveReplanner replanner(std::move(profiles), planned,
+                              gpu_epoch_time(catalog.size(), planned.batch_size, gpu_batch_time),
                               options.adapt_options, options.initial_plan);
 
   if (telemetry.metrics != nullptr) obs::register_epoch_metrics(*telemetry.metrics);
@@ -136,16 +133,6 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
         return f;
       };
     }
-    // Capture the demands the DES is about to schedule so the critical-path
-    // analyzer can re-time this exact epoch. The wrapper is outermost — after
-    // the fault/ledger wraps above — so captured demands include retry
-    // penalties and the ledger is not charged twice. Safe because
-    // simulate_epoch_flows calls the flow exactly once per sample.
-    std::vector<sim::SampleFlow> demands;
-    if (telemetry.critpath != nullptr) {
-      demands.resize(catalog.size());
-      flow = [inner = std::move(flow), &demands](std::size_t i) { return demands[i] = inner(i); };
-    }
     if (telemetry.ledger != nullptr && replanner.generation() != forecast_noted_generation) {
       forecast_noted_generation = replanner.generation();
       if (const auto& forecast = lease->traffic_forecast()) {
@@ -159,8 +146,19 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     }
 
     if (options.adapt) replanner.begin_epoch(epoch);
-    const sim::EpochStats stats = simulate_epoch_flows(catalog.size(), flow, actual,
-                                                       gpu_batch_time, options.seed, epoch);
+    obs::critpath::EpochParams params;  // the batch-window discipline
+    params.cluster = actual;
+    params.gpu_batch_time = gpu_batch_time;
+    params.seed = options.seed;
+    params.epoch_index = epoch;
+    params.num_samples = catalog.size();
+    // With a critical-path monitor wired, the epoch is scheduled once with
+    // recording on and the monitor explains that record; otherwise it runs
+    // plain, so an absent monitor costs nothing.
+    std::optional<obs::critpath::RecordedEpoch> recorded;
+    if (telemetry.critpath != nullptr) recorded = obs::critpath::record_epoch(flow, params);
+    const sim::EpochStats stats =
+        recorded ? recorded->epoch : obs::critpath::run_epoch(flow, params).epoch;
     const EpochObservation observation = observe_epoch(
         stats, actual, options.faults != nullptr ? &fault_stats : nullptr);
 
@@ -186,19 +184,9 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
       telemetry.ledger->end_epoch(epoch, stats.traffic, row.plan_generation);
     }
 
-    if (telemetry.critpath != nullptr) {
-      // Re-time the finished epoch before the health pass below so the
-      // bottleneck_migrated rule evaluates against fresh critpath metrics.
-      obs::critpath::EpochParams params;
-      params.cluster = actual;
-      params.gpu_batch_time = gpu_batch_time;
-      params.seed = options.seed;
-      params.epoch_index = epoch;
-      params.num_samples = catalog.size();
-      params.discipline = obs::critpath::Discipline::kBatchWindow;
-      telemetry.critpath->observe_epoch(
-          [&demands](std::size_t i) { return demands[i]; }, params, stats.epoch_time);
-    }
+    // Explain the finished epoch before the health pass below so the
+    // bottleneck_migrated rule evaluates against fresh critpath metrics.
+    if (recorded) telemetry.critpath->observe_epoch(recorded->record, stats.epoch_time);
 
     if (telemetry.metrics != nullptr) {
       MetricsRegistry& metrics = *telemetry.metrics;

@@ -74,9 +74,10 @@ struct TelemetryHooks {
   /// the ledger_unattributed health rule sees its gauge.
   obs::TrafficLedger* ledger = nullptr;
   /// Critical-path analyzer (obs/critpath/monitor.h): when present, each
-  /// epoch's per-sample demands are captured and re-timed at the boundary,
-  /// publishing the sophon_critpath_* blame gauges and the bottleneck
-  /// migration counter before the health rules run — so re-planning and the
+  /// epoch is scheduled once with recording on (obs::critpath::record_epoch)
+  /// and the monitor walks that record at the boundary, publishing the
+  /// sophon_critpath_* blame gauges and the bottleneck migration counter
+  /// before the health rules run — so re-planning and the
   /// bottleneck_migrated rule can consult the blame vector.
   obs::critpath::CritPathMonitor* critpath = nullptr;
   /// Called after the boundary's metrics/recorder/health updates.

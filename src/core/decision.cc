@@ -153,64 +153,6 @@ DecisionResult decide_offloading(const std::vector<SampleProfile>& profiles,
   return result;
 }
 
-ShardedDecisionResult decide_offloading_sharded(const std::vector<SampleProfile>& profiles,
-                                                const storage::ShardMap& shards,
-                                                const sim::ClusterConfig& cluster,
-                                                Seconds gpu_epoch_time) {
-  SOPHON_CHECK(!profiles.empty());
-  SOPHON_CHECK(shards.size() == profiles.size());
-
-  ShardedDecisionResult result;
-  result.plan = OffloadPlan(profiles.size());
-  result.baseline = baseline_cost(profiles, cluster, gpu_epoch_time);
-  result.final_cost = result.baseline;
-  result.node_cpu.assign(static_cast<std::size_t>(shards.num_nodes()), Seconds(0.0));
-
-  std::vector<std::uint32_t> candidates = beneficial_candidates(profiles);
-  result.beneficial_candidates = candidates.size();
-
-  // Per-node capacity (cores x speed); zero per-node capacity → no offload.
-  const double node_capacity = storage_capacity(cluster);
-  if (node_capacity <= 0.0 || candidates.empty()) return result;
-
-  sort_by_efficiency(profiles, candidates);
-
-  EpochCostVector cost = result.baseline;
-  const double bytes_per_sec = cluster.bandwidth.bytes_per_sec();
-  auto max_node_tcs = [&]() {
-    Seconds worst(0.0);
-    for (const auto busy : result.node_cpu) {
-      worst = std::max(worst, busy / node_capacity);
-    }
-    return worst;
-  };
-
-  for (const auto idx : candidates) {
-    if (!cost.net_predominant()) break;
-    const auto& p = profiles[idx];
-    const auto node = static_cast<std::size_t>(shards.node_of(idx));
-
-    EpochCostVector next = cost;
-    next.t_net -= Seconds(p.reduction.as_double() / bytes_per_sec);
-    next.t_cc -= p.prefix_time / static_cast<double>(cluster.compute_cores);
-    const Seconds node_after = (result.node_cpu[node] + p.prefix_time) / node_capacity;
-    next.t_cs = std::max(max_node_tcs(), node_after);
-
-    // Node-saturation skip: if routing this sample through its (hot) node
-    // would not improve the predicted epoch time, leave it local and keep
-    // scanning — samples on colder nodes may still help.
-    if (next.predicted_epoch_time() >= cost.predicted_epoch_time()) continue;
-
-    cost = next;
-    result.node_cpu[node] += p.prefix_time;
-    result.plan.set(idx, static_cast<std::uint8_t>(p.min_stage));
-    ++result.offloaded;
-  }
-  result.plan.set_traffic_forecast(forecast_plan_traffic(profiles, result.plan));
-  result.final_cost = cost;
-  return result;
-}
-
 ReplicatedDecisionResult decide_offloading_replicated(const std::vector<SampleProfile>& profiles,
                                                       const storage::ReplicaMap& replicas,
                                                       const sim::ClusterConfig& cluster,
@@ -264,6 +206,9 @@ ReplicatedDecisionResult decide_offloading_replicated(const std::vector<SamplePr
     next.t_cc -= p.prefix_time / static_cast<double>(cluster.compute_cores);
     const Seconds node_after = (result.node_cpu[best_node] + p.prefix_time) / node_capacity;
     next.t_cs = std::max(max_node_tcs(), node_after);
+    // Node-saturation skip: if routing this sample through its (hot) node
+    // would not improve the predicted epoch time, leave it local and keep
+    // scanning — samples on colder nodes may still help.
     if (next.predicted_epoch_time() >= cost.predicted_epoch_time()) continue;
 
     cost = next;

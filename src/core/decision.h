@@ -72,28 +72,7 @@ struct DecisionResult {
 [[nodiscard]] PlanTrafficForecast forecast_plan_traffic(
     const std::vector<SampleProfile>& profiles, const OffloadPlan& plan);
 
-/// Decision result against a sharded storage cluster: T_CS is governed by
-/// the *slowest node* (each node only preprocesses the samples it owns), so
-/// the per-node budget vector matters, not just the cluster total.
-struct ShardedDecisionResult {
-  OffloadPlan plan;
-  EpochCostVector baseline;
-  EpochCostVector final_cost;  // t_cs = busiest node's CPU time
-  std::vector<Seconds> node_cpu;  // offloaded single-core seconds per node
-  std::size_t beneficial_candidates = 0;
-  std::size_t offloaded = 0;
-};
-
-/// Sharded variant of the greedy: candidates are still taken in efficiency
-/// order, but a candidate whose owning node is already saturated (adding it
-/// would raise the predicted epoch time) is skipped rather than ending the
-/// loop, so spare capacity on cold nodes keeps being used.
-/// `cluster.storage_cores` is the per-node core budget.
-[[nodiscard]] ShardedDecisionResult decide_offloading_sharded(
-    const std::vector<SampleProfile>& profiles, const storage::ShardMap& shards,
-    const sim::ClusterConfig& cluster, Seconds gpu_epoch_time);
-
-/// Result of replica-aware planning: in addition to the plan, the node each
+/// Result of per-node planning: in addition to the plan, the node each
 /// offloaded sample's prefix was routed to (its least-loaded replica at
 /// selection time), expressed as a ShardMap so the sharded simulator can
 /// consume it directly.
@@ -101,15 +80,23 @@ struct ReplicatedDecisionResult {
   OffloadPlan plan;
   storage::ShardMap execution_nodes;  // where each sample's prefix runs
   EpochCostVector baseline;
-  EpochCostVector final_cost;
-  std::vector<Seconds> node_cpu;
+  EpochCostVector final_cost;  // t_cs = busiest node's CPU time
+  std::vector<Seconds> node_cpu;  // offloaded single-core seconds per node
   std::size_t beneficial_candidates = 0;
   std::size_t offloaded = 0;
 };
 
-/// Replica-aware greedy: each candidate may run its prefix on any of its
-/// replica holders; the engine routes it to the least-loaded one, which
-/// largely neutralises placement skew as replication grows.
+/// The per-node greedy over a sharded storage cluster. T_CS is governed by
+/// the *busiest node* (each node only preprocesses the samples routed to
+/// it), so the per-node budget matters, not just the cluster total;
+/// `cluster.storage_cores` is the per-node core budget. Candidates are taken
+/// in efficiency order; each may run its prefix on any of its replica
+/// holders and is routed to the least-loaded one, which largely neutralises
+/// placement skew as replication grows. A candidate whose node is saturated
+/// (adding it would not lower the predicted epoch time) is skipped rather
+/// than ending the loop, so spare capacity on cold nodes keeps being used.
+/// At replication 1 (`ReplicaMap::replicated(shards, 1, seed)`) every
+/// prefix runs on its primary: the shard-aware plan.
 [[nodiscard]] ReplicatedDecisionResult decide_offloading_replicated(
     const std::vector<SampleProfile>& profiles, const storage::ReplicaMap& replicas,
     const sim::ClusterConfig& cluster, Seconds gpu_epoch_time);

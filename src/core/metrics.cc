@@ -6,6 +6,12 @@
 
 namespace sophon::core {
 
+Seconds gpu_epoch_time(std::size_t num_samples, std::size_t batch_size, Seconds gpu_batch_time) {
+  SOPHON_CHECK(batch_size > 0);
+  const std::size_t batches = (num_samples + batch_size - 1) / batch_size;
+  return gpu_batch_time * static_cast<double>(batches);
+}
+
 std::string_view bottleneck_name(Bottleneck b) {
   switch (b) {
     case Bottleneck::kGpu:

@@ -7,6 +7,7 @@
 // (T_G, T_CC, T_CS, T_Net) of §3.2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -86,5 +87,11 @@ struct EpochCostVector {
   /// exact-minimiser variant.
   [[nodiscard]] Seconds predicted_epoch_time() const { return predominant(); }
 };
+
+/// T_G: the GPU time of one epoch over `num_samples` samples, one
+/// `gpu_batch_time` step per batch of `batch_size` (a partial last batch
+/// costs a full step). Every planner and the run loop derive T_G here.
+[[nodiscard]] Seconds gpu_epoch_time(std::size_t num_samples, std::size_t batch_size,
+                                     Seconds gpu_batch_time);
 
 }  // namespace sophon::core

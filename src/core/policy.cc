@@ -24,9 +24,7 @@ std::string_view policy_kind_name(PolicyKind kind) {
 
 Seconds PlanContext::gpu_epoch_time() const {
   SOPHON_CHECK(catalog != nullptr);
-  const auto batches =
-      (catalog->size() + cluster.batch_size - 1) / cluster.batch_size;
-  return gpu_batch_time * static_cast<double>(batches);
+  return core::gpu_epoch_time(catalog->size(), cluster.batch_size, gpu_batch_time);
 }
 
 namespace {

@@ -7,7 +7,6 @@ namespace sophon::core {
 PolicyRunResult run_policy(const Policy& policy, const dataset::Catalog& catalog,
                            const pipeline::Pipeline& pipeline,
                            const pipeline::CostModel& cost_model, const RunConfig& config) {
-  SOPHON_CHECK(config.epochs >= 1);
   SOPHON_CHECK(config.gpu_count >= 1);
   const auto gpu_model = model::GpuModel::lookup(config.net, config.gpu);
   const Seconds batch_time =
@@ -25,9 +24,8 @@ PolicyRunResult run_policy(const Policy& policy, const dataset::Catalog& catalog
   result.kind = policy.kind();
   result.name = std::string(policy.name());
   result.decision = policy.plan(ctx);
-  result.stats =
-      sim::simulate_epochs(catalog, pipeline, cost_model, config.cluster, batch_time,
-                           result.decision.plan.assignment(), config.seed, config.epochs);
+  result.stats = sim::simulate_epoch(catalog, pipeline, cost_model, config.cluster, batch_time,
+                                     result.decision.plan.assignment(), config.seed);
   return result;
 }
 

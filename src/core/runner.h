@@ -1,5 +1,5 @@
-// End-to-end orchestration: plan with a policy, then simulate training —
-// the loop every evaluation bench and example drives.
+// End-to-end evaluation: plan with a policy, then simulate one training
+// epoch under the plan — the comparison every evaluation bench drives.
 #pragma once
 
 #include <vector>
@@ -18,7 +18,6 @@ struct RunConfig {
   /// is how the paper's intro argues the remote-I/O bottleneck worsens as
   /// accelerators multiply.
   int gpu_count = 1;
-  std::size_t epochs = 1;  // epochs to simulate (plans are made once)
   std::uint64_t seed = 42;
 };
 
@@ -26,10 +25,12 @@ struct PolicyRunResult {
   PolicyKind kind{};
   std::string name;
   PolicyDecision decision;
-  sim::EpochStats stats;  // averaged over RunConfig::epochs
+  sim::EpochStats stats;  // the one simulated epoch under the plan
 };
 
-/// Plan with `policy`, then simulate `config.epochs` training epochs.
+/// Plan with `policy`, then simulate one training epoch under the plan.
+/// Multi-epoch runs of a fixed plan go through core::adapt::run_adaptive
+/// with `adapt = false` and `initial_plan`.
 [[nodiscard]] PolicyRunResult run_policy(const Policy& policy, const dataset::Catalog& catalog,
                                          const pipeline::Pipeline& pipeline,
                                          const pipeline::CostModel& cost_model,

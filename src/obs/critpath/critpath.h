@@ -54,8 +54,9 @@ using Resource = sim::Resource;
 /// schedules the same epoch the simulator ran.
 using SampleDemand = sim::SampleFlow;
 
-/// Maps a catalog sample index to its demands. Must be pure: the worker-lane
-/// discipline consults a sample more than once.
+/// Maps a catalog sample index to its demands. A run evaluates each sample
+/// once under either discipline; it must still be pure, because the what-if
+/// engine re-runs the same demands under every scenario.
 using DemandFn = sim::FlowFn;
 
 /// Which discrete-event discipline produced the epoch being analyzed.

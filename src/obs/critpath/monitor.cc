@@ -2,10 +2,10 @@
 
 namespace sophon::obs::critpath {
 
-const Analysis& CritPathMonitor::observe_epoch(const DemandFn& demand, const EpochParams& params,
+const Analysis& CritPathMonitor::observe_epoch(const sim::Recorder& record,
                                                Seconds observed_epoch_time) {
   const Resource previous = bottleneck();
-  last_ = analyze_epoch(demand, params, observed_epoch_time);
+  last_ = critical_path(record, observed_epoch_time);
   ++epochs_;
   const Analysis& analysis = *last_;
   const Resource current = analysis.bottleneck();

@@ -1,6 +1,6 @@
 // Epoch-boundary bridge between the critical-path analyzer and the live
-// telemetry plane: runs analyze_epoch on each completed epoch's captured
-// demands, publishes the blame vector as sophon_critpath_* gauges, and
+// telemetry plane: walks the critical path of each completed epoch's record
+// (record_epoch), publishes the blame vector as sophon_critpath_* gauges, and
 // counts bottleneck *migrations* — the mid-run resource handoffs (link ->
 // gpu after a replan, gpu -> link after a bandwidth drop) that the
 // bottleneck_migrated health rule turns into WARN/CRIT.
@@ -20,10 +20,10 @@ class CritPathMonitor {
   /// published). Not thread-safe: call from the run loop's epoch boundary.
   explicit CritPathMonitor(MetricsRegistry* metrics = nullptr) : metrics_(metrics) {}
 
-  /// Analyze one completed epoch and publish. `observed_epoch_time` is the
-  /// run's own measurement for the reconcile gauge.
-  const Analysis& observe_epoch(const DemandFn& demand, const EpochParams& params,
-                                Seconds observed_epoch_time);
+  /// Analyze one completed epoch from its record and publish.
+  /// `observed_epoch_time` is the run's own measurement for the reconcile
+  /// gauge.
+  const Analysis& observe_epoch(const sim::Recorder& record, Seconds observed_epoch_time);
 
   [[nodiscard]] std::size_t epochs() const { return epochs_; }
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }

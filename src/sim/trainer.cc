@@ -155,33 +155,4 @@ EpochStats simulate_epoch(const dataset::Catalog& catalog, const pipeline::Pipel
                               cluster, gpu_batch_time, seed, epoch_index);
 }
 
-EpochStats simulate_epochs(const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,
-                           const pipeline::CostModel& cost_model, const ClusterConfig& cluster,
-                           Seconds gpu_batch_time, std::span<const std::uint8_t> assignment,
-                           std::uint64_t seed, std::size_t num_epochs) {
-  SOPHON_CHECK(num_epochs >= 1);
-  EpochStats acc;
-  for (std::size_t e = 0; e < num_epochs; ++e) {
-    const auto s = simulate_epoch(catalog, pipeline, cost_model, cluster, gpu_batch_time,
-                                  assignment, seed, e);
-    acc.epoch_time += s.epoch_time;
-    acc.traffic += s.traffic;
-    acc.gpu_busy += s.gpu_busy;
-    acc.storage_cpu_busy += s.storage_cpu_busy;
-    acc.compute_cpu_busy += s.compute_cpu_busy;
-    acc.samples = s.samples;
-    acc.batches = s.batches;
-    acc.offloaded_samples = s.offloaded_samples;
-  }
-  const double k = static_cast<double>(num_epochs);
-  acc.epoch_time = acc.epoch_time / k;
-  acc.traffic = Bytes(static_cast<std::int64_t>(acc.traffic.as_double() / k));
-  acc.gpu_busy = acc.gpu_busy / k;
-  acc.storage_cpu_busy = acc.storage_cpu_busy / k;
-  acc.compute_cpu_busy = acc.compute_cpu_busy / k;
-  acc.gpu_utilization =
-      acc.epoch_time.value() > 0.0 ? acc.gpu_busy.value() / acc.epoch_time.value() : 0.0;
-  return acc;
-}
-
 }  // namespace sophon::sim

@@ -133,20 +133,12 @@ struct FaultReplayStats {
 /// pure function of the index for its *return value*, so it composes with
 /// any simulate_epoch_* entry point; `ledger` (optional) is a side channel
 /// that attributes the sample's wire bytes per cause (corrupt-attempt bytes
-/// as retry, demoted samples as raw-fallback, the rest as demand) — wire a
-/// ledger only into entry points that call the flow exactly once per sample
-/// (simulate_epoch_flows does; prefetch::replay_epoch calls it twice).
+/// as retry, demoted samples as raw-fallback, the rest as demand). It is
+/// safe under every entry point of the scheduling core, which evaluates
+/// each sample's flow exactly once per run under either discipline.
 [[nodiscard]] std::function<SampleFlow(std::size_t)> faulty_flow(
     std::function<SampleFlow(std::size_t)> flow, std::function<SampleFlow(std::size_t)> raw_flow,
     const net::FaultInjector& faults, const net::RetryPolicy& retry, std::size_t epoch_index,
     FaultReplayStats* stats = nullptr, obs::TrafficLedger* ledger = nullptr);
-
-/// Average several consecutive epochs (fresh shuffles, same assignment).
-[[nodiscard]] EpochStats simulate_epochs(const dataset::Catalog& catalog,
-                                         const pipeline::Pipeline& pipeline,
-                                         const pipeline::CostModel& cost_model,
-                                         const ClusterConfig& cluster, Seconds gpu_batch_time,
-                                         std::span<const std::uint8_t> assignment,
-                                         std::uint64_t seed, std::size_t num_epochs);
 
 }  // namespace sophon::sim

@@ -97,7 +97,8 @@ TEST(DecisionFuzz, ShardedEngineInvariantsOnRandomLandscapes) {
     cluster.storage_cores = static_cast<int>(rng.uniform_int(0, 4));
     const Seconds t_g(rng.uniform(0.01, 10.0));
 
-    const auto result = decide_offloading_sharded(profiles, shards, cluster, t_g);
+    const auto result = decide_offloading_replicated(
+        profiles, storage::ReplicaMap::replicated(shards, 1, 1), cluster, t_g);
     ASSERT_LE(result.final_cost.predicted_epoch_time().value(),
               result.baseline.predicted_epoch_time().value() + 1e-9);
 

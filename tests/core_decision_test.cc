@@ -199,8 +199,6 @@ TEST(Decision, EqualEfficienciesOffloadInAscendingIndexOrder) {
 
   expect_tiers_in_index_order(profiles, decide_offloading(profiles, cluster, t_g).plan);
   const auto one_node = storage::ShardMap::contiguous(profiles.size(), 1);
-  expect_tiers_in_index_order(profiles,
-                              decide_offloading_sharded(profiles, one_node, cluster, t_g).plan);
   const auto replicas = storage::ReplicaMap::replicated(one_node, 1, 3);
   expect_tiers_in_index_order(
       profiles, decide_offloading_replicated(profiles, replicas, cluster, t_g).plan);

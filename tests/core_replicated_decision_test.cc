@@ -64,17 +64,6 @@ TEST(ReplicaMap, RejectsImpossibleReplication) {
   EXPECT_THROW((void)storage::ReplicaMap::replicated(primary, 0, 7), ContractViolation);
 }
 
-TEST(ReplicatedDecision, ReplicationOneMatchesShardedEngine) {
-  Fixture f;
-  const auto shards = f.skewed();
-  const auto replicas = storage::ReplicaMap::replicated(shards, 1, 7);
-  const auto sharded = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
-  const auto replicated = decide_offloading_replicated(f.profiles, replicas, f.cluster, f.t_g);
-  EXPECT_EQ(replicated.offloaded, sharded.offloaded);
-  EXPECT_NEAR(replicated.final_cost.predicted_epoch_time().value(),
-              sharded.final_cost.predicted_epoch_time().value(), 1e-9);
-}
-
 TEST(ReplicatedDecision, ReplicationNeutralisesSkew) {
   Fixture f;
   // Slow storage cores so the hot node saturates well before the candidate

@@ -70,13 +70,5 @@ TEST(Runner, GpuModelSelectionMatters) {
   EXPECT_GT(r50.stats.gpu_utilization, alex.stats.gpu_utilization);
 }
 
-TEST(Runner, MultiEpochAveragingWorks) {
-  Fixture f;
-  f.config.epochs = 3;
-  const auto result = run_policy(*make_policy(PolicyKind::kNoOff), f.catalog, f.pipe, f.cm,
-                                 f.config);
-  EXPECT_GT(result.stats.epoch_time.value(), 0.0);
-}
-
 }  // namespace
 }  // namespace sophon::core

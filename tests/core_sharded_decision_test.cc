@@ -23,12 +23,21 @@ struct Fixture {
   Seconds t_g = Seconds(4.0);
 };
 
+/// The shard-aware plan: the per-node greedy at replication 1, so every
+/// prefix runs on the node that owns the sample.
+ReplicatedDecisionResult decide_sharded(const std::vector<SampleProfile>& profiles,
+                                        const storage::ShardMap& shards,
+                                        const sim::ClusterConfig& cluster, Seconds t_g) {
+  return decide_offloading_replicated(profiles, storage::ReplicaMap::replicated(shards, 1, 1),
+                                      cluster, t_g);
+}
+
 TEST(ShardedDecision, SingleNodeMatchesFlatEngine) {
   Fixture f;
   const auto shards = storage::ShardMap::hashed(f.catalog.size(), 1, 1);
-  const auto sharded = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
+  const auto sharded = decide_sharded(f.profiles, shards, f.cluster, f.t_g);
   const auto flat = decide_offloading(f.profiles, f.cluster, f.t_g);
-  // The sharded engine's skip rule is slightly more permissive than the
+  // The per-node engine's skip rule is slightly more permissive than the
   // paper's hard stop, so it may offload marginally more — but never less,
   // and the cost vectors must agree closely.
   EXPECT_GE(sharded.offloaded, flat.offloaded);
@@ -38,9 +47,9 @@ TEST(ShardedDecision, SingleNodeMatchesFlatEngine) {
 
 TEST(ShardedDecision, MoreNodesOffloadMore) {
   Fixture f;
-  const auto one = decide_offloading_sharded(
+  const auto one = decide_sharded(
       f.profiles, storage::ShardMap::hashed(f.catalog.size(), 1, 1), f.cluster, f.t_g);
-  const auto four = decide_offloading_sharded(
+  const auto four = decide_sharded(
       f.profiles, storage::ShardMap::hashed(f.catalog.size(), 4, 1), f.cluster, f.t_g);
   EXPECT_GT(four.offloaded, one.offloaded);
   EXPECT_LT(four.final_cost.t_net.value(), one.final_cost.t_net.value());
@@ -49,7 +58,7 @@ TEST(ShardedDecision, MoreNodesOffloadMore) {
 TEST(ShardedDecision, NodeCpuAccountingConsistent) {
   Fixture f;
   const auto shards = storage::ShardMap::hashed(f.catalog.size(), 4, 9);
-  const auto result = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
+  const auto result = decide_sharded(f.profiles, shards, f.cluster, f.t_g);
   std::vector<Seconds> recomputed(4);
   for (std::size_t i = 0; i < f.profiles.size(); ++i) {
     if (result.plan.prefix(i) > 0) {
@@ -76,7 +85,7 @@ TEST(ShardedDecision, SkewedMapUsesColdNodes) {
     assignment[i] = static_cast<std::uint16_t>(i % 10 == 0 ? 1 + (i / 10) % 3 : 0);
   }
   const auto shards = storage::ShardMap::explicit_map(std::move(assignment), 4);
-  const auto result = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
+  const auto result = decide_sharded(f.profiles, shards, f.cluster, f.t_g);
   ASSERT_GT(result.offloaded, 0u);
   std::size_t off_cold = 0;
   for (std::size_t i = 0; i < f.profiles.size(); ++i) {
@@ -84,7 +93,7 @@ TEST(ShardedDecision, SkewedMapUsesColdNodes) {
   }
   EXPECT_GT(off_cold, 0u);
   // Balanced placement must do at least as well as the skewed one.
-  const auto balanced = decide_offloading_sharded(
+  const auto balanced = decide_sharded(
       f.profiles, storage::ShardMap::hashed(f.catalog.size(), 4, 2), f.cluster, f.t_g);
   EXPECT_LE(balanced.final_cost.predicted_epoch_time().value(),
             result.final_cost.predicted_epoch_time().value() + 1e-9);
@@ -94,7 +103,7 @@ TEST(ShardedDecision, NeverWorsensPredictedEpochTime) {
   Fixture f;
   for (const int nodes : {1, 2, 4, 8}) {
     const auto shards = storage::ShardMap::hashed(f.catalog.size(), nodes, 3);
-    const auto result = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
+    const auto result = decide_sharded(f.profiles, shards, f.cluster, f.t_g);
     EXPECT_LE(result.final_cost.predicted_epoch_time().value(),
               result.baseline.predicted_epoch_time().value() + 1e-9)
         << nodes;
@@ -105,14 +114,14 @@ TEST(ShardedDecision, ZeroPerNodeCoresOffloadsNothing) {
   Fixture f;
   f.cluster.storage_cores = 0;
   const auto shards = storage::ShardMap::hashed(f.catalog.size(), 4, 1);
-  const auto result = decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g);
+  const auto result = decide_sharded(f.profiles, shards, f.cluster, f.t_g);
   EXPECT_EQ(result.offloaded, 0u);
 }
 
 TEST(ShardedDecision, RejectsMismatchedMap) {
   Fixture f;
   const auto shards = storage::ShardMap::hashed(10, 2, 1);
-  EXPECT_THROW((void)decide_offloading_sharded(f.profiles, shards, f.cluster, f.t_g),
+  EXPECT_THROW((void)decide_sharded(f.profiles, shards, f.cluster, f.t_g),
                ContractViolation);
 }
 

@@ -249,14 +249,16 @@ TEST(Monitor, PublishesBlameAndCountsMigrations) {
   // Epoch 1: link-starved.
   EpochParams narrow = batch_params();
   narrow.cluster.bandwidth = Bandwidth::mbps(20.0);
-  monitor.observe_epoch(demand_for, narrow, Seconds(simulate_under(narrow)));
+  monitor.observe_epoch(record_epoch(demand_for, narrow).record,
+                        Seconds(simulate_under(narrow)));
   EXPECT_EQ(monitor.bottleneck(), Resource::kLink);
   EXPECT_EQ(monitor.migrations(), 0u);
 
   // Epoch 2: GPU-bound — the bottleneck migrated.
   EpochParams slow_gpu = batch_params();
   slow_gpu.gpu_batch_time = Seconds(2.0);
-  monitor.observe_epoch(demand_for, slow_gpu, Seconds(simulate_under(slow_gpu)));
+  monitor.observe_epoch(record_epoch(demand_for, slow_gpu).record,
+                        Seconds(simulate_under(slow_gpu)));
   EXPECT_EQ(monitor.bottleneck(), Resource::kGpu);
   EXPECT_EQ(monitor.migrations(), 1u);
   EXPECT_EQ(monitor.epochs(), 2u);
@@ -269,7 +271,8 @@ TEST(Monitor, PublishesBlameAndCountsMigrations) {
   EXPECT_LT(snap.gauges.at("sophon_critpath_reconcile_error"), 1e-12);
 
   // Same bottleneck again: no new migration.
-  monitor.observe_epoch(demand_for, slow_gpu, Seconds(simulate_under(slow_gpu)));
+  monitor.observe_epoch(record_epoch(demand_for, slow_gpu).record,
+                        Seconds(simulate_under(slow_gpu)));
   EXPECT_EQ(monitor.migrations(), 1u);
 }
 

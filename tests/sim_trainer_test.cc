@@ -203,16 +203,5 @@ TEST(Trainer, PlanFlowChargesPrefixWireAndSuffix) {
   EXPECT_THROW((void)plan_flow(f.catalog, f.pipeline, f.cost_model, wrong_size), ContractViolation);
 }
 
-TEST(Trainer, MultiEpochAverage) {
-  Fixture f;
-  const auto one = simulate_epochs(f.catalog, f.pipeline, f.cost_model, f.cluster, f.batch_time,
-                                   {}, 42, 1);
-  const auto three = simulate_epochs(f.catalog, f.pipeline, f.cost_model, f.cluster,
-                                     f.batch_time, {}, 42, 3);
-  EXPECT_EQ(one.traffic, three.traffic);  // same bytes every epoch
-  EXPECT_NEAR(one.epoch_time.value(), three.epoch_time.value(),
-              0.05 * one.epoch_time.value());
-}
-
 }  // namespace
 }  // namespace sophon::sim

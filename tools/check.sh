@@ -4,9 +4,10 @@
 #   tools/check.sh            configure + build + full ctest (build/)
 #   tools/check.sh --tsan     same, in a ThreadSanitizer build (build-tsan/),
 #                             restricted to the concurrency-sensitive suites
-#                             (loader, prefetch, resilience, net) and the
-#                             scheduling core's (sim, critpath) — TSan slows
-#                             the rest down ~10x for no extra signal.
+#                             (loader, prefetch, resilience, net), the
+#                             scheduling core's (sim, critpath), the adaptive
+#                             run loop's and the decision engines' — TSan
+#                             slows the rest down ~10x for no extra signal.
 #   tools/check.sh --asan     AddressSanitizer build (build-asan/), same suite
 #                             restriction — heap abuse hides in the same
 #                             concurrent code TSan watches for races.
@@ -113,11 +114,21 @@ sanitized_targets=(
   obs_critpath_test obs_replay_trace_test obs_report_test
   sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
   sim_golden_test sim_schedule_test sim_metamorphic_test core_decision_test
+  core_adapt_test core_sharded_decision_test core_replicated_decision_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
   image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+
+# One sanitizer mode: configure build-<name>/ with -DSOPHON_SANITIZE=<sanitizer>,
+# build the sanitized targets there and run the suites they hold.
+run_sanitized() {
+  local dir="build-$1"
+  cmake -B "$dir" -S . -DSOPHON_SANITIZE="$2"
+  cmake --build "$dir" -j "$jobs" --target "${sanitized_targets[@]}"
+  ctest --test-dir "$dir" --output-on-failure -j "$jobs" -R "$sanitized_regex"
+}
 
 # Critical-path smoke: the whatif command validates every ranked projection
 # against a real simulator re-run (it exits non-zero if any scenario misses
@@ -140,17 +151,11 @@ check_critpath() {
 }
 
 if [[ "${1:-}" == "--tsan" ]]; then
-  cmake -B build-tsan -S . -DSOPHON_SANITIZE=thread
-  cmake --build build-tsan -j "$jobs" --target "${sanitized_targets[@]}"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R "$sanitized_regex"
+  run_sanitized tsan thread
 elif [[ "${1:-}" == "--asan" ]]; then
-  cmake -B build-asan -S . -DSOPHON_SANITIZE=address
-  cmake --build build-asan -j "$jobs" --target "${sanitized_targets[@]}"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -R "$sanitized_regex"
+  run_sanitized asan address
 elif [[ "${1:-}" == "--ubsan" ]]; then
-  cmake -B build-ubsan -S . -DSOPHON_SANITIZE=undefined
-  cmake --build build-ubsan -j "$jobs" --target "${sanitized_targets[@]}"
-  ctest --test-dir build-ubsan --output-on-failure -j "$jobs" -R "$sanitized_regex"
+  run_sanitized ubsan undefined
 elif [[ "${1:-}" == "--trace-smoke" ]]; then
   cmake -B build -S .
   cmake --build build -j "$jobs" --target sophonctl

@@ -328,9 +328,11 @@ std::string monitor_line(const Json& healthz, const std::string& exposition) {
 int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
                           const pipeline::Pipeline& pipe, const pipeline::CostModel& cm,
                           const sim::ClusterConfig& cluster, Seconds gpu_batch,
-                          const net::FaultInjector& faults, std::uint64_t seed) {
+                          const net::FaultInjector& faults, std::uint64_t seed,
+                          std::shared_ptr<const core::OffloadPlan> initial_plan) {
   MetricsRegistry metrics;
   core::adapt::RunOptions options;
+  options.initial_plan = std::move(initial_plan);
   options.epochs = static_cast<std::size_t>(flags.integer("epochs", 10));
   options.adapt = flags.integer("adapt", 1) != 0;
   options.adapt_options.drift_threshold = flags.number("drift-threshold", 0.2);
@@ -486,7 +488,30 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
   return 0;
 }
 
+/// simulate's flags that only one of its two modes reads; the other mode
+/// rejects them instead of ignoring them.
+constexpr const char* kAdaptOnlyFlags[] = {
+    "epochs",          "drift-threshold", "replan-cooldown", "min-improvement",
+    "bw-drop-factor",  "bw-drop-epoch",   "bw-recover-epoch", "telemetry-port",
+    "sample-interval", "postmortem-out",  "monitor-self",     "ledger-out"};
+constexpr const char* kSingleEpochOnlyFlags[] = {
+    "epoch",  "prefetch-depth", "workers",      "prefetch-budget-mib", "trace-out",
+    "report", "report-out",     "critpath-out", "shard-budget-mib"};
+
 int cmd_simulate(const Flags& flags) {
+  const bool adapt = flags.flag("adapt");
+  for (const char* flag : kAdaptOnlyFlags) {
+    if (!adapt && flags.flag(flag)) {
+      std::fprintf(stderr, "--%s requires --adapt\n", flag);
+      return 2;
+    }
+  }
+  for (const char* flag : kSingleEpochOnlyFlags) {
+    if (adapt && flags.flag(flag)) {
+      std::fprintf(stderr, "--%s cannot be combined with --adapt\n", flag);
+      return 2;
+    }
+  }
   const auto name = flags.str("dataset", "openimages");
   const auto samples = static_cast<std::size_t>(flags.integer("samples", 40000));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
@@ -519,14 +544,9 @@ int cmd_simulate(const Flags& flags) {
   // below charge the shard-read cost instead of live prefix CPU for them.
   std::vector<core::SampleProfile> adjusted;  // non-empty iff materialization on
   if (const long budget_mib = flags.integer("shard-budget-mib", -1); budget_mib >= 0) {
-    if (flags.flag("adapt")) {
-      std::fprintf(stderr, "--shard-budget-mib cannot be combined with --adapt\n");
-      return 1;
-    }
     const auto profiles = core::profile_stage2(catalog, pipe, cm);
-    const double batches = std::ceil(static_cast<double>(catalog.size()) /
-                                     static_cast<double>(cluster.batch_size));
-    const Seconds gpu_epoch = gpu.batch_time(cluster.batch_size) * batches;
+    const Seconds gpu_epoch = core::gpu_epoch_time(catalog.size(), cluster.batch_size,
+                                                   gpu.batch_time(cluster.batch_size));
     if (flags.str("plan", "").empty()) {
       plan = core::decide_offloading(profiles, cluster, gpu_epoch).plan;
     }
@@ -549,9 +569,14 @@ int cmd_simulate(const Flags& flags) {
     plan = redecided.plan;
   }
 
-  if (flags.flag("adapt")) {
+  if (adapt) {
+    // An explicit --plan is the run's initial plan; without one the run
+    // starts from the greedy decision.
+    std::shared_ptr<const core::OffloadPlan> initial_plan;
+    if (flags.flag("plan")) initial_plan = std::make_shared<const core::OffloadPlan>(plan);
     return cmd_simulate_adaptive(flags, catalog, pipe, cm, cluster,
-                                 gpu.batch_time(cluster.batch_size), faults, seed);
+                                 gpu.batch_time(cluster.batch_size), faults, seed,
+                                 std::move(initial_plan));
   }
 
   std::function<sim::SampleFlow(std::size_t)> flow =
@@ -705,10 +730,9 @@ int cmd_simulate(const Flags& flags) {
     if (want_report) {
       auto report = obs::EpochReport::build(spans, labels, traced.epoch.epoch_time);
       const auto profiles = core::profile_stage2(catalog, pipe, cm);
-      const double batches = std::ceil(static_cast<double>(catalog.size()) /
-                                       static_cast<double>(cluster.batch_size));
-      const auto predicted =
-          core::evaluate_plan(profiles, plan, cluster, params.gpu_batch_time * batches);
+      const auto predicted = core::evaluate_plan(
+          profiles, plan, cluster,
+          core::gpu_epoch_time(catalog.size(), cluster.batch_size, params.gpu_batch_time));
       report.set_predicted(obs::EpochReport::Costs{predicted.t_g, predicted.t_cc,
                                                    predicted.t_cs, predicted.t_net});
       std::printf("%s", report.render().c_str());
@@ -756,9 +780,12 @@ int cmd_whatif(const Flags& flags) {
 
   const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
 
-  const Seconds observed = obs::critpath::run_epoch(flow, params).epoch.epoch_time;
-  const auto report = obs::critpath::project(flow, params,
-                                             obs::critpath::default_scenarios(params), observed);
+  // Schedule the baseline once: its record is both the analyzed critical
+  // path and, through its own epoch time, the observed run.
+  const auto recorded = obs::critpath::record_epoch(flow, params);
+  const auto report = obs::critpath::project(
+      obs::critpath::critical_path(recorded.record, recorded.epoch.epoch_time), flow, params,
+      obs::critpath::default_scenarios(params));
   std::printf("%s%s", report.baseline.render().c_str(), report.render().c_str());
 
   int exit_code = 0;
@@ -1299,7 +1326,9 @@ const std::vector<CommandSpec>& commands() {
       {"simulate", "simulate training epochs under a plan, faults, prefetch, or --adapt",
        with_common(
            {{"epoch", "N", "epoch index for the single-epoch run (default 0)"},
-            {"plan", "FILE", "offload plan from decide (default: no offloading)"},
+            {"plan", "FILE",
+             "offload plan from decide (default: no offloading; under --adapt, the "
+             "greedy plan)"},
             {"transient-fail", "P", "per-attempt transient fetch failure probability"},
             {"permanent-fail", "P", "per-sample permanent fetch failure probability"},
             {"corrupt", "P", "per-attempt payload corruption probability"},
