@@ -7,7 +7,7 @@
 #include <string>
 #include <utility>
 
-#include "core/runner.h"
+#include "core/policy.h"
 #include "core/serialize.h"
 #include "dataset/catalog.h"
 #include "util/json.h"

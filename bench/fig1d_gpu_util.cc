@@ -24,8 +24,7 @@ int main() {
     config.net = net;
     config.gpu = model::GpuKind::kV100;
     config.cluster.bandwidth = Bandwidth::gbps(1.0);
-    const auto result =
-        core::run_policy(*core::make_policy(core::PolicyKind::kNoOff), catalog, pipe, cm, config);
+    const auto result = core::run_policy(core::PolicyKind::kNoOff, catalog, pipe, cm, config);
     const auto gpu = model::GpuModel::lookup(net, config.gpu);
     table.add_row({std::string(model::net_kind_name(net)),
                    strf("%.0f", gpu.images_per_second()),

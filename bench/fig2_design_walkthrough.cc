@@ -33,7 +33,7 @@ int main() {
   const pipeline::CostModel cm;
   storage::DatasetStore store(parametric, 42, profile.quality);
   storage::StorageServer server(store, pipe, cm, {.seed = 42});
-  net::LoopbackChannel channel(server);
+  net::MeteringStorageService meter(server);
 
   std::vector<std::vector<std::uint8_t>> blobs;
   for (std::size_t i = 0; i < parametric.size(); ++i) blobs.push_back(*store.get(i));
@@ -82,7 +82,7 @@ int main() {
     request.sample_id = i;
     request.directive.prefix_len = decision.plan.prefix(i);
     if (request.directive.prefix_len > 0) ++directives_sent;
-    const auto response = channel.fetch(request);   // (e) server runs the prefix
+    const auto response = meter.fetch(request);     // (e) server runs the prefix
     const auto payload = net::unpack_response(response);
     const auto tensor = pipe.run_seeded(*payload, response.stage, pipe.size(),
                                         storage::augmentation_seed(42, 0, i));  // (f)
@@ -95,7 +95,7 @@ int main() {
               server.offloaded_requests(), human_seconds(server.modeled_cpu_time()).c_str());
   std::printf("(f) compute node: every sample finished to a 224x224 tensor; traffic %s vs %s "
               "raw (%.2fx less)\n",
-              human_bytes(channel.traffic()).c_str(), human_bytes(raw_equivalent).c_str(),
-              raw_equivalent.as_double() / channel.traffic().as_double());
+              human_bytes(meter.traffic()).c_str(), human_bytes(raw_equivalent).c_str(),
+              raw_equivalent.as_double() / meter.traffic().as_double());
   return 0;
 }

@@ -20,7 +20,7 @@ struct Capabilities {
 
 Capabilities probe(core::PolicyKind kind, const core::PlanContext& ctx,
                    const std::vector<core::SampleProfile>& profiles) {
-  const auto decision = core::make_policy(kind)->plan(ctx);
+  const auto decision = core::plan_policy(kind, ctx);
   Capabilities caps;
   caps.near_storage = decision.plan.offloaded_count() > 0;
   const std::size_t n = decision.plan.size();
@@ -69,9 +69,7 @@ int main() {
 
   TextTable table(
       {"policy", "operation-selective", "data-partial", "data-selective", "near-storage"});
-  for (const auto kind :
-       {core::PolicyKind::kNoOff, core::PolicyKind::kAllOff, core::PolicyKind::kFastFlow,
-        core::PolicyKind::kResizeOff, core::PolicyKind::kSophon}) {
+  for (const auto kind : core::kPolicyKinds) {
     const auto caps = probe(kind, ctx, profiles);
     table.add_row({std::string(core::policy_kind_name(kind)), mark(caps.operation_selective),
                    mark(caps.data_partial), mark(caps.data_selective),

@@ -14,7 +14,7 @@
 #include <cstring>
 #include <string>
 
-#include "core/runner.h"
+#include "core/policy.h"
 #include "util/table.h"
 
 using namespace sophon;

@@ -3,7 +3,7 @@
 //   1. Generate a small synthetic dataset and store it (as real SJPG blobs)
 //      in the storage node's memory.
 //   2. Profile it and let SOPHON's decision engine build an offload plan.
-//   3. Fetch every sample through the RPC channel with the plan's
+//   3. Fetch every sample through the metered RPC path with the plan's
 //      directives, finish preprocessing locally, and compare the metered
 //      traffic against a plain (no-offload) epoch.
 //
@@ -31,7 +31,7 @@ int main() {
   const pipeline::CostModel cost_model;
   storage::DatasetStore store(parametric, 42, profile.quality);
   storage::StorageServer server(store, pipeline, cost_model, {.seed = 42});
-  net::LoopbackChannel channel(server);
+  net::MeteringStorageService meter(server);
 
   // Rebuild the catalog from the actual blobs so sizes are exact.
   std::vector<std::vector<std::uint8_t>> blobs;
@@ -52,21 +52,20 @@ int main() {
 
   // --- 3. Run one "epoch" both ways through the real fetch path ---------
   const std::uint64_t epoch = 0;
-  Bytes plain_traffic;
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     net::FetchRequest req;
     req.sample_id = i;
     req.epoch = epoch;
-    plain_traffic += channel.fetch(req).wire_bytes();
+    (void)meter.fetch(req);
   }
+  const Bytes plain_traffic = meter.traffic();
 
-  channel.reset_counters();
   for (std::size_t i = 0; i < catalog.size(); ++i) {
     net::FetchRequest req;
     req.sample_id = i;
     req.epoch = epoch;
     req.directive.prefix_len = decision.plan.prefix(i);
-    const auto resp = channel.fetch(req);
+    const auto resp = meter.fetch(req);
 
     // Finish the remaining ops locally; the result is a ready tensor.
     const auto payload = net::deserialize_sample(resp.payload);
@@ -74,13 +73,14 @@ int main() {
                                             storage::augmentation_seed(42, epoch, i));
     (void)tensor;  // → would go to the GPU here
   }
+  const Bytes sophon_traffic = meter.traffic() - plain_traffic;
 
   TextTable table({"mode", "traffic over the link"});
   table.add_row({"No-Off (raw fetches)", human_bytes(plain_traffic)});
-  table.add_row({"SOPHON (selective offload)", human_bytes(channel.traffic())});
+  table.add_row({"SOPHON (selective offload)", human_bytes(sophon_traffic)});
   std::printf("\n%s", table.render().c_str());
   std::printf("\ntraffic reduced %.2fx; storage CPU spent: %s (modeled)\n",
-              plain_traffic.as_double() / channel.traffic().as_double(),
+              plain_traffic.as_double() / sophon_traffic.as_double(),
               human_seconds(server.modeled_cpu_time()).c_str());
   return 0;
 }

@@ -9,13 +9,12 @@
 #include <chrono>
 #include <cstdio>
 
-#include "core/profiler.h"
-#include "util/check.h"
-#include "core/runner.h"
+#include "core/policy.h"
 #include "dataset/catalog.h"
 #include "loader/loader.h"
 #include "storage/dataset_store.h"
 #include "storage/server.h"
+#include "util/check.h"
 #include "util/table.h"
 
 using namespace sophon;
@@ -51,8 +50,8 @@ int main() {
   TextTable table({"policy", "traffic (real bytes)", "vs No-Off", "offloaded",
                    "wall time (this machine)"});
   Bytes no_off_traffic;
-  for (const auto& policy : core::make_all_policies()) {
-    const auto decision = policy->plan(ctx);
+  for (const auto kind : core::kPolicyKinds) {
+    const auto decision = core::plan_policy(kind, ctx);
     server.reset_counters();
 
     const auto start = std::chrono::steady_clock::now();
@@ -64,8 +63,8 @@ int main() {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
-    if (policy->kind() == core::PolicyKind::kNoOff) no_off_traffic = loader.traffic();
-    table.add_row({std::string(policy->name()), human_bytes(loader.traffic()),
+    if (kind == core::PolicyKind::kNoOff) no_off_traffic = loader.traffic();
+    table.add_row({std::string(core::policy_kind_name(kind)), human_bytes(loader.traffic()),
                    strf("%.2fx", no_off_traffic.as_double() / loader.traffic().as_double()),
                    strf("%zu", decision.plan.offloaded_count()), strf("%.2f s", wall)});
     SOPHON_CHECK(delivered == catalog.size());

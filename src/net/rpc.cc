@@ -19,18 +19,4 @@ std::uint64_t MeteringStorageService::responses() const {
   return responses_.load(std::memory_order_relaxed);
 }
 
-LoopbackChannel::LoopbackChannel(StorageService& service) : service_(service) {}
-
-FetchResponse LoopbackChannel::fetch(const FetchRequest& request) {
-  auto response = service_.fetch(request);
-  traffic_ += response.wire_bytes();
-  ++requests_;
-  return response;
-}
-
-void LoopbackChannel::reset_counters() {
-  traffic_ = Bytes(0);
-  requests_ = 0;
-}
-
 }  // namespace sophon::net

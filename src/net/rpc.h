@@ -1,8 +1,8 @@
 // In-process RPC: the stand-in for the paper's gRPC data-fetch path.
 //
-// The service interface is what a networked implementation would expose; the
-// loopback channel moves real bytes through the same request/response types
-// and keeps traffic counters, so examples and tests exercise the exact
+// The service interface is what a networked implementation would expose; an
+// in-process call moves real bytes through the same request/response types,
+// and the wire meter counts them, so examples and tests exercise the exact
 // protocol the simulator models. Failure is part of the contract: a fetch
 // may throw FetchError (transient or permanent), which the resilience layer
 // (net/resilience.h) turns into retries and the loader turns into graceful
@@ -79,28 +79,6 @@ class MeteringStorageService final : public StorageService {
   StorageService& inner_;
   std::atomic<std::int64_t> traffic_{0};
   std::atomic<std::uint64_t> responses_{0};
-};
-
-/// A client channel to a storage service. In-process ("loopback") transport:
-/// calls go straight to the service, but every response's wire size is
-/// metered exactly as it would be on the network.
-class LoopbackChannel {
- public:
-  /// The channel borrows the service; the caller keeps it alive.
-  explicit LoopbackChannel(StorageService& service);
-
-  [[nodiscard]] FetchResponse fetch(const FetchRequest& request);
-
-  /// Cumulative response payload traffic over this channel.
-  [[nodiscard]] Bytes traffic() const { return traffic_; }
-  [[nodiscard]] std::uint64_t requests() const { return requests_; }
-
-  void reset_counters();
-
- private:
-  StorageService& service_;
-  Bytes traffic_;
-  std::uint64_t requests_ = 0;
 };
 
 }  // namespace sophon::net

@@ -2,62 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace sophon {
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SOPHON_CHECK(hi > lo);
-  SOPHON_CHECK(buckets > 0);
-}
-
-void Histogram::add(double value) {
-  SOPHON_CHECK_MSG(std::isfinite(value), "histogram values must be finite");
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((value - lo_) / span * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  SOPHON_CHECK(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  SOPHON_CHECK(bucket < counts_.size());
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::fraction(std::size_t bucket) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bucket)) / static_cast<double>(total_);
-}
-
-std::string Histogram::ascii(std::size_t max_width) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char label[64];
-    std::snprintf(label, sizeof(label), "[%10.3g, %10.3g) ", bucket_lo(i), bucket_hi(i));
-    os << label;
-    const auto bar = counts_[i] * max_width / peak;
-    for (std::size_t j = 0; j < bar; ++j) os << '#';
-    os << "  " << counts_[i] << '\n';
-  }
-  return os.str();
-}
 
 void EmpiricalCdf::add(double value) {
   SOPHON_CHECK_MSG(std::isfinite(value), "CDF values must be finite");

@@ -1,40 +1,11 @@
-// Fixed-bucket histograms and empirical CDFs for the analysis figures
-// (Fig 1b stage distribution, Fig 1c efficiency CDF).
+// Empirical CDFs for the analysis figures (Fig 1c efficiency CDF).
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace sophon {
-
-/// Uniform-bucket histogram over [lo, hi). Values outside the range land in
-/// saturating edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double value);
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  /// Inclusive lower edge of a bucket.
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
-  /// Fraction of samples in the bucket (0 when empty).
-  [[nodiscard]] double fraction(std::size_t bucket) const;
-
-  /// Render as a fixed-width ASCII bar chart for bench output.
-  [[nodiscard]] std::string ascii(std::size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 /// Empirical CDF: stores points, answers quantile and fraction-below queries,
 /// and renders evenly spaced (x, F(x)) rows for figure reproduction.

@@ -10,6 +10,8 @@
 #include "loader/loader.h"
 #include "net/wire.h"
 #include "obs/critpath/monitor.h"
+#include "obs/replay_trace.h"
+#include "obs/report.h"
 #include "storage/dataset_store.h"
 #include "storage/server.h"
 #include "util/check.h"
@@ -75,6 +77,43 @@ TEST(AdaptObserve, FoldsEpochStatsIntoCostComponents) {
   EXPECT_EQ(obs.retries, 7u);
   EXPECT_EQ(obs.degraded, 3u);
   EXPECT_DOUBLE_EQ(obs.degraded_rate(), 0.003);
+}
+
+// The EpochReport feedback path: trace a recorded worker-lane epoch, fold the
+// trace into a report, and observe it. Every component, the traffic and the
+// epoch time are the report's own values.
+TEST(AdaptObserve, FoldsReportIntoCostComponents) {
+  Fixture f;
+  obs::critpath::EpochParams params;
+  params.cluster = f.planned;
+  params.cluster.bandwidth = Bandwidth::mbps(100.0);
+  params.cluster.storage_cores = 4;
+  params.gpu_batch_time = Seconds(0.05);
+  params.num_samples = f.catalog.size();
+  params.discipline = obs::critpath::Discipline::kWorkerReplay;
+  params.replay.workers = 4;
+  const auto plan = OffloadPlan::uniform(f.catalog.size(), 2);
+  const auto flow = sim::plan_flow(f.catalog, f.pipe, f.cm, plan.assignment());
+  const auto recorded = obs::critpath::record_epoch(flow, params);
+
+  obs::Tracer tracer(f.catalog.size() * 8 + 1024);
+  tracer.set_enabled(true);
+  (void)obs::build_replay_trace(recorded.record, {}, tracer);
+  tracer.set_enabled(false);
+  const auto report =
+      obs::EpochReport::build(tracer.drain(), tracer.labels(), recorded.epoch.epoch_time);
+  const auto costs = report.observed();
+  ASSERT_GT(costs.t_cs.value(), 0.0);
+  ASSERT_GT(costs.t_net.value(), 0.0);
+
+  const auto obs = observe_report(report, recorded.epoch.traffic);
+  EXPECT_EQ(obs.observed.t_g, costs.t_g);
+  EXPECT_EQ(obs.observed.t_cc, costs.t_cc);
+  EXPECT_EQ(obs.observed.t_cs, costs.t_cs);
+  EXPECT_EQ(obs.observed.t_net, costs.t_net);
+  EXPECT_EQ(obs.traffic, recorded.epoch.traffic);
+  EXPECT_EQ(obs.epoch_time, report.wall());
+  EXPECT_EQ(obs.epoch_time, recorded.epoch.epoch_time);
 }
 
 TEST(AdaptDrift, NormalisesByPredictedEpochTime) {

@@ -41,14 +41,14 @@ TEST(PlanContext, GpuEpochTime) {
 
 TEST(NoOff, NeverOffloads) {
   Fixture f;
-  const auto d = make_policy(PolicyKind::kNoOff)->plan(f.context());
+  const auto d = plan_policy(PolicyKind::kNoOff, f.context());
   EXPECT_FALSE(d.offloading_active);
   EXPECT_EQ(d.plan.offloaded_count(), 0u);
 }
 
 TEST(AllOff, OffloadsWholePipelineForEverySample) {
   Fixture f;
-  const auto d = make_policy(PolicyKind::kAllOff)->plan(f.context());
+  const auto d = plan_policy(PolicyKind::kAllOff, f.context());
   EXPECT_TRUE(d.offloading_active);
   EXPECT_EQ(d.plan.offloaded_count(), f.catalog.size());
   for (std::size_t i = 0; i < d.plan.size(); ++i) EXPECT_EQ(d.plan.prefix(i), 5);
@@ -56,7 +56,7 @@ TEST(AllOff, OffloadsWholePipelineForEverySample) {
 
 TEST(ResizeOff, OffloadsDecodeAndCrop) {
   Fixture f;
-  const auto d = make_policy(PolicyKind::kResizeOff)->plan(f.context());
+  const auto d = plan_policy(PolicyKind::kResizeOff, f.context());
   EXPECT_TRUE(d.offloading_active);
   for (std::size_t i = 0; i < d.plan.size(); ++i) EXPECT_EQ(d.plan.prefix(i), 2);
 }
@@ -65,7 +65,7 @@ TEST(FastFlow, DeclinesWhenAllOffWouldBeSlower) {
   // The evaluated setups of the paper: float-tensor payloads inflate
   // traffic, so FastFlow's all-or-nothing profile says "don't".
   Fixture f;
-  const auto d = make_policy(PolicyKind::kFastFlow)->plan(f.context());
+  const auto d = plan_policy(PolicyKind::kFastFlow, f.context());
   EXPECT_FALSE(d.offloading_active);
   EXPECT_EQ(d.plan.offloaded_count(), 0u);
   EXPECT_NE(d.rationale.find("not offloading"), std::string::npos);
@@ -80,14 +80,14 @@ TEST(FastFlow, AcceptsWhenOffloadingEverythingHelps) {
   ctx.cluster.bandwidth = Bandwidth::gbps(50.0);
   ctx.cluster.compute_cores = 1;
   ctx.cluster.storage_cores = 48;
-  const auto d = make_policy(PolicyKind::kFastFlow)->plan(ctx);
+  const auto d = plan_policy(PolicyKind::kFastFlow, ctx);
   EXPECT_TRUE(d.offloading_active);
   EXPECT_EQ(d.plan.offloaded_count(), f.catalog.size());
 }
 
 TEST(Sophon, OffloadsSelectivelyWhenIoBound) {
   Fixture f;
-  const auto d = make_policy(PolicyKind::kSophon)->plan(f.context());
+  const auto d = plan_policy(PolicyKind::kSophon, f.context());
   EXPECT_TRUE(d.offloading_active);
   EXPECT_GT(d.plan.offloaded_count(), 0u);
   EXPECT_LT(d.plan.offloaded_count(), f.catalog.size());  // selective!
@@ -98,7 +98,7 @@ TEST(Sophon, DeclinesWhenGpuBound) {
   Fixture f;
   auto ctx = f.context(Seconds(2.0));  // very slow model
   ctx.cluster.bandwidth = Bandwidth::gbps(10.0);
-  const auto d = make_policy(PolicyKind::kSophon)->plan(ctx);
+  const auto d = plan_policy(PolicyKind::kSophon, ctx);
   EXPECT_FALSE(d.offloading_active);
   EXPECT_NE(d.rationale.find("GPU"), std::string::npos);
 }
@@ -108,7 +108,7 @@ TEST(Sophon, DeclinesWhenCpuBound) {
   auto ctx = f.context(Seconds::millis(10.0));
   ctx.cluster.bandwidth = Bandwidth::gbps(10.0);
   ctx.cluster.compute_cores = 1;
-  const auto d = make_policy(PolicyKind::kSophon)->plan(ctx);
+  const auto d = plan_policy(PolicyKind::kSophon, ctx);
   EXPECT_FALSE(d.offloading_active);
   EXPECT_NE(d.rationale.find("CPU"), std::string::npos);
 }
@@ -117,7 +117,7 @@ TEST(Sophon, FallsBackWithoutStorageCores) {
   Fixture f;
   auto ctx = f.context();
   ctx.cluster.storage_cores = 0;
-  const auto d = make_policy(PolicyKind::kSophon)->plan(ctx);
+  const auto d = plan_policy(PolicyKind::kSophon, ctx);
   EXPECT_FALSE(d.offloading_active);
   EXPECT_EQ(d.plan.offloaded_count(), 0u);
 }
@@ -127,25 +127,24 @@ TEST(OffloadCapablePolicies, FallBackWithoutStorageCores) {
   auto ctx = f.context();
   ctx.cluster.storage_cores = 0;
   for (const auto kind : {PolicyKind::kAllOff, PolicyKind::kResizeOff, PolicyKind::kFastFlow}) {
-    const auto d = make_policy(kind)->plan(ctx);
+    const auto d = plan_policy(kind, ctx);
     EXPECT_FALSE(d.offloading_active) << policy_kind_name(kind);
     EXPECT_EQ(d.plan.offloaded_count(), 0u) << policy_kind_name(kind);
   }
 }
 
-TEST(MakeAllPolicies, FiveInPresentationOrder) {
-  const auto policies = make_all_policies();
-  ASSERT_EQ(policies.size(), 5u);
-  EXPECT_EQ(policies[0]->kind(), PolicyKind::kNoOff);
-  EXPECT_EQ(policies[1]->kind(), PolicyKind::kAllOff);
-  EXPECT_EQ(policies[2]->kind(), PolicyKind::kFastFlow);
-  EXPECT_EQ(policies[3]->kind(), PolicyKind::kResizeOff);
-  EXPECT_EQ(policies[4]->kind(), PolicyKind::kSophon);
+TEST(PolicyKinds, FiveInPresentationOrder) {
+  ASSERT_EQ(kPolicyKinds.size(), 5u);
+  EXPECT_EQ(kPolicyKinds[0], PolicyKind::kNoOff);
+  EXPECT_EQ(kPolicyKinds[1], PolicyKind::kAllOff);
+  EXPECT_EQ(kPolicyKinds[2], PolicyKind::kFastFlow);
+  EXPECT_EQ(kPolicyKinds[3], PolicyKind::kResizeOff);
+  EXPECT_EQ(kPolicyKinds[4], PolicyKind::kSophon);
 }
 
 TEST(Policies, RejectIncompleteContext) {
   const PlanContext empty;
-  EXPECT_THROW((void)make_policy(PolicyKind::kNoOff)->plan(empty), ContractViolation);
+  EXPECT_THROW((void)plan_policy(PolicyKind::kNoOff, empty), ContractViolation);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "core/runner.h"
+#include "core/policy.h"
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,7 @@ struct Fixture {
 
 TEST(Runner, RunsOnePolicyEndToEnd) {
   Fixture f;
-  const auto policy = make_policy(PolicyKind::kSophon);
-  const auto result = run_policy(*policy, f.catalog, f.pipe, f.cm, f.config);
+  const auto result = run_policy(PolicyKind::kSophon, f.catalog, f.pipe, f.cm, f.config);
   EXPECT_EQ(result.kind, PolicyKind::kSophon);
   EXPECT_EQ(result.name, "SOPHON");
   EXPECT_GT(result.stats.epoch_time.value(), 0.0);
@@ -61,11 +60,9 @@ TEST(Runner, FastFlowMatchesNoOffInEvaluatedSetups) {
 TEST(Runner, GpuModelSelectionMatters) {
   Fixture f;
   f.config.net = model::NetKind::kAlexNet;
-  const auto alex = run_policy(*make_policy(PolicyKind::kNoOff), f.catalog, f.pipe, f.cm,
-                               f.config);
+  const auto alex = run_policy(PolicyKind::kNoOff, f.catalog, f.pipe, f.cm, f.config);
   f.config.net = model::NetKind::kResNet50;
-  const auto r50 =
-      run_policy(*make_policy(PolicyKind::kNoOff), f.catalog, f.pipe, f.cm, f.config);
+  const auto r50 = run_policy(PolicyKind::kNoOff, f.catalog, f.pipe, f.cm, f.config);
   EXPECT_GT(r50.stats.gpu_busy.value(), alex.stats.gpu_busy.value());
   EXPECT_GT(r50.stats.gpu_utilization, alex.stats.gpu_utilization);
 }

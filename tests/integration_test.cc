@@ -1,7 +1,7 @@
 // End-to-end integration over the real byte path: synthetic images through
-// the real codec, stored on the storage server, fetched over the loopback
-// channel with offload directives, finished on the compute side — verifying
-// that the traffic the channel meters equals what the analytic path
+// the real codec, stored on the storage server, fetched through the wire
+// meter with offload directives, finished on the compute side — verifying
+// that the traffic the meter counts equals what the analytic path
 // predicts, and that offloaded training is bit-identical to local training.
 #include <gtest/gtest.h>
 
@@ -30,7 +30,7 @@ struct Cluster {
   pipeline::CostModel cm;
   storage::DatasetStore store{parametric, 42, profile.quality};
   storage::StorageServer server{store, pipe, cm, {.seed = 42}};
-  net::LoopbackChannel channel{server};
+  net::MeteringStorageService meter{server};
 
   /// A catalog rebuilt from the *actual* blobs, so sizes are exact.
   dataset::Catalog materialized() {
@@ -43,7 +43,6 @@ struct Cluster {
 TEST(Integration, ChannelTrafficMatchesAnalyticWireSizes) {
   Cluster c;
   const auto real_catalog = c.materialized();
-  c.channel.reset_counters();
 
   // Fetch every sample raw and every sample at the crop stage; compare the
   // metered traffic with the analytic prediction from the real catalog.
@@ -51,17 +50,17 @@ TEST(Integration, ChannelTrafficMatchesAnalyticWireSizes) {
   for (std::size_t i = 0; i < real_catalog.size(); ++i) {
     net::FetchRequest raw;
     raw.sample_id = i;
-    (void)c.channel.fetch(raw);
+    (void)c.meter.fetch(raw);
     predicted += net::wire_size(c.pipe.shape_at(real_catalog.sample(i).raw, 0));
 
     net::FetchRequest cropped;
     cropped.sample_id = i;
     cropped.directive.prefix_len = 2;
-    (void)c.channel.fetch(cropped);
+    (void)c.meter.fetch(cropped);
     predicted += net::wire_size(c.pipe.shape_at(real_catalog.sample(i).raw, 2));
   }
-  EXPECT_EQ(c.channel.traffic(), predicted);
-  EXPECT_EQ(c.channel.requests(), 2 * real_catalog.size());
+  EXPECT_EQ(c.meter.traffic(), predicted);
+  EXPECT_EQ(c.meter.responses(), 2 * real_catalog.size());
 }
 
 TEST(Integration, OffloadedEpochBitIdenticalToLocalEpoch) {
@@ -77,7 +76,7 @@ TEST(Integration, OffloadedEpochBitIdenticalToLocalEpoch) {
     net::FetchRequest raw;
     raw.sample_id = id;
     raw.epoch = epoch;
-    const auto raw_resp = c.channel.fetch(raw);
+    const auto raw_resp = c.meter.fetch(raw);
     const auto raw_payload = net::deserialize_sample(raw_resp.payload);
     ASSERT_TRUE(raw_payload.has_value());
     const auto local = c.pipe.run_seeded(*raw_payload, 0, 5, stream);
@@ -88,7 +87,7 @@ TEST(Integration, OffloadedEpochBitIdenticalToLocalEpoch) {
     off.sample_id = id;
     off.epoch = epoch;
     off.directive.prefix_len = cut;
-    const auto off_resp = c.channel.fetch(off);
+    const auto off_resp = c.meter.fetch(off);
     ASSERT_EQ(off_resp.stage, cut);
     const auto off_payload = net::deserialize_sample(off_resp.payload);
     ASSERT_TRUE(off_payload.has_value());
@@ -131,16 +130,15 @@ TEST(Integration, SophonPlanExecutesOnRealBytePath) {
   const auto decision = core::decide_offloading(profiles, cluster, Seconds(0.1));
   ASSERT_GT(decision.offloaded, 0u);
 
-  c.channel.reset_counters();
   for (std::size_t i = 0; i < real_catalog.size(); ++i) {
     net::FetchRequest req;
     req.sample_id = i;
     req.directive.prefix_len = decision.plan.prefix(i);
-    (void)c.channel.fetch(req);
+    (void)c.meter.fetch(req);
   }
   const double predicted_traffic =
       decision.final_cost.t_net.value() * cluster.bandwidth.bytes_per_sec();
-  EXPECT_NEAR(c.channel.traffic().as_double(), predicted_traffic,
+  EXPECT_NEAR(c.meter.traffic().as_double(), predicted_traffic,
               1e-6 * predicted_traffic + 1.0);
 }
 

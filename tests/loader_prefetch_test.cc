@@ -9,6 +9,7 @@
 #include "cache/lru.h"
 #include "loader/loader.h"
 #include "net/wire.h"
+#include "obs/ledger.h"
 #include "prefetch/metrics.h"
 #include "storage/dataset_store.h"
 #include "storage/server.h"
@@ -230,6 +231,47 @@ TEST(LoaderPrefetch, MetricsReportHitsAndDepth) {
   EXPECT_EQ(metrics.counter(prefetch::kHits).value(), stats->hits);
   EXPECT_EQ(metrics.counter(prefetch::kIssued).value(), stats->issued);
   EXPECT_EQ(metrics.histogram(prefetch::kLeadSeconds).count(), stats->hits);
+}
+
+TEST(LoaderPrefetch, InvalidateWithoutPrefetchIsNoOp) {
+  Fixture f;
+  const auto plan = f.mixed_plan();
+  DataLoader loader(f.server, f.pipe, plan, f.catalog.size(), with_prefetch(2, 0));
+  loader.start();
+  (void)loader.next();
+  EXPECT_EQ(loader.invalidate_prefetched(core::OffloadPlan(f.catalog.size())), Bytes(0));
+  while (loader.next()) {
+  }
+}
+
+// The replan hook mid-epoch: an all-raw plan evicts every staged offloaded
+// response. Workers re-fetch those under the loader's own plan, so tensors
+// stay bit-identical, and the evicted bytes are booked as prefetch-wasted
+// without breaking the ledger's partition of the metered wire bytes.
+TEST(LoaderPrefetch, InvalidateMidEpochKeepsTensorsAndLedgerExact) {
+  Fixture f;
+  const auto plan = f.mixed_plan();
+  const auto reference = f.reference(plan, /*epoch=*/5);
+  net::MeteringStorageService meter(f.server);
+  obs::TrafficLedger ledger;
+  auto options = with_prefetch(2, 16);
+  options.ledger = &ledger;
+  DataLoader loader(meter, f.pipe, plan, f.catalog.size(), options);
+  loader.start();
+  std::size_t count = 0;
+  Bytes evicted;
+  while (const auto item = loader.next()) {
+    EXPECT_EQ(item->tensor, reference.at(item->sample_id)) << "sample " << item->sample_id;
+    if (++count == 4) evicted = loader.invalidate_prefetched(core::OffloadPlan(f.catalog.size()));
+  }
+  EXPECT_EQ(count, f.catalog.size());
+  EXPECT_GE(ledger.total(obs::TrafficCause::kPrefetchWasted), evicted);
+  Bytes by_cause;
+  for (std::size_t cause = 0; cause < obs::kTrafficCauseCount; ++cause) {
+    by_cause += ledger.total(static_cast<obs::TrafficCause>(cause));
+  }
+  EXPECT_EQ(by_cause, meter.traffic());
+  EXPECT_TRUE(ledger.reconcile(meter.traffic()).exact());
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 namespace sophon::net {
 namespace {
 
-/// A canned service for channel-level tests: echoes a payload of a size
+/// A canned service for meter-level tests: echoes a payload of a size
 /// derived from the sample id.
 class StubService final : public StorageService {
  public:
@@ -26,45 +26,35 @@ class StubService final : public StorageService {
   FetchRequest last_request;
 };
 
-TEST(LoopbackChannel, ForwardsRequestsVerbatim) {
+TEST(MeteringStorageService, ForwardsRequestsVerbatim) {
   StubService service;
-  LoopbackChannel channel(service);
+  MeteringStorageService meter(service);
   FetchRequest request;
   request.sample_id = 9;
   request.epoch = 3;
   request.position = 17;
   request.directive.prefix_len = 2;
   request.directive.compress_quality = 80;
-  const auto response = channel.fetch(request);
+  const auto response = meter.fetch(request);
   EXPECT_EQ(response.sample_id, 9u);
   EXPECT_EQ(service.last_request.epoch, 3u);
   EXPECT_EQ(service.last_request.position, 17u);
   EXPECT_EQ(service.last_request.directive, request.directive);
 }
 
-TEST(LoopbackChannel, MetersEveryResponseByte) {
+TEST(MeteringStorageService, MetersEveryResponseByte) {
   StubService service;
-  LoopbackChannel channel(service);
+  MeteringStorageService meter(service);
   Bytes expected;
   for (std::uint64_t id = 0; id < 10; ++id) {
     FetchRequest request;
     request.sample_id = id;
-    expected += channel.fetch(request).wire_bytes();
+    expected += meter.fetch(request).wire_bytes();
   }
-  EXPECT_EQ(channel.traffic(), expected);
-  EXPECT_EQ(channel.requests(), 10u);
+  EXPECT_EQ(meter.traffic(), expected);
+  EXPECT_EQ(meter.responses(), 10u);
   // Payload sizes differ per id, so the meter is not just count * constant.
   EXPECT_EQ(expected.count(), 10 * (100 + kFrameOverheadBytes) + 45);
-}
-
-TEST(LoopbackChannel, ResetClearsCounters) {
-  StubService service;
-  LoopbackChannel channel(service);
-  FetchRequest request;
-  (void)channel.fetch(request);
-  channel.reset_counters();
-  EXPECT_EQ(channel.traffic().count(), 0);
-  EXPECT_EQ(channel.requests(), 0u);
 }
 
 TEST(OffloadDirective, EqualityIncludesCompression) {

@@ -3,7 +3,7 @@
 // full-scale numbers live in the bench binaries (see EXPERIMENTS.md).
 #include <gtest/gtest.h>
 
-#include "core/runner.h"
+#include "core/policy.h"
 #include "dataset/catalog.h"
 
 namespace sophon::core {
@@ -176,8 +176,7 @@ TEST(Fig1dShapes, GpuUtilizationOrdering) {
 
   auto util = [&](model::NetKind net) {
     config.net = net;
-    const auto r = run_policy(*make_policy(PolicyKind::kNoOff), d.openimages, d.pipe, d.cm,
-                              config);
+    const auto r = run_policy(PolicyKind::kNoOff, d.openimages, d.pipe, d.cm, config);
     return r.stats.gpu_utilization;
   };
   const double alex = util(model::NetKind::kAlexNet);

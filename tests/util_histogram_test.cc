@@ -9,55 +9,9 @@
 namespace sophon {
 namespace {
 
-TEST(Histogram, BucketsAndFractions) {
-  Histogram h(0.0, 10.0, 5);
-  for (const double v : {0.5, 1.0, 2.5, 9.9, 5.0}) h.add(v);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);  // [0,2)
-  EXPECT_EQ(h.count(1), 1u);  // [2,4)
-  EXPECT_EQ(h.count(2), 1u);  // [4,6)
-  EXPECT_EQ(h.count(3), 0u);
-  EXPECT_EQ(h.count(4), 1u);  // [8,10)
-  EXPECT_DOUBLE_EQ(h.fraction(0), 0.4);
-}
-
-TEST(Histogram, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 2);
-  h.add(-5.0);
-  h.add(25.0);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(4), 10.0);
-}
-
-TEST(Histogram, RejectsNonFiniteValues) {
-  Histogram h(0.0, 1.0, 2);
-  EXPECT_THROW(h.add(std::numeric_limits<double>::quiet_NaN()), ContractViolation);
-  EXPECT_THROW(h.add(std::numeric_limits<double>::infinity()), ContractViolation);
+TEST(EmpiricalCdf, RejectsNonFiniteValues) {
   EmpiricalCdf cdf;
   EXPECT_THROW(cdf.add(std::numeric_limits<double>::quiet_NaN()), ContractViolation);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), ContractViolation);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), ContractViolation);
-}
-
-TEST(Histogram, AsciiRendersOneLinePerBucket) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1.0);
-  h.add(1.5);
-  h.add(3.0);
-  const auto text = h.ascii(10);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
-  EXPECT_NE(text.find('#'), std::string::npos);
 }
 
 TEST(EmpiricalCdf, FractionsAndQuantiles) {

@@ -6,7 +6,8 @@
 #                             restricted to the concurrency-sensitive suites
 #                             (loader, prefetch, resilience, net), the
 #                             scheduling core's (sim, critpath), the adaptive
-#                             run loop's and the decision engines' — TSan
+#                             run loop's, the decision engines', the policies'
+#                             and the real-byte-path integration suite — TSan
 #                             slows the rest down ~10x for no extra signal.
 #   tools/check.sh --asan     AddressSanitizer build (build-asan/), same suite
 #                             restriction — heap abuse hides in the same
@@ -115,11 +116,12 @@ sanitized_targets=(
   sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
   sim_golden_test sim_schedule_test sim_metamorphic_test core_decision_test
   core_adapt_test core_sharded_decision_test core_replicated_decision_test
+  core_policy_test core_runner_test integration_test
   shard_format_test storage_shard_serving_test storage_disk_test
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
   image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|Rpc|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|PolicyNames|PolicyKinds|Policies\.|PlanContext|NoOff\.|AllOff\.|ResizeOff\.|FastFlow\.|Sophon\.|Runner\.|Integration\.|Loader|Prefetch|StagingBuffer|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|MeteringStorageService|OffloadDirective|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
 
 # One sanitizer mode: configure build-<name>/ with -DSOPHON_SANITIZE=<sanitizer>,
 # build the sanitized targets there and run the suites they hold.

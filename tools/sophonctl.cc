@@ -46,8 +46,8 @@
 #include "core/adapt/adapt.h"
 #include "core/adapt/loop.h"
 #include "core/decision.h"
+#include "core/policy.h"
 #include "core/profiler.h"
-#include "core/runner.h"
 #include "core/serialize.h"
 #include "net/fault.h"
 #include "net/resilience.h"
@@ -537,6 +537,8 @@ int cmd_simulate(const Flags& flags) {
   fault_profile.bandwidth_dip_prob = flags.number("bandwidth-dip", 0.0);
   fault_profile.seed = static_cast<std::uint64_t>(flags.integer("fault-seed", seed));
   const net::FaultInjector faults{fault_profile};
+  // Link faults (latency spikes, bandwidth dips) apply in both modes.
+  if (faults.enabled()) cluster.link_faults = &faults;
 
   // Materialization what-if: spend a disk budget on deterministic prefixes,
   // then re-run the offload decision over the adjusted profiles (materialised
@@ -594,7 +596,6 @@ int cmd_simulate(const Flags& flags) {
   }
   sim::FaultReplayStats replay;
   if (faults.enabled()) {
-    cluster.link_faults = &faults;
     const auto raw_flow = sim::plan_flow(catalog, pipe, cm, {});
     net::RetryPolicy retry;
     retry.max_attempts = static_cast<std::uint32_t>(flags.integer("retries", 3)) + 1;
