@@ -39,10 +39,11 @@ EpochObservation observe_epoch(const sim::EpochStats& stats, const sim::ClusterC
   EpochObservation obs;
   obs.observed.t_g = stats.gpu_busy;
   obs.observed.t_cc = stats.compute_cpu_busy / static_cast<double>(actual.compute_cores);
-  const double storage_capacity =
-      static_cast<double>(actual.storage_cores) * actual.storage_core_speed;
-  obs.observed.t_cs =
-      storage_capacity > 0.0 ? stats.storage_cpu_busy / storage_capacity : Seconds(0.0);
+  // storage_cpu_busy already counts each op at the cores' speed, so it
+  // spreads over the cores only; the prediction applies the speed once.
+  obs.observed.t_cs = actual.storage_cores > 0
+                          ? stats.storage_cpu_busy / static_cast<double>(actual.storage_cores)
+                          : Seconds(0.0);
   obs.observed.t_net = actual.bandwidth.transfer_time(stats.traffic);
   obs.traffic = stats.traffic;
   obs.epoch_time = stats.epoch_time;

@@ -24,7 +24,7 @@
 namespace sophon::core {
 
 /// Rate/cost model for re-encoding an image payload. Calibrated against the
-/// real SJPG codec (tests/compression_model_test.cc checks the estimates
+/// real SJPG codec (tests/core_compression_test.cc checks the estimates
 /// track real encodes within a factor of two across the texture range).
 struct CompressionModel {
   int quality = 80;

@@ -27,7 +27,6 @@ DataLoader::DataLoader(net::StorageService& service, const pipeline::Pipeline& p
     // Pre-register so scrapes see explicit zeros before the first failure.
     static_cast<void>(options.metrics->counter("sophon_degraded_samples"));
     static_cast<void>(options.metrics->counter("sophon_loader_fetch_errors"));
-    static_cast<void>(options.metrics->gauge("sophon_loader_reorder_highwater"));
     if (options.prefetch.depth > 0) prefetch::register_prefetch_metrics(*options.metrics);
   }
   order_ = dataset::EpochOrder(num_samples, options.seed, options.epoch).order();
@@ -55,7 +54,6 @@ void DataLoader::start() {
     prefetch::PrefetchScheduler::Config config;
     config.options = options_.prefetch;
     config.epoch = options_.epoch;
-    config.compress_quality = options_.compress_quality;
     config.metrics = options_.metrics;
     config.ledger = options_.ledger;
     prefetcher_ =
@@ -81,9 +79,7 @@ std::pair<net::FetchResponse, bool> DataLoader::fetch_with_degradation(
     if (options_.metrics != nullptr) {
       options_.metrics->counter("sophon_loader_fetch_errors").increment();
     }
-    const bool offloaded =
-        request.directive.prefix_len > 0 || request.directive.compress_quality > 0;
-    if (!options_.degrade_on_failure || !offloaded) throw;
+    if (request.directive.prefix_len == 0) throw;
     // Demote to "raw bytes, full local pipeline": the raw read path of a
     // storage node usually survives a struggling preprocessing engine, so
     // the epoch keeps moving at the cost of this sample's traffic savings.
@@ -129,7 +125,6 @@ void DataLoader::worker_loop() {
         request.epoch = options_.epoch;
         request.position = position;
         request.directive.prefix_len = static_cast<std::uint8_t>(prefix);
-        if (prefix > 0) request.directive.compress_quality = options_.compress_quality;
         obs::Span span(obs::SpanCategory::kFetch, "fetch");
         span.args().sample = static_cast<std::int64_t>(sample_id);
         span.args().position = static_cast<std::int64_t>(position);
@@ -181,33 +176,12 @@ void DataLoader::worker_loop() {
       collate_span.args().sample = static_cast<std::int64_t>(sample_id);
       collate_span.args().position = static_cast<std::int64_t>(position);
       std::unique_lock<std::mutex> lock(mutex_);
-      if (options_.ordered) {
-        // The position the consumer waits for must always be admitted, or a
-        // buffer full of later positions would deadlock the pipeline.
-        queue_not_full_.wait(lock, [this, &item] {
-          return stopping_ || reorder_.size() < options_.queue_capacity ||
-                 item.position == next_deliver_;
-        });
-        if (stopping_) return;
-        traffic_ += item.wire_bytes;
-        if (item.degraded) ++degraded_;
-        reorder_.emplace(item.position, std::move(item));
-        if (reorder_.size() > reorder_highwater_) {
-          reorder_highwater_ = reorder_.size();
-          if (options_.metrics != nullptr) {
-            options_.metrics->gauge("sophon_loader_reorder_highwater")
-                .set_max(static_cast<double>(reorder_highwater_));
-          }
-        }
-      } else {
-        queue_not_full_.wait(
-            lock, [this] { return stopping_ || queue_.size() < options_.queue_capacity; });
-        if (stopping_) return;
-        traffic_ += item.wire_bytes;
-        if (item.degraded) ++degraded_;
-        queue_.push_back(std::move(item));
-      }
-      ++produced_;
+      queue_not_full_.wait(
+          lock, [this] { return stopping_ || queue_.size() < options_.queue_capacity; });
+      if (stopping_) return;
+      traffic_ += item.wire_bytes;
+      if (item.degraded) ++degraded_;
+      queue_.push_back(std::move(item));
       lock.unlock();
       queue_not_empty_.notify_all();
     } catch (...) {
@@ -229,21 +203,6 @@ void DataLoader::worker_loop() {
 std::optional<LoadedSample> DataLoader::next() {
   SOPHON_CHECK_MSG(started_, "call start() before next()");
   std::unique_lock<std::mutex> lock(mutex_);
-  if (options_.ordered) {
-    queue_not_empty_.wait(lock, [this] {
-      return stopping_ || reorder_.contains(next_deliver_) || delivered_ >= num_samples_;
-    });
-    if (failure_) std::rethrow_exception(failure_);
-    const auto it = reorder_.find(next_deliver_);
-    if (it == reorder_.end()) return std::nullopt;  // exhausted (or stopping)
-    LoadedSample item = std::move(it->second);
-    reorder_.erase(it);
-    ++next_deliver_;
-    ++delivered_;
-    lock.unlock();
-    queue_not_full_.notify_all();
-    return item;
-  }
   queue_not_empty_.wait(lock, [this] {
     return stopping_ || !queue_.empty() || delivered_ + queue_.size() >= num_samples_;
   });
@@ -267,11 +226,6 @@ std::uint64_t DataLoader::degraded_samples() const {
   return degraded_;
 }
 
-std::size_t DataLoader::reorder_highwater() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return reorder_highwater_;
-}
-
 std::optional<prefetch::PrefetchScheduler::Stats> DataLoader::prefetch_stats() const {
   if (!prefetcher_) return std::nullopt;
   return prefetcher_->stats();
@@ -280,11 +234,6 @@ std::optional<prefetch::PrefetchScheduler::Stats> DataLoader::prefetch_stats() c
 Bytes DataLoader::invalidate_prefetched(const core::OffloadPlan& plan) {
   if (!prefetcher_) return Bytes(0);
   return prefetcher_->invalidate(plan);
-}
-
-Bytes DataLoader::shrink_prefetch_budget(Bytes new_budget) {
-  if (!prefetcher_) return Bytes(0);
-  return prefetcher_->shrink_budget(new_budget);
 }
 
 }  // namespace sophon::loader

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -54,21 +53,10 @@ class DataLoader {
     std::size_t queue_capacity = 64;
     std::uint64_t seed = 0;   // must match the storage server's seed
     std::size_t epoch = 0;
-    /// When nonzero, ask the server to SJPG-compress offloaded image
-    /// payloads at this quality (§6 extension; lossy).
-    std::uint8_t compress_quality = 0;
-    /// Deliver samples in epoch-position order (a reorder buffer holds
-    /// early-finished samples; the buffer may briefly exceed
-    /// queue_capacity to guarantee progress). Default: completion order.
-    bool ordered = false;
-    /// On a failed offloaded fetch, retry the sample with a raw directive
-    /// (prefix 0, no compression) before giving up on the epoch.
-    bool degrade_on_failure = true;
     /// Optional telemetry: reports sophon_degraded_samples and
-    /// sophon_loader_fetch_errors counters plus the reorder buffer's
-    /// high-water gauge; with prefetching on, the scheduler pre-registers
-    /// and feeds the sophon_prefetch_* set too (registry must outlive the
-    /// loader).
+    /// sophon_loader_fetch_errors counters; with prefetching on, the
+    /// scheduler pre-registers and feeds the sophon_prefetch_* set too
+    /// (registry must outlive the loader).
     MetricsRegistry* metrics = nullptr;
     /// Optional traffic ledger (obs/ledger.h): the loader records demand-
     /// path wire bytes (cause mapped from the response's provenance and the
@@ -99,9 +87,8 @@ class DataLoader {
   void start();
 
   /// Block for the next ready sample; nullopt once the epoch is exhausted.
-  /// Samples arrive in completion order, or in epoch-position order when
-  /// Options::ordered is set. Rethrows a worker's failure (e.g. a fetch
-  /// that kept failing even after degradation) instead of hanging.
+  /// Samples arrive in completion order. Rethrows a worker's failure (e.g.
+  /// a fetch that kept failing even after degradation) instead of hanging.
   [[nodiscard]] std::optional<LoadedSample> next();
 
   /// Total response bytes fetched so far.
@@ -109,9 +96,6 @@ class DataLoader {
 
   /// Samples delivered via the raw-fetch fallback so far.
   [[nodiscard]] std::uint64_t degraded_samples() const;
-
-  /// Peak size the ordered-mode reorder buffer reached (0 when unordered).
-  [[nodiscard]] std::size_t reorder_highwater() const;
 
   /// Prefetch scheduler counters; nullopt when prefetching is off.
   [[nodiscard]] std::optional<prefetch::PrefetchScheduler::Stats> prefetch_stats() const;
@@ -121,10 +105,6 @@ class DataLoader {
   /// workers re-fetch on demand under the plan the loader was built with).
   /// No-op returning 0 when prefetching is off.
   Bytes invalidate_prefetched(const core::OffloadPlan& plan);
-
-  /// Tighten the prefetch staging budget mid-epoch; no-op when prefetching
-  /// is off. Returns the bytes evicted to fit the new budget.
-  Bytes shrink_prefetch_budget(Bytes new_budget);
 
  private:
   void worker_loop();
@@ -148,12 +128,8 @@ class DataLoader {
   std::condition_variable queue_not_full_;
   std::condition_variable queue_not_empty_;
   std::deque<LoadedSample> queue_;
-  std::map<std::size_t, LoadedSample> reorder_;  // ordered mode only
-  std::size_t next_deliver_ = 0;    // next position to hand out (ordered)
   std::size_t next_position_ = 0;   // next epoch position to claim
   std::size_t delivered_ = 0;       // items handed to next()
-  std::size_t produced_ = 0;        // items pushed by workers
-  std::size_t reorder_highwater_ = 0;  // peak reorder buffer size (ordered)
   Bytes traffic_;
   std::uint64_t degraded_ = 0;
   std::exception_ptr failure_;      // first worker failure, rethrown by next()

@@ -14,13 +14,10 @@
 namespace sophon::net {
 
 /// Per-sample offloading instruction: run the first `prefix_len` pipeline
-/// ops near storage, ship the result. If `compress_quality` is nonzero and
-/// the partially preprocessed payload is an uncompressed image, the storage
-/// node SJPG-re-encodes it at that quality before shipping (the paper's §6
-/// selective-compression extension; lossy, so opt-in per sample).
+/// ops near storage and ship the result as it stands; the compute node runs
+/// the rest. 0 ships the raw blob.
 struct OffloadDirective {
   std::uint8_t prefix_len = 0;
-  std::uint8_t compress_quality = 0;  // 0 = no compression; else 1..100
 
   friend bool operator==(OffloadDirective, OffloadDirective) = default;
 };
@@ -49,9 +46,6 @@ struct FetchResponse {
   std::uint64_t sample_id = 0;
   std::uint8_t stage = 0;  // pipeline stage of the payload
   Provenance provenance = Provenance::kLive;
-  /// True when the payload is an SJPG-re-encoded image that the client must
-  /// decode back to stage `stage` before running the remaining ops.
-  bool payload_compressed = false;
   std::vector<std::uint8_t> payload;  // framed wire buffer (see net/wire.h)
 
   [[nodiscard]] Bytes wire_bytes() const {

@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include "codec/sjpg.h"
 #include "net/message.h"
 
 #include <cstring>
@@ -102,14 +101,7 @@ Bytes wire_size(const pipeline::SampleShape& shape) {
 }
 
 std::optional<pipeline::SampleData> unpack_response(const FetchResponse& response) {
-  auto payload = deserialize_sample(response.payload);
-  if (!payload) return std::nullopt;
-  if (!response.payload_compressed) return payload;
-  const auto* blob = std::get_if<pipeline::EncodedBlob>(&*payload);
-  if (blob == nullptr) return std::nullopt;  // compressed flag demands a blob
-  auto image = codec::sjpg_decode(blob->bytes);
-  if (!image) return std::nullopt;
-  return pipeline::SampleData(std::move(*image));
+  return deserialize_sample(response.payload);
 }
 
 }  // namespace sophon::net

@@ -32,9 +32,8 @@ inline constexpr std::int64_t kFrameOverheadBytes = 16;
 /// Matches serialize_sample(...).size() for materialised data of that shape.
 [[nodiscard]] Bytes wire_size(const pipeline::SampleShape& shape);
 
-/// Client-side unpacking of a fetch response: deserialises the frame and,
-/// when the server compressed the payload (§6 extension), decodes it back
-/// to the image the pipeline stage expects. nullopt on malformed data.
+/// Client-side unpacking of a fetch response: deserialises its frame into
+/// the sample at the response's stage. nullopt on malformed data.
 [[nodiscard]] std::optional<pipeline::SampleData> unpack_response(
     const struct FetchResponse& response);
 

@@ -99,8 +99,6 @@ constexpr MetricInfo kTable[] = {
      "Absolute gap between link counters and ledger attribution (0 = byte-exact)"},
     {"sophon_loader_fetch_errors", MetricKind::kCounter,
      "Loader-visible fetch errors after resilience gave up"},
-    {"sophon_loader_reorder_highwater", MetricKind::kGauge,
-     "High-water mark of the loader's reorder window occupancy"},
     {"sophon_prefetch_buffer_budget_bytes", MetricKind::kGauge,
      "Configured staging-buffer byte budget (0 when unbounded)"},
     {"sophon_prefetch_buffer_bytes", MetricKind::kGauge,

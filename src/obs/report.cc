@@ -80,7 +80,10 @@ EpochReport EpochReport::build(
     auto self_ns = fold_track(track_spans);
     // Storage-side prefix work is t_cs wherever it ran (a loopback fetch
     // executes it on the calling worker's thread).
-    storage_ns += self_ns[SpanCategory::kStoragePrep];
+    if (self_ns[SpanCategory::kStoragePrep] > 0.0) {
+      storage_ns += self_ns[SpanCategory::kStoragePrep];
+      ++report.storage_tracks_;
+    }
     if (is_worker_label(label)) {
       WorkerBreakdown row;
       row.track = track;
@@ -137,7 +140,8 @@ EpochReport::Costs EpochReport::observed() const {
   costs.t_cc = workers_.empty()
                    ? total_preprocess()
                    : total_preprocess() / static_cast<double>(workers_.size());
-  costs.t_cs = storage_busy_;
+  costs.t_cs = storage_tracks_ == 0 ? Seconds(0.0)
+                                    : storage_busy_ / static_cast<double>(storage_tracks_);
   costs.t_net = transfer_busy_;
   return costs;
 }

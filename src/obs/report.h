@@ -90,8 +90,8 @@ class EpochReport {
   [[nodiscard]] Seconds total_retry() const;
 
   /// The cost vector as this trace observed it: t_net = link busy,
-  /// t_cs = storage-side prefix busy, t_cc = worker preprocess summed and
-  /// averaged over lanes, t_g = gpu busy.
+  /// t_cs = storage-side prefix busy averaged over the tracks that ran it,
+  /// t_cc = worker preprocess averaged over worker lanes, t_g = gpu busy.
   [[nodiscard]] Costs observed() const;
 
   /// "net" | "cpu" | "gpu" | "storage-cpu" — the largest observed component.
@@ -115,6 +115,7 @@ class EpochReport {
   Seconds transfer_busy_;
   Seconds gpu_busy_;
   Seconds storage_busy_;
+  std::size_t storage_tracks_ = 0;  // tracks that carried storage-prep self-time
   Bytes transfer_bytes_;
   Costs predicted_;
   bool has_predicted_ = false;

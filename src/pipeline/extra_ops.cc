@@ -142,74 +142,7 @@ class ColorJitterOp final : public PreprocessOp {
   double contrast_;
 };
 
-class RandomRotationOp final : public PreprocessOp {
- public:
-  explicit RandomRotationOp(double max_degrees) : max_degrees_(max_degrees) {
-    SOPHON_CHECK(max_degrees >= 0.0 && max_degrees <= 180.0);
-  }
-
-  [[nodiscard]] OpKind kind() const override { return OpKind::kRandomHorizontalFlip; }
-  [[nodiscard]] std::string_view name() const override { return "RandomRotation"; }
-  [[nodiscard]] bool is_random() const override { return true; }
-
-  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override {
-    const auto* img = std::get_if<image::Image>(&in);
-    SOPHON_CHECK_MSG(img != nullptr, "RandomRotation expects a decoded image");
-    const double degrees = rng.uniform(-max_degrees_, max_degrees_);
-    const double theta = degrees * 3.14159265358979323846 / 180.0;
-    const double cos_t = std::cos(theta);
-    const double sin_t = std::sin(theta);
-    const double cx = (img->width() - 1) / 2.0;
-    const double cy = (img->height() - 1) / 2.0;
-
-    image::Image out(img->width(), img->height(), img->channels());
-    for (int y = 0; y < img->height(); ++y) {
-      for (int x = 0; x < img->width(); ++x) {
-        // Inverse-map the output pixel into the source.
-        const double dx = x - cx;
-        const double dy = y - cy;
-        const double sx = cx + dx * cos_t + dy * sin_t;
-        const double sy = cy - dx * sin_t + dy * cos_t;
-        const int x0 = std::clamp(static_cast<int>(std::floor(sx)), 0, img->width() - 1);
-        const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0, img->height() - 1);
-        const int x1 = std::min(x0 + 1, img->width() - 1);
-        const int y1 = std::min(y0 + 1, img->height() - 1);
-        const double wx = std::clamp(sx - x0, 0.0, 1.0);
-        const double wy = std::clamp(sy - y0, 0.0, 1.0);
-        for (int c = 0; c < img->channels(); ++c) {
-          const double top = img->at(x0, y0, c) * (1.0 - wx) + img->at(x1, y0, c) * wx;
-          const double bot = img->at(x0, y1, c) * (1.0 - wx) + img->at(x1, y1, c) * wx;
-          out.set(x, y, c,
-                  static_cast<std::uint8_t>(std::clamp(top * (1.0 - wy) + bot * wy + 0.5, 0.0,
-                                                       255.0)));
-        }
-      }
-    }
-    return SampleData(std::move(out));
-  }
-
-  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
-    SOPHON_CHECK(in.repr == Repr::kImage);
-    return in;
-  }
-
-  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override {
-    const auto& coeffs = model.coefficients();
-    // Bilinear gather per output pixel — same order of work as a resize.
-    return Seconds::nanos(coeffs.resize_ns_per_out_pixel *
-                          static_cast<double>(in.pixel_count())) +
-           Seconds::nanos(coeffs.per_op_overhead_ns);
-  }
-
- private:
-  double max_degrees_;
-};
-
 }  // namespace
-
-std::unique_ptr<PreprocessOp> make_random_rotation_op(double max_degrees) {
-  return std::make_unique<RandomRotationOp>(max_degrees);
-}
 
 std::unique_ptr<PreprocessOp> make_resize_shorter_op(int shorter_side) {
   return std::make_unique<ResizeShorterOp>(shorter_side);

@@ -28,11 +28,6 @@ std::unique_ptr<PreprocessOp> make_center_crop_op(int size);
 std::unique_ptr<PreprocessOp> make_color_jitter_op(double brightness = 0.4,
                                                    double contrast = 0.4);
 
-/// Random rotation by an angle uniform in [-max_degrees, +max_degrees],
-/// bilinear resampling, edge pixels replicated outside the source.
-/// Size-neutral (same canvas).
-std::unique_ptr<PreprocessOp> make_random_rotation_op(double max_degrees = 15.0);
-
 /// The torchvision validation pipeline:
 /// Decode → Resize(resize_to) → CenterCrop(crop_to) → ToTensor → Normalize.
 /// Fully deterministic (no random ops).

@@ -73,7 +73,6 @@ void PrefetchScheduler::run() {
     request.epoch = config_.epoch;
     request.position = position;
     request.directive.prefix_len = prefix;
-    if (prefix > 0) request.directive.compress_quality = config_.compress_quality;
     try {
       auto response = [&] {
         obs::Span span(obs::SpanCategory::kFetch, "prefetch_fetch");
@@ -111,10 +110,6 @@ Bytes PrefetchScheduler::invalidate(const core::OffloadPlan& plan) {
             plan.size() == 0 ? std::uint8_t{0} : plan.prefix(sample_id);
         return response.stage != prefix;
       });
-}
-
-Bytes PrefetchScheduler::shrink_budget(Bytes new_budget) {
-  return buffer_.shrink_budget(new_budget);
 }
 
 void PrefetchScheduler::shutdown() {

@@ -32,7 +32,6 @@ class PrefetchScheduler {
     // `order` vector handed to the constructor, which the caller derived
     // from its own (seed, epoch).
     std::uint64_t epoch = 0;
-    std::uint8_t compress_quality = 0;  // applied to offloaded fetches, as in the loader
     MetricsRegistry* metrics = nullptr;
     /// Optional traffic ledger; staged bytes are recorded at commit and
     /// reclassified to prefetch-wasted when dropped unclaimed.
@@ -67,9 +66,6 @@ class PrefetchScheduler {
   /// prefetch-wasted and the worker demand-fetches under the new plan.
   /// Returns the evicted byte total.
   Bytes invalidate(const core::OffloadPlan& plan);
-
-  /// Tighten the staging byte budget mid-epoch (see StagingBuffer).
-  Bytes shrink_budget(Bytes new_budget);
 
   struct Stats {
     std::uint64_t issued = 0;

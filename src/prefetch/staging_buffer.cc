@@ -27,16 +27,16 @@ obs::TrafficCause staged_cause(const net::FetchResponse& response) {
 
 StagingBuffer::StagingBuffer(const PrefetchOptions& options, MetricsRegistry* metrics,
                              obs::TrafficLedger* ledger)
-    : options_(options), metrics_(metrics), ledger_(ledger), budget_(options.bytes_budget) {
+    : options_(options), metrics_(metrics), ledger_(ledger) {
   if (metrics_ != nullptr) {
-    metrics_->gauge(kBufferBudgetBytes).set(static_cast<double>(budget_.count()));
+    metrics_->gauge(kBufferBudgetBytes).set(static_cast<double>(options_.bytes_budget.count()));
   }
 }
 
 bool StagingBuffer::has_credit(Bytes estimated_bytes) const {
   if (occupied_ >= options_.depth) return false;
-  if (budget_.count() > 0 && occupied_ > 0 &&
-      occupied_bytes_ + estimated_bytes > budget_) {
+  if (options_.bytes_budget.count() > 0 && occupied_ > 0 &&
+      occupied_bytes_ + estimated_bytes > options_.bytes_budget) {
     // The budget never blocks an empty buffer: one oversized sample must
     // still be prefetchable or the scheduler would wedge on it.
     return false;
@@ -193,20 +193,6 @@ void StagingBuffer::advance_cursor(std::size_t position) {
   }
 }
 
-std::map<std::size_t, StagingBuffer::Slot>::iterator StagingBuffer::evict_ready_locked(
-    std::map<std::size_t, Slot>::iterator it, Bytes& evicted) {
-  if (ledger_ != nullptr) {
-    ledger_->reclassify(it->second.response.sample_id, it->second.response.stage,
-                        it->second.cause, obs::TrafficCause::kPrefetchWasted, it->second.bytes);
-  }
-  evicted += it->second.bytes;
-  occupied_bytes_ -= it->second.bytes;
-  --occupied_;
-  ++cancelled_;
-  if (metrics_ != nullptr) metrics_->counter(kCancelled).increment();
-  return slots_.erase(it);
-}
-
 Bytes StagingBuffer::evict_unclaimed() {
   return evict_unclaimed_if([](std::size_t, const net::FetchResponse&) { return true; });
 }
@@ -216,48 +202,28 @@ Bytes StagingBuffer::evict_unclaimed_if(
   std::lock_guard lock(mutex_);
   Bytes evicted;
   for (auto it = slots_.begin(); it != slots_.end();) {
-    if (it->second.state == State::kReady && pred(it->first, it->second.response)) {
-      it = evict_ready_locked(it, evicted);
-    } else {
+    const Slot& slot = it->second;
+    if (slot.state != State::kReady || !pred(it->first, slot.response)) {
       ++it;
+      continue;
     }
+    // Dropped unclaimed: its bytes, recorded at commit, become waste.
+    if (ledger_ != nullptr) {
+      ledger_->reclassify(slot.response.sample_id, slot.response.stage, slot.cause,
+                          obs::TrafficCause::kPrefetchWasted, slot.bytes);
+    }
+    evicted += slot.bytes;
+    occupied_bytes_ -= slot.bytes;
+    --occupied_;
+    ++cancelled_;
+    if (metrics_ != nullptr) metrics_->counter(kCancelled).increment();
+    it = slots_.erase(it);
   }
   if (evicted.count() > 0) {
     update_gauges_locked();
     credit_cv_.notify_all();
   }
   return evicted;
-}
-
-Bytes StagingBuffer::shrink_budget(Bytes new_budget) {
-  std::lock_guard lock(mutex_);
-  budget_ = new_budget;
-  if (metrics_ != nullptr) {
-    metrics_->gauge(kBufferBudgetBytes).set(static_cast<double>(budget_.count()));
-  }
-  Bytes evicted;
-  if (budget_.count() > 0) {
-    // Drop the consumer's furthest-out staged work first: those positions
-    // have the most time to be re-fetched on demand without a stall.
-    for (auto it = slots_.rbegin();
-         occupied_bytes_ > budget_ && it != slots_.rend();) {
-      if (it->second.state == State::kReady) {
-        auto forward = std::next(it).base();
-        forward = evict_ready_locked(forward, evicted);
-        it = std::make_reverse_iterator(forward);
-      } else {
-        ++it;
-      }
-    }
-  }
-  update_gauges_locked();
-  credit_cv_.notify_all();
-  return evicted;
-}
-
-Bytes StagingBuffer::budget() const {
-  std::lock_guard lock(mutex_);
-  return budget_;
 }
 
 void StagingBuffer::shutdown() {

@@ -36,7 +36,7 @@ class StagingBuffer {
   /// buffer. The buffer is the single recording point for prefetch-path
   /// wire bytes: commit() records them (cause mapped from the response's
   /// provenance), and any path that drops a staged-but-unclaimed response
-  /// (evict, shrink, shutdown, commit racing shutdown) reclassifies those
+  /// (evict, shutdown, commit racing shutdown) reclassifies those
   /// bytes to prefetch-wasted so the ledger partition stays exact.
   StagingBuffer(const PrefetchOptions& options, MetricsRegistry* metrics,
                 obs::TrafficLedger* ledger = nullptr);
@@ -93,16 +93,6 @@ class StagingBuffer {
   Bytes evict_unclaimed_if(
       const std::function<bool(std::size_t, const net::FetchResponse&)>& pred);
 
-  /// Tighten (or relax) the byte budget mid-epoch. When the new budget is
-  /// below current occupancy, ready slots are evicted highest-position-first
-  /// (the ones the consumer needs last) until occupancy fits. Returns the
-  /// evicted byte total.
-  Bytes shrink_budget(Bytes new_budget);
-
-  /// The currently effective byte budget (options_.bytes_budget until
-  /// shrink_budget changes it).
-  [[nodiscard]] Bytes budget() const;
-
   // Introspection (tests, scheduler stats).
   [[nodiscard]] std::uint64_t hits() const;
   [[nodiscard]] std::uint64_t late_hits() const;
@@ -125,15 +115,10 @@ class StagingBuffer {
   // All helpers below require `mutex_` held.
   [[nodiscard]] bool has_credit(Bytes estimated_bytes) const;
   void update_gauges_locked();
-  /// Evict one ready slot: reclassify its bytes to prefetch-wasted, count
-  /// it cancelled, release its credit. Returns the next iterator.
-  std::map<std::size_t, Slot>::iterator evict_ready_locked(
-      std::map<std::size_t, Slot>::iterator it, Bytes& evicted);
 
   const PrefetchOptions options_;
   MetricsRegistry* metrics_;
   obs::TrafficLedger* ledger_;
-  Bytes budget_;  // effective byte budget; starts at options_.bytes_budget
 
   mutable std::mutex mutex_;
   std::condition_variable credit_cv_;  // scheduler waits for a free credit

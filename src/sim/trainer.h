@@ -44,7 +44,7 @@ struct EpochStats {
   Bytes traffic;               // bytes over the inter-cluster link
   Seconds gpu_busy;            // total GPU service time
   double gpu_utilization = 0;  // gpu_busy / epoch_time
-  Seconds storage_cpu_busy;    // core-seconds of offloaded preprocessing
+  Seconds storage_cpu_busy;    // busy core-seconds of offloaded preprocessing (work / speed)
   Seconds compute_cpu_busy;    // core-seconds of local preprocessing
   std::size_t samples = 0;
   std::size_t batches = 0;

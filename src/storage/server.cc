@@ -38,10 +38,10 @@ net::FetchResponse StorageServer::fetch(const net::FetchRequest& request) {
       span.args().prefix = static_cast<std::int32_t>(entry->stage);
       span.args().bytes = static_cast<std::int64_t>(entry->length);
       if (const auto stored = options_.shard->read_verified(*entry)) {
-        if (entry->stage == prefix && request.directive.compress_quality == 0) {
-          // Stage-exact, no §6 re-compression: the stored frame IS the
-          // response payload — no deserialise, no pipeline, no allocator
-          // churn beyond the reply buffer itself.
+        if (entry->stage == prefix) {
+          // Stage-exact: the stored frame IS the response payload — no
+          // deserialise, no pipeline, no allocator churn beyond the reply
+          // buffer itself.
           direct_frame.assign(stored->begin(), stored->end());
           base_stage = prefix;
           from_shard = shard_direct = true;
@@ -134,21 +134,6 @@ net::FetchResponse StorageServer::fetch(const net::FetchRequest& request) {
   if (shard_direct) {
     response.payload = std::move(direct_frame);
     return response;
-  }
-
-  // §6 selective compression: re-encode an image payload before shipping.
-  if (request.directive.compress_quality > 0) {
-    SOPHON_CHECK_MSG(request.directive.compress_quality <= 100,
-                     "compress_quality must be in [0, 100]");
-    if (const auto* img = std::get_if<image::Image>(&payload)) {
-      pipeline::EncodedBlob compressed;
-      compressed.bytes = codec::sjpg_encode(*img, request.directive.compress_quality);
-      // Only ship compressed when it actually helps.
-      if (compressed.byte_size() < img->byte_size()) {
-        payload = std::move(compressed);
-        response.payload_compressed = true;
-      }
-    }
   }
 
   response.payload = net::serialize_sample(payload);

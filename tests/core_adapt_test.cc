@@ -57,7 +57,9 @@ TEST(AdaptObserve, FoldsEpochStatsIntoCostComponents) {
   sim::EpochStats stats;
   stats.gpu_busy = Seconds(10.0);
   stats.compute_cpu_busy = Seconds(96.0);   // 48 cores -> 2 s
-  stats.storage_cpu_busy = Seconds(24.0);   // 48 cores at speed 0.5 -> 1 s
+  // Scaled busy time, as the simulator records it: 24 s of work at speed
+  // 0.5 is 48 s of busy time, over 48 cores -> 1 s.
+  stats.storage_cpu_busy = Seconds(48.0);
   stats.traffic = Bytes::mib(500);
   stats.epoch_time = Seconds(12.0);
   stats.samples = 1000;

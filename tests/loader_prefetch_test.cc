@@ -190,21 +190,6 @@ TEST(LoaderPrefetch, CacheResidentSamplesAreNotPrefetched) {
   EXPECT_LE(stats->issued, f.catalog.size() / 2);
 }
 
-TEST(LoaderPrefetch, OrderedModeWithPrefetchStaysInOrder) {
-  Fixture f;
-  const auto plan = f.mixed_plan();
-  auto options = with_prefetch(4, 8);
-  options.ordered = true;
-  DataLoader loader(f.server, f.pipe, plan, f.catalog.size(), options);
-  loader.start();
-  std::size_t expected = 0;
-  while (const auto item = loader.next()) {
-    EXPECT_EQ(item->position, expected);
-    ++expected;
-  }
-  EXPECT_EQ(expected, f.catalog.size());
-}
-
 TEST(LoaderPrefetch, EarlyDestructionCancelsCleanly) {
   Fixture f;
   const auto plan = f.mixed_plan();

@@ -3,12 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <map>
-#include <mutex>
-#include <thread>
 
 #include "dataset/sampler.h"
 #include "net/wire.h"
@@ -128,59 +123,6 @@ TEST(DataLoader, PositionsCoverEpochOrder) {
   }
 }
 
-TEST(DataLoader, OrderedModeDeliversPositionsInOrder) {
-  Fixture f;
-  const auto plan = f.mixed_plan();
-  for (const std::size_t workers : {1u, 4u}) {
-    DataLoader loader(f.server, f.pipe, plan, f.catalog.size(),
-                      {.num_workers = workers,
-                       .queue_capacity = 4,
-                       .seed = 42,
-                       .epoch = 2,
-                       .ordered = true});
-    loader.start();
-    std::size_t expected = 0;
-    while (const auto item = loader.next()) {
-      EXPECT_EQ(item->position, expected) << workers << " workers";
-      ++expected;
-    }
-    EXPECT_EQ(expected, f.catalog.size());
-  }
-}
-
-TEST(DataLoader, OrderedModeTinyBufferCannotDeadlock) {
-  // Capacity 1 with 6 workers: the reorder buffer admits the needed
-  // position even when nominally full.
-  Fixture f;
-  const auto plan = f.mixed_plan();
-  DataLoader loader(f.server, f.pipe, plan, f.catalog.size(),
-                    {.num_workers = 6,
-                     .queue_capacity = 1,
-                     .seed = 42,
-                     .epoch = 0,
-                     .ordered = true});
-  loader.start();
-  std::size_t count = 0;
-  while (loader.next()) ++count;
-  EXPECT_EQ(count, f.catalog.size());
-}
-
-TEST(DataLoader, OrderedContentMatchesUnordered) {
-  Fixture f;
-  const auto plan = f.mixed_plan();
-  const auto reference = f.reference(plan, /*epoch=*/1);
-  DataLoader loader(f.server, f.pipe, plan, f.catalog.size(),
-                    {.num_workers = 3,
-                     .queue_capacity = 4,
-                     .seed = 42,
-                     .epoch = 1,
-                     .ordered = true});
-  loader.start();
-  while (const auto item = loader.next()) {
-    EXPECT_EQ(item->tensor, reference.at(item->sample_id));
-  }
-}
-
 TEST(DataLoader, TinyQueueDoesNotDeadlock) {
   Fixture f;
   const auto plan = f.mixed_plan();
@@ -202,92 +144,6 @@ TEST(DataLoader, EarlyDestructionJoinsCleanly) {
     (void)loader.next();  // consume one item, then abandon the epoch
   }                        // destructor must not hang
   SUCCEED();
-}
-
-/// Stalls the fetch of epoch position 0 until the test releases it, so the
-/// reorder buffer verifiably fills past queue_capacity with later positions.
-class GatedPositionZero final : public net::StorageService {
- public:
-  explicit GatedPositionZero(net::StorageService& inner) : inner_(inner) {}
-
-  net::FetchResponse fetch(const net::FetchRequest& request) override {
-    if (request.position == 0) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return released_.load(); });
-    }
-    return inner_.fetch(request);
-  }
-
-  void release() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      released_.store(true);
-    }
-    cv_.notify_all();
-  }
-
- private:
-  net::StorageService& inner_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::atomic<bool> released_{false};
-};
-
-TEST(DataLoader, ReorderBufferExceedingCapacityDrainsWithoutDeadlock) {
-  // The documented "may briefly exceed queue_capacity" path: with capacity 1
-  // and position 0 stalled, a later position occupies the buffer's only
-  // nominal slot; position 0 must still be admitted on top of it (else the
-  // consumer would wait forever), pushing the buffer over capacity.
-  Fixture f;
-  const auto plan = f.mixed_plan();
-  GatedPositionZero gated(f.server);
-  MetricsRegistry metrics;
-  DataLoader loader(gated, f.pipe, plan, f.catalog.size(),
-                    {.num_workers = 3,
-                     .queue_capacity = 1,
-                     .seed = 42,
-                     .epoch = 0,
-                     .ordered = true,
-                     .metrics = &metrics});
-  loader.start();
-  // No consumption yet: one of positions 1/2 lands in the buffer, the other
-  // worker waits (buffer nominally full, wrong position), position 0 is
-  // stalled in its fetch.
-  while (loader.reorder_highwater() < 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  gated.release();
-  // Position 0 now completes and must be admitted past the full buffer.
-  while (loader.reorder_highwater() < 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  std::size_t expected = 0;
-  while (const auto item = loader.next()) {
-    EXPECT_EQ(item->position, expected);
-    ++expected;
-  }
-  EXPECT_EQ(expected, f.catalog.size());
-  EXPECT_GT(loader.reorder_highwater(), std::size_t{1});  // exceeded capacity
-  EXPECT_EQ(metrics.gauge("sophon_loader_reorder_highwater").value(),
-            static_cast<double>(loader.reorder_highwater()));
-}
-
-TEST(DataLoader, ReorderHighwaterReportedInUnorderedModeStaysZero) {
-  Fixture f;
-  const core::OffloadPlan no_off(f.catalog.size());
-  MetricsRegistry metrics;
-  DataLoader loader(f.server, f.pipe, no_off, f.catalog.size(),
-                    {.num_workers = 2,
-                     .queue_capacity = 4,
-                     .seed = 42,
-                     .epoch = 0,
-                     .metrics = &metrics});
-  loader.start();
-  while (loader.next()) {
-  }
-  EXPECT_EQ(loader.reorder_highwater(), 0u);
-  // Pre-registered at construction: scrapes list the gauge even at zero.
-  EXPECT_NE(metrics.expose().find("sophon_loader_reorder_highwater 0"), std::string::npos);
 }
 
 TEST(DataLoader, RejectsBadConfiguration) {

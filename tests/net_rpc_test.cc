@@ -34,7 +34,6 @@ TEST(MeteringStorageService, ForwardsRequestsVerbatim) {
   request.epoch = 3;
   request.position = 17;
   request.directive.prefix_len = 2;
-  request.directive.compress_quality = 80;
   const auto response = meter.fetch(request);
   EXPECT_EQ(response.sample_id, 9u);
   EXPECT_EQ(service.last_request.epoch, 3u);
@@ -57,11 +56,11 @@ TEST(MeteringStorageService, MetersEveryResponseByte) {
   EXPECT_EQ(expected.count(), 10 * (100 + kFrameOverheadBytes) + 45);
 }
 
-TEST(OffloadDirective, EqualityIncludesCompression) {
-  OffloadDirective a{2, 0};
-  OffloadDirective b{2, 80};
+TEST(OffloadDirective, EqualityComparesPrefix) {
+  OffloadDirective a{2};
+  OffloadDirective b{3};
   EXPECT_NE(a, b);
-  b.compress_quality = 0;
+  b.prefix_len = 2;
   EXPECT_EQ(a, b);
 }
 

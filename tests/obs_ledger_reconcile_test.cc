@@ -100,11 +100,12 @@ TEST(LedgerSimReconciliation, ByteExactAcrossFaultsRetriesAndAMidRunReplan) {
 }
 
 struct ThreadedFixture {
-  explicit ThreadedFixture(std::size_t samples = 24)
-      : profile([samples] {
+  explicit ThreadedFixture(std::size_t samples = 24, double min_pixels = 6e4,
+                           double max_pixels = 2.5e5)
+      : profile([=] {
           auto p = dataset::openimages_profile(samples);
-          p.min_pixels = 6e4;
-          p.max_pixels = 2.5e5;
+          p.min_pixels = min_pixels;
+          p.max_pixels = max_pixels;
           return p;
         }()),
         catalog(dataset::Catalog::generate(profile, 42)) {}
@@ -283,9 +284,6 @@ Bytes run_ledgered_epoch(ThreadedFixture& f, const core::OffloadPlan& plan,
   options.seed = 42;
   options.epoch = 0;
   options.ledger = &ledger;
-  // §6 selective compression rides only on offloaded requests, so the raw
-  // baseline run is untouched while offloaded payloads ship re-encoded.
-  options.compress_quality = 60;
   loader::DataLoader loader(meter, f.pipe, plan, f.catalog.size(), options);
   loader.start();
   std::size_t count = 0;
@@ -296,7 +294,9 @@ Bytes run_ledgered_epoch(ThreadedFixture& f, const core::OffloadPlan& plan,
 }
 
 TEST(LedgerTrafficDiff, ShardAblationPairAttributesTheDropToShardHits) {
-  ThreadedFixture f;
+  // Images large enough that the 224x224 post-crop payload is smaller than
+  // their raw blob: the only samples for which offloading saves traffic.
+  ThreadedFixture f(12, 6e5, 8e5);
   // Run A: no offloading, no shard — every byte is a raw demand fetch.
   TrafficLedger ledger_a;
   const Bytes traffic_a =
@@ -304,8 +304,8 @@ TEST(LedgerTrafficDiff, ShardAblationPairAttributesTheDropToShardHits) {
 
   // Run B: offloaded prefixes served from a materialized shard (stage 1,
   // the deterministic prefix — the pack contract forbids crossing the random
-  // crop). The server finishes op 2 live and re-compresses the post-crop
-  // image, so offloaded samples cross the wire smaller than their raw blobs.
+  // crop). The server finishes op 2 live and ships the post-crop image,
+  // which is smaller than these samples' raw blobs.
   const auto plan = f.mixed_plan();
   const auto mat = f.materialize_offloaded(plan, /*stage=*/1);
   const auto shard_path = std::filesystem::temp_directory_path() /

@@ -99,6 +99,26 @@ TEST(EpochReport, NonWorkerTracksFeedObservedCosts) {
   EXPECT_EQ(report.observed_bottleneck(), "net");
 }
 
+TEST(EpochReport, ObservedStorageTimeIsPerStorageTrack) {
+  // T_CS is predicted per core, so two storage lanes busy 4 s each observe
+  // 4 s, not their 8 core-seconds; a track without storage prep (the link)
+  // does not dilute it.
+  const Labels labels{{0, "storage-0"}, {1, "storage-1"}, {2, "link"}};
+  const std::vector<SpanEvent> spans{
+      make_span(0, SpanCategory::kStoragePrep, "storage_prefix", 0.0, 4.0),
+      make_span(1, SpanCategory::kStoragePrep, "storage_prefix", 0.0, 1.5),
+      make_span(1, SpanCategory::kStoragePrep, "storage_prefix", 2.0, 4.5),
+      make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0),
+  };
+  const auto report = EpochReport::build(spans, labels, Seconds(5.0));
+  EXPECT_NEAR(report.storage_busy().value(), 8.0, 1e-9);
+  EXPECT_NEAR(report.observed().t_cs.value(), 4.0, 1e-9);
+  // No storage prep anywhere: zero, not a division by zero.
+  const auto idle = EpochReport::build(
+      {make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0)}, labels, Seconds(1.0));
+  EXPECT_EQ(idle.observed().t_cs.value(), 0.0);
+}
+
 TEST(EpochReport, BottleneckTieOrderPrefersNet) {
   EpochReport::Costs costs{Seconds(1.0), Seconds(1.0), Seconds(1.0), Seconds(1.0)};
   EXPECT_EQ(EpochReport::bottleneck_of(costs), "net");

@@ -90,53 +90,6 @@ TEST(ColorJitter, ZeroJitterStillWellDefined) {
   }
 }
 
-TEST(RandomRotation, ZeroDegreesIsNearIdentity) {
-  const auto op = make_random_rotation_op(0.0);
-  Rng rng(7);
-  const auto img = test_image(64, 48);
-  const auto out = std::get<image::Image>(op->apply(img, rng));
-  // theta == 0 exactly: inverse map is the identity; bilinear weights are 0.
-  EXPECT_EQ(out, img);
-}
-
-TEST(RandomRotation, PreservesShapeAndPerturbsContent) {
-  const auto op = make_random_rotation_op(30.0);
-  EXPECT_TRUE(op->is_random());
-  Rng rng(8);
-  const auto img = test_image(80, 60);
-  const auto out = std::get<image::Image>(op->apply(img, rng));
-  EXPECT_EQ(out.width(), 80);
-  EXPECT_EQ(out.height(), 60);
-  EXPECT_NE(out, img);
-  SampleShape in;
-  in.repr = Repr::kImage;
-  in.width = 80;
-  in.height = 60;
-  in.channels = 3;
-  EXPECT_EQ(op->out_shape(in), in);
-  EXPECT_GT(op->cost(in, CostModel{}).value(), 0.0);
-}
-
-TEST(RandomRotation, CenterPixelIsFixedPoint) {
-  // Rotation about the center: the center pixel maps to itself for any
-  // angle (odd dimensions put it exactly on the pivot).
-  const auto op = make_random_rotation_op(45.0);
-  auto img = test_image(41, 31);
-  img.set(20, 15, 0, 255);
-  img.set(20, 15, 1, 0);
-  img.set(20, 15, 2, 0);
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    Rng rng(seed);
-    const auto out = std::get<image::Image>(op->apply(img, rng));
-    EXPECT_EQ(out.at(20, 15, 0), 255) << seed;
-  }
-}
-
-TEST(RandomRotation, RejectsBadAngles) {
-  EXPECT_THROW((void)make_random_rotation_op(-1.0), ContractViolation);
-  EXPECT_THROW((void)make_random_rotation_op(181.0), ContractViolation);
-}
-
 TEST(ValidationPipeline, IsDeterministicEndToEnd) {
   const auto pipe = validation_pipeline(256, 224);
   ASSERT_EQ(pipe.size(), 5u);

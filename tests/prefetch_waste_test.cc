@@ -1,8 +1,8 @@
 // Prefetch-waste attribution: every staged byte the consumer never claims —
-// evicted before a claim, invalidated by a replan, or squeezed out by a
-// budget shrink — must be reclassified to prefetch-wasted in the traffic
-// ledger (the partition stays exact), and none of it may ever change what a
-// sample decodes to: re-fetched tensors stay bit-identical.
+// evicted before a claim or invalidated by a replan — must be reclassified
+// to prefetch-wasted in the traffic ledger (the partition stays exact), and
+// none of it may ever change what a sample decodes to: re-fetched tensors
+// stay bit-identical.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -83,27 +83,6 @@ TEST(PrefetchWaste, ReplanInvalidationWastesOnlyStageMismatchedSlots) {
   ASSERT_TRUE(kept.has_value());
   EXPECT_EQ(kept->response.payload, response_of(1, 500, 0).payload);
   EXPECT_FALSE(buffer.claim(2).has_value());
-}
-
-TEST(PrefetchWaste, BudgetShrinkMidEpochWastesTheEvictedTail) {
-  obs::TrafficLedger ledger;
-  auto options = depth_options(8);
-  options.bytes_budget = Bytes(64 * 1024);
-  StagingBuffer buffer(options, nullptr, &ledger);
-  for (std::size_t pos = 0; pos < 4; ++pos) {
-    ASSERT_EQ(buffer.reserve(pos, Bytes(1024), /*wait=*/false), StagingBuffer::Reserve::kOk);
-    buffer.commit(pos, response_of(pos, 1024));
-  }
-  // Shrinking to half the occupancy evicts the highest positions first (the
-  // consumer needs them last).
-  const Bytes evicted = buffer.shrink_budget(Bytes(2048));
-  EXPECT_EQ(evicted.count(), 2048);
-  EXPECT_EQ(buffer.budget().count(), 2048);
-  EXPECT_EQ(ledger.total(obs::TrafficCause::kPrefetchWasted).count(), 2048);
-  EXPECT_EQ(ledger.total(obs::TrafficCause::kPrefetch).count(), 2048);
-  EXPECT_TRUE(buffer.claim(0).has_value());
-  EXPECT_TRUE(buffer.claim(1).has_value());
-  EXPECT_FALSE(buffer.claim(3).has_value());
 }
 
 TEST(PrefetchWaste, MidEpochReplanKeepsTensorsBitIdenticalAndTheLedgerExact) {

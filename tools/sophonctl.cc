@@ -127,6 +127,27 @@ class Flags {
     return it == values_.end() ? fallback : std::atol(it->second.c_str());
   }
 
+  /// integer(key, fallback); exits 2 with a message when it is below `min`.
+  [[nodiscard]] long integer_at_least(const std::string& key, long fallback, long min) const {
+    const long value = integer(key, fallback);
+    if (value < min) {
+      std::fprintf(stderr, "--%s must be at least %ld (got %ld)\n", key.c_str(), min, value);
+      std::exit(2);
+    }
+    return value;
+  }
+
+  /// number(key, fallback); exits 2 with a message unless it is above 0.
+  [[nodiscard]] double positive_number(const std::string& key, double fallback) const {
+    const double value = number(key, fallback);
+    if (!(value > 0.0)) {
+      std::fprintf(stderr, "--%s must be greater than 0 (got %s)\n", key.c_str(),
+                   str(key, "").c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
@@ -155,20 +176,22 @@ Bytes shard_budget_from(const Flags& flags) {
 
 sim::ClusterConfig cluster_from(const Flags& flags) {
   sim::ClusterConfig cluster;
-  cluster.bandwidth = Bandwidth::mbps(flags.number("mbps", 500.0));
-  cluster.storage_cores = static_cast<int>(flags.integer("storage-cores", 48));
-  cluster.compute_cores = static_cast<int>(flags.integer("compute-cores", 48));
-  cluster.storage_core_speed = flags.number("storage-speed", 1.0);
-  cluster.batch_size = static_cast<std::size_t>(flags.integer("batch-size", 256));
+  cluster.bandwidth = Bandwidth::mbps(flags.positive_number("mbps", 500.0));
+  cluster.storage_cores = static_cast<int>(flags.integer_at_least("storage-cores", 48, 0));
+  cluster.compute_cores = static_cast<int>(flags.integer_at_least("compute-cores", 48, 1));
+  cluster.storage_core_speed = flags.positive_number("storage-speed", 1.0);
+  cluster.batch_size = static_cast<std::size_t>(flags.integer_at_least("batch-size", 256, 1));
   return cluster;
 }
 
 /// The loader shape --workers/--prefetch-depth/--prefetch-budget-mib ask for.
 prefetch::ReplayOptions replay_options_from(const Flags& flags) {
   prefetch::ReplayOptions options;
-  options.workers = static_cast<std::size_t>(flags.integer("workers", 4));
-  options.prefetch.depth = static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
-  options.prefetch.bytes_budget = Bytes::mib(flags.integer("prefetch-budget-mib", 0));
+  options.workers = static_cast<std::size_t>(flags.integer_at_least("workers", 4, 1));
+  options.prefetch.depth =
+      static_cast<std::size_t>(flags.integer_at_least("prefetch-depth", 0, 0));
+  options.prefetch.bytes_budget =
+      Bytes::mib(flags.integer_at_least("prefetch-budget-mib", 0, 0));
   return options;
 }
 
@@ -188,7 +211,7 @@ std::optional<core::OffloadPlan> plan_from(const Flags& flags, const dataset::Ca
 
 int cmd_gen_profiles(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 40000));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
   const auto out = flags.required("out");
 
@@ -513,9 +536,11 @@ int cmd_simulate(const Flags& flags) {
     }
   }
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 40000));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
   const auto epoch = static_cast<std::size_t>(flags.integer("epoch", 0));
+  auto cluster = cluster_from(flags);
+  const auto replay_options = replay_options_from(flags);
   const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
@@ -524,7 +549,6 @@ int cmd_simulate(const Flags& flags) {
   if (!loaded_plan) return 1;
   core::OffloadPlan plan = std::move(*loaded_plan);
 
-  auto cluster = cluster_from(flags);
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
 
   // Optional fault replay (see docs/ARCHITECTURE.md, "Fault model").
@@ -623,22 +647,21 @@ int cmd_simulate(const Flags& flags) {
 
   // Optional clairvoyant-prefetch comparison: replay the same flows through
   // the worker-level loader model, demand vs. prefetch (see src/prefetch/).
-  if (const auto depth = static_cast<std::size_t>(flags.integer("prefetch-depth", 0));
-      depth > 0) {
-    auto replay_options = replay_options_from(flags);
-    replay_options.prefetch.depth = 0;
+  if (const auto depth = replay_options.prefetch.depth; depth > 0) {
+    auto options = replay_options;
+    options.prefetch.depth = 0;
     const auto gpu_batch = gpu.batch_time(cluster.batch_size);
     const auto demand = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch, seed,
-                                               epoch, replay_options);
-    replay_options.prefetch.depth = depth;
+                                               epoch, options);
+    options.prefetch.depth = depth;
     const auto prefetched = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch,
-                                                   seed, epoch, replay_options);
+                                                   seed, epoch, options);
     const double speedup =
         demand.epoch.epoch_time.value() / prefetched.epoch.epoch_time.value();
     std::printf(
         "prefetch (depth %zu, %zu workers): epoch %.1f s -> %.1f s (%.2fx) | "
         "traffic %s -> %s\n",
-        depth, replay_options.workers, demand.epoch.epoch_time.value(),
+        depth, options.workers, demand.epoch.epoch_time.value(),
         prefetched.epoch.epoch_time.value(), speedup,
         human_bytes(demand.epoch.traffic).c_str(), human_bytes(prefetched.epoch.traffic).c_str());
     const auto& ps = prefetched.prefetch;
@@ -667,7 +690,7 @@ int cmd_simulate(const Flags& flags) {
         .epoch_index = epoch,
         .num_samples = catalog.size(),
         .discipline = obs::critpath::Discipline::kWorkerReplay,
-        .replay = replay_options_from(flags)};
+        .replay = replay_options};
     const auto traced = obs::critpath::record_epoch(flow, params);
 
     auto& tracer = obs::global_tracer();
@@ -754,9 +777,11 @@ int cmd_simulate(const Flags& flags) {
 /// simulator re-run under the perturbed config.
 int cmd_whatif(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 40000));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
   const auto epoch = static_cast<std::size_t>(flags.integer("epoch", 0));
+  const auto cluster = cluster_from(flags);
+  const auto replay_options = replay_options_from(flags);
   const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
@@ -765,7 +790,6 @@ int cmd_whatif(const Flags& flags) {
   if (!loaded_plan) return 1;
   core::OffloadPlan plan = std::move(*loaded_plan);
 
-  const auto cluster = cluster_from(flags);
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
 
   obs::critpath::EpochParams params;
@@ -776,7 +800,7 @@ int cmd_whatif(const Flags& flags) {
   params.num_samples = catalog.size();
   if (flags.integer("replay", 0) != 0) {
     params.discipline = obs::critpath::Discipline::kWorkerReplay;
-    params.replay = replay_options_from(flags);
+    params.replay = replay_options;
   }
 
   const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
@@ -1058,11 +1082,11 @@ int cmd_bench_compare(const Flags& flags) {
 int cmd_evaluate(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
   const auto samples = static_cast<std::size_t>(
-      flags.integer("samples", name == "imagenet" ? 90000 : 40000));
-  const auto catalog = dataset::Catalog::generate(
-      profile_for(name, samples), static_cast<std::uint64_t>(flags.integer("seed", 42)));
+      flags.integer_at_least("samples", name == "imagenet" ? 90000 : 40000, 1));
   core::RunConfig config;
   config.cluster = cluster_from(flags);
+  const auto catalog = dataset::Catalog::generate(
+      profile_for(name, samples), static_cast<std::uint64_t>(flags.integer("seed", 42)));
   const auto results = core::run_all_policies(catalog, pipeline::Pipeline::standard(),
                                               pipeline::CostModel{}, config);
   TextTable table({"policy", "epoch time", "traffic", "offloaded"});
@@ -1076,12 +1100,12 @@ int cmd_evaluate(const Flags& flags) {
 
 int cmd_trace(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 8000));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 8000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
+  const auto cluster = cluster_from(flags);
   const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
-  const auto cluster = cluster_from(flags);
 
   auto loaded_plan = plan_from(flags, catalog);
   if (!loaded_plan) return 1;
@@ -1110,7 +1134,7 @@ int cmd_trace(const Flags& flags) {
 }
 
 int cmd_calibrate(const Flags& flags) {
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 5));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 5, 1));
   const auto repeats = static_cast<int>(flags.integer("repeats", 3));
   std::vector<dataset::SampleMeta> corpus;
   for (std::size_t i = 0; i < samples; ++i) {
@@ -1156,7 +1180,7 @@ int cmd_calibrate(const Flags& flags) {
 
 int cmd_ingest(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 64));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 64, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
   const auto dir = flags.required("dir");
   auto profile = profile_for(name, samples);
@@ -1176,9 +1200,10 @@ int cmd_ingest(const Flags& flags) {
 /// the shard.
 int cmd_pack(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer("samples", 512));
+  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 512, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
   const auto out = flags.required("out");
+  const auto cluster = cluster_from(flags);
   auto profile = profile_for(name, samples);
   // Packing is real materialisation (like ingest); keep images modest
   // unless overridden.
@@ -1187,7 +1212,6 @@ int cmd_pack(const Flags& flags) {
   const auto pipe = pipeline_for(flags.str("pipeline", "standard"));
   const pipeline::CostModel cm;
   const auto profiles = core::profile_stage2(catalog, pipe, cm);
-  const auto cluster = cluster_from(flags);
   const Seconds t_g(flags.number("tg-seconds", 14.0));
   const auto decision = core::decide_offloading(profiles, cluster, t_g);
   const auto budget = shard_budget_from(flags);
