@@ -1,15 +1,15 @@
-// Tracing + telemetry overhead pin: the claim in src/obs/trace.h is that
-// span guards are cheap enough to stay compiled into the hot
-// fetch/preprocess loops — under 3% on a realistic per-op workload while
-// tracing is enabled, and nothing but a relaxed load and a branch while
-// disabled. The telemetry plane (src/obs/timeseries.h, obs/health.h) makes
-// the analogous claim for run_adaptive's epoch-boundary hooks: under 3%
-// with the metric/recorder/health hooks live, and exactly zero work when
-// the hooks are absent. The critical-path analyzer (obs/critpath) makes a
-// third claim: one epoch re-time costs under 3% of the epoch it explains,
-// and an unhooked monitor does exactly zero work. This bench measures all
-// three claims and self-verifies the bounds, so a regression in any path
-// fails ctest instead of silently taxing every run.
+// Observability overhead pin. The claim in src/obs/trace.h is that span
+// guards are cheap enough to stay compiled into the hot fetch/preprocess
+// loops: under 3% on a realistic per-op workload while tracing is enabled,
+// and nothing but a relaxed load and a branch while disabled. The traffic
+// ledger (obs/ledger.h) claims under 3% per attribution record on the same
+// workload. run_adaptive's epoch-boundary metrics hook (core/adapt/loop.h)
+// claims under 3% of a bare run, and its absent hooks (metrics registry,
+// ledger, critical-path monitor) do exactly zero work. The critical-path
+// analyzer (obs/critpath) claims that one epoch re-time costs under 3% of
+// the epoch it explains. This bench measures each claim and self-verifies
+// the bounds, so a regression in any path fails ctest instead of silently
+// taxing every run.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -21,9 +21,7 @@
 #include "net/wire.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/monitor.h"
-#include "obs/health.h"
 #include "obs/ledger.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "util/stats.h"
 
@@ -127,18 +125,18 @@ void interleaved_chunks(ChunkSeries<N>& series, ChunkFn&& chunk_ns) {
 struct TelemetryCost {
   // Wall times of run_adaptive (ms), warm-up excluded.
   std::vector<double> baseline_ms;  // no hooks
-  std::vector<double> enabled_ms;   // full metrics + recorder + health hooks
-  std::vector<double> ledger_ms;    // hooks plus the per-sample traffic ledger
-  std::vector<double> critpath_ms;  // hooks plus the critical-path monitor
+  std::vector<double> enabled_ms;   // the metrics hook
+  std::vector<double> ledger_ms;    // metrics plus the per-sample traffic ledger
+  std::vector<double> critpath_ms;  // metrics plus the critical-path monitor
   bool completed = false;           // every run_adaptive call finished its epochs
-  std::size_t samples = 0;    // flight-recorder samples the enabled runs took
+  std::uint64_t epochs_counted = 0;  // sophon_epochs_completed after all hooked runs
   std::uint64_t ledger_records = 0;  // attribution records the ledger runs took
   std::size_t critpath_epochs = 0;   // epochs the monitor re-timed
   bool disabled_is_zero = false;  // absent hooks touched no telemetry object
 };
 
-/// Time run_adaptive with and without the telemetry hooks, paired run by
-/// run like the span measurement below pairs chunks.
+/// Time run_adaptive with and without its hooks, paired run by run like the
+/// span measurement below pairs chunks.
 TelemetryCost telemetry_cost() {
   using namespace sophon::core::adapt;
   const auto catalog = dataset::Catalog::generate(dataset::openimages_profile(8000), 42);
@@ -147,33 +145,26 @@ TelemetryCost telemetry_cost() {
   sim::ClusterConfig planned;
   planned.bandwidth = Bandwidth::mbps(8000.0);
 
-  // Constructed up front but only wired into the enabled runs: if the
-  // baseline runs leave them untouched, "absent hooks cost exactly zero"
-  // holds structurally, not just below measurement noise.
+  // Constructed up front and never wired into any run: if every run leaves
+  // them untouched, "absent hooks cost exactly zero" holds structurally,
+  // not just below measurement noise.
   MetricsRegistry sentinel_registry;
-  sophon::obs::FlightRecorder sentinel_recorder(sentinel_registry);
   sophon::obs::TrafficLedger sentinel_ledger;
   sophon::obs::critpath::CritPathMonitor sentinel_critpath(&sentinel_registry);
 
   MetricsRegistry registry;
-  sophon::obs::FlightRecorder recorder(registry);
-  sophon::obs::HealthEvaluator health(sophon::obs::default_health_rules());
   sophon::obs::TrafficLedger::Options ledger_options;
   ledger_options.metrics = &registry;
   sophon::obs::TrafficLedger ledger(ledger_options);
   sophon::obs::critpath::CritPathMonitor critpath(&registry);
 
-  enum class Mode { kBare, kTelemetry, kTelemetryAndLedger, kTelemetryAndCritPath };
+  enum class Mode { kBare, kMetrics, kMetricsAndLedger, kMetricsAndCritPath };
   auto run_ms = [&](Mode mode) {
     RunOptions options;
     options.epochs = 6;
-    if (mode != Mode::kBare) {
-      options.telemetry.metrics = &registry;
-      options.telemetry.recorder = &recorder;
-      options.telemetry.health = &health;
-    }
-    if (mode == Mode::kTelemetryAndLedger) options.telemetry.ledger = &ledger;
-    if (mode == Mode::kTelemetryAndCritPath) options.telemetry.critpath = &critpath;
+    if (mode != Mode::kBare) options.telemetry.metrics = &registry;
+    if (mode == Mode::kMetricsAndLedger) options.telemetry.ledger = &ledger;
+    if (mode == Mode::kMetricsAndCritPath) options.telemetry.critpath = &critpath;
     const auto start = std::chrono::steady_clock::now();
     const auto result = run_adaptive(catalog, pipe, cm, planned, Seconds(1.0), options);
     const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -182,33 +173,35 @@ TelemetryCost telemetry_cost() {
   };
 
   TelemetryCost cost;
-  // The pinned pair, bare vs hooks: back to back in alternating order, and
+  // The pinned pair, bare vs metrics: back to back in alternating order, and
   // apart from the heavier informational runs below, whose allocations
   // would otherwise tax whichever run follows them.
   for (std::size_t pair = 0; pair < kTelemetryPairs + 1; ++pair) {
     const bool bare_first = pair % 2 == 0;
-    const double first = run_ms(bare_first ? Mode::kBare : Mode::kTelemetry);
-    const double second = run_ms(bare_first ? Mode::kTelemetry : Mode::kBare);
+    const double first = run_ms(bare_first ? Mode::kBare : Mode::kMetrics);
+    const double second = run_ms(bare_first ? Mode::kMetrics : Mode::kBare);
     if (first < 0.0 || second < 0.0) return cost;
     if (pair == 0) continue;  // warm-up
     cost.baseline_ms.push_back(bare_first ? first : second);
     cost.enabled_ms.push_back(bare_first ? second : first);
   }
   for (std::size_t rep = 0; rep < kRepetitions + 1; ++rep) {
-    const double with_ledger = run_ms(Mode::kTelemetryAndLedger);
-    const double with_critpath = run_ms(Mode::kTelemetryAndCritPath);
+    const double with_ledger = run_ms(Mode::kMetricsAndLedger);
+    const double with_critpath = run_ms(Mode::kMetricsAndCritPath);
     if (with_ledger < 0.0 || with_critpath < 0.0) return cost;
     if (rep == 0) continue;  // warm-up
     cost.ledger_ms.push_back(with_ledger);
     cost.critpath_ms.push_back(with_critpath);
   }
   cost.completed = true;
-  cost.samples = recorder.samples();
+  const MetricsSnapshot hooked = registry.snapshot();
+  const auto epochs = hooked.counters.find("sophon_epochs_completed");
+  cost.epochs_counted = epochs == hooked.counters.end() ? 0 : epochs->second;
   cost.ledger_records = ledger.records();
   cost.critpath_epochs = critpath.epochs();
   const MetricsSnapshot untouched = sentinel_registry.snapshot();
-  cost.disabled_is_zero = sentinel_recorder.samples() == 0 && sentinel_ledger.records() == 0 &&
-                          sentinel_critpath.epochs() == 0 && !sentinel_critpath.last() &&
+  cost.disabled_is_zero = sentinel_ledger.records() == 0 && sentinel_critpath.epochs() == 0 &&
+                          !sentinel_critpath.last() &&
                           untouched.counters.empty() && untouched.gauges.empty() &&
                           untouched.durations.empty() && untouched.histograms.empty();
   return cost;
@@ -330,7 +323,7 @@ int main() {
   const bool disabled_ok = disabled_pct < 2.0;
   const bool ledger_ok = ledger_pct < 3.0 && op_ledger.records() > 0;
 
-  // The telemetry plane's epoch-boundary hooks, measured on the real
+  // run_adaptive's epoch-boundary metrics hook, measured on the real
   // adaptive run loop.
   const TelemetryCost telemetry = telemetry_cost();
   if (!telemetry.completed) {
@@ -350,8 +343,9 @@ int main() {
   std::printf("telemetry overhead (run_adaptive, 6 epochs, median of %zu pairs)\n",
               telemetry.baseline_ms.size());
   std::printf("  baseline  %8.2f ms/run\n", bare_ms);
-  std::printf("  enabled   %8.2f ms/run  (%+.2f%%, %zu recorder samples)\n",
-              median(telemetry.enabled_ms), telemetry_pct, telemetry.samples);
+  std::printf("  enabled   %8.2f ms/run  (%+.2f%%, %llu epochs counted)\n",
+              median(telemetry.enabled_ms), telemetry_pct,
+              static_cast<unsigned long long>(telemetry.epochs_counted));
   std::printf("  +ledger   %8.2f ms/run  (%+.2f%% of a ~20 ns/sample DES, unpinned; "
               "%llu attribution records)\n",
               median(telemetry.ledger_ms), ledger_run_pct,
@@ -361,9 +355,9 @@ int main() {
               median(telemetry.critpath_ms), critpath_run_pct, telemetry.critpath_epochs);
   std::printf("  disabled  hooks absent: %s\n",
               telemetry.disabled_is_zero
-                  ? "0 samples, 0 records, 0 epochs re-timed, 0 metrics touched"
+                  ? "0 records, 0 epochs re-timed, 0 metrics touched"
                   : "TOUCHED TELEMETRY STATE");
-  const bool telemetry_ok = telemetry_pct < 3.0 && telemetry.samples > 0;
+  const bool telemetry_ok = telemetry_pct < 3.0 && telemetry.epochs_counted > 0;
   const bool ledger_flow_ok = telemetry.ledger_records > 0;
   const bool critpath_flow_ok = telemetry.critpath_epochs > 0;
 

@@ -1,64 +1,20 @@
 #include "core/adapt/loop.h"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "core/decision.h"
 #include "core/profiler.h"
 #include "obs/critpath/monitor.h"
-#include "obs/health.h"
 #include "obs/ledger.h"
 #include "obs/metrics_table.h"
-#include "obs/timeseries.h"
 #include "util/check.h"
 
 namespace sophon::core::adapt {
 
 namespace {
-
-/// Background wall-clock sampler: folds the registry into the flight
-/// recorder every `interval` while a (possibly long) epoch simulates.
-/// Stopping is a cv notify so run_adaptive never waits out a full period.
-class IntervalSampler {
- public:
-  IntervalSampler(sophon::obs::FlightRecorder& recorder, Seconds interval)
-      : recorder_(recorder),
-        interval_(std::chrono::duration<double>(std::max(interval.value(), 1e-3))),
-        thread_([this] { run(); }) {}
-
-  ~IntervalSampler() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    cv_.notify_one();
-    thread_.join();
-  }
-
- private:
-  void run() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!done_) {
-      if (cv_.wait_for(lock, interval_, [this] { return done_; })) break;
-      lock.unlock();
-      recorder_.sample();
-      lock.lock();
-    }
-  }
-
-  sophon::obs::FlightRecorder& recorder_;
-  const std::chrono::duration<double> interval_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
 
 // Flow for one sample under a leased plan. The lease is captured by value:
 // even if the replanner swaps plans mid-run, this epoch keeps computing
@@ -97,22 +53,11 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
                               options.adapt_options, options.initial_plan);
 
   if (telemetry.metrics != nullptr) obs::register_epoch_metrics(*telemetry.metrics);
-  std::unique_ptr<IntervalSampler> sampler;
-  if (telemetry.recorder != nullptr && telemetry.sample_interval.value() > 0.0) {
-    sampler = std::make_unique<IntervalSampler>(*telemetry.recorder, telemetry.sample_interval);
-  }
 
   RunResult result;
   result.rows.reserve(options.epochs);
   std::uint64_t forecast_noted_generation = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    if (telemetry.stop_signal != nullptr) {
-      const int signum = telemetry.stop_signal->load(std::memory_order_acquire);
-      if (signum != 0) {
-        result.stopped_by_signal = signum;
-        break;
-      }
-    }
     sim::ClusterConfig actual = planned;
     if (options.bandwidth_at) actual.bandwidth = options.bandwidth_at(epoch);
 
@@ -178,14 +123,8 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     result.rows.push_back(row);
 
     if (telemetry.ledger != nullptr) {
-      // Close the ledger's books for this epoch before the health pass below
-      // so the freshly published sophon_ledger_unattributed_bytes gauge is
-      // part of the snapshot the health rules see.
       telemetry.ledger->end_epoch(epoch, stats.traffic, row.plan_generation);
     }
-
-    // Explain the finished epoch before the health pass below so the
-    // bottleneck_migrated rule evaluates against fresh critpath metrics.
     if (recorded) telemetry.critpath->observe_epoch(recorded->record, stats.epoch_time);
 
     if (telemetry.metrics != nullptr) {
@@ -208,14 +147,7 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
         metrics.counter("sophon_degraded_samples").increment(fault_stats.degraded);
         metrics.counter("sophon_fetch_failures").increment(fault_stats.failed);
       }
-      if (telemetry.health != nullptr) {
-        const obs::HealthState state =
-            telemetry.health->evaluate(metrics.snapshot(), stats.epoch_time);
-        metrics.gauge("sophon_health_state").set(static_cast<double>(state));
-      }
     }
-    if (telemetry.recorder != nullptr) telemetry.recorder->sample();
-    if (telemetry.on_epoch) telemetry.on_epoch(row);
   }
   result.final_plan = replanner.plan();
   return result;

@@ -10,7 +10,6 @@
 // baseline every adaptive result is compared against.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -24,8 +23,6 @@
 #include "pipeline/pipeline.h"
 
 namespace sophon::obs {
-class FlightRecorder;
-class HealthEvaluator;
 class TrafficLedger;
 }  // namespace sophon::obs
 
@@ -50,43 +47,26 @@ struct EpochRow {
   ReplanDecision decision;
 };
 
-/// Live telemetry wired into the run loop. Everything is optional and
+/// Observers wired into the run loop. Everything is optional and
 /// observational: absent hooks cost nothing (acceptance-pinned by
 /// bench/trace_overhead), present hooks never change the simulation.
 struct TelemetryHooks {
   /// Receives the epoch-level gauge/counter set (sophon_epoch_*,
-  /// sophon_epochs_completed, sophon_health_state) at each epoch boundary.
+  /// sophon_epochs_completed) at each epoch boundary.
   MetricsRegistry* metrics = nullptr;
-  /// Sampled at every epoch boundary, and from a background wall-clock
-  /// sampler when sample_interval > 0 (so a long epoch still produces
-  /// points a live scrape can see move).
-  obs::FlightRecorder* recorder = nullptr;
-  /// Evaluated at every epoch boundary against `metrics` (requires both);
-  /// the resulting overall state lands in the sophon_health_state gauge.
-  obs::HealthEvaluator* health = nullptr;
   /// Per-cause traffic attribution (obs/ledger.h): every epoch's wire
   /// bytes are recorded per sample (demand / retry / raw-fallback under
   /// fault replay) and the books are closed at each boundary —
   /// ledger->end_epoch reconciles against the epoch's link bytes and
-  /// publishes sophon_ledger_* before the health rules run. Plans carry
-  /// their decide_offloading traffic forecast into the ledger's savings
-  /// table. Construct the ledger with the same registry as `metrics` so
-  /// the ledger_unattributed health rule sees its gauge.
+  /// publishes sophon_ledger_* into the registry the ledger was built with.
+  /// Plans carry their decide_offloading traffic forecast into the ledger's
+  /// savings table.
   obs::TrafficLedger* ledger = nullptr;
   /// Critical-path analyzer (obs/critpath/monitor.h): when present, each
   /// epoch is scheduled once with recording on (obs::critpath::record_epoch)
   /// and the monitor walks that record at the boundary, publishing the
-  /// sophon_critpath_* blame gauges and the bottleneck migration counter
-  /// before the health rules run — so re-planning and the
-  /// bottleneck_migrated rule can consult the blame vector.
+  /// sophon_critpath_* blame gauges and the bottleneck migration counter.
   obs::critpath::CritPathMonitor* critpath = nullptr;
-  /// Called after the boundary's metrics/recorder/health updates.
-  std::function<void(const EpochRow&)> on_epoch;
-  /// Wall-clock period of the background recorder sampler; <= 0 disables.
-  Seconds sample_interval{0.0};
-  /// Deferred-signal mailbox (see obs::PostmortemGuard::stop_signal()):
-  /// a non-zero value stops the run at the next epoch boundary.
-  const std::atomic<int>* stop_signal = nullptr;
 };
 
 struct RunOptions {
@@ -110,9 +90,6 @@ struct RunResult {
   std::vector<EpochRow> rows;
   std::size_t replans = 0;
   std::shared_ptr<const OffloadPlan> final_plan;
-  /// Signal that stopped the run early via TelemetryHooks::stop_signal,
-  /// 0 for a run that completed all epochs.
-  int stopped_by_signal = 0;
 };
 
 /// Run `options.epochs` simulated epochs. `planned` is the cluster the

@@ -1,9 +1,9 @@
-// Epoch-boundary bridge between the critical-path analyzer and the live
-// telemetry plane: walks the critical path of each completed epoch's record
+// Epoch-boundary bridge between the critical-path analyzer and the metrics
+// registry: walks the critical path of each completed epoch's record
 // (record_epoch), publishes the blame vector as sophon_critpath_* gauges, and
 // counts bottleneck *migrations* — the mid-run resource handoffs (link ->
-// gpu after a replan, gpu -> link after a bandwidth drop) that the
-// bottleneck_migrated health rule turns into WARN/CRIT.
+// gpu after a replan, gpu -> link after a bandwidth drop) — in
+// sophon_critpath_bottleneck_migrations.
 #pragma once
 
 #include <cstddef>

@@ -464,7 +464,7 @@ void TrafficLedger::publish_locked() {
   options_.metrics->gauge("sophon_ledger_attributed_bytes")
       .set(static_cast<double>(total_locked()));
   // Absolute value: over-attribution (negative residue) is the same class
-  // of bug as unattributed bytes and must trip the same health rule.
+  // of bug as unattributed bytes and must show in the same gauge.
   options_.metrics->gauge("sophon_ledger_unattributed_bytes")
       .set(static_cast<double>(std::llabs(unattributed_)));
   options_.metrics->counter("sophon_ledger_records")
@@ -500,7 +500,5 @@ LedgerExport TrafficLedger::export_state() const {
   if (out.top_samples.size() > options_.top_k) out.top_samples.resize(options_.top_k);
   return out;
 }
-
-Json TrafficLedger::to_json() const { return export_state().to_json(); }
 
 }  // namespace sophon::obs

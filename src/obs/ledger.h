@@ -4,9 +4,9 @@
 // discarded) the response. The cause taxonomy partitions the wire: a byte
 // lands in exactly one bucket, so the per-cause totals must sum to the
 // SimLink counter at every epoch boundary. That reconciliation invariant is
-// hard-failed in tests and surfaced as a WARN health rule in production
-// (`sophon_ledger_unattributed_bytes`); a non-zero residue means an
-// uninstrumented producer, not measurement noise.
+// hard-failed in tests and published as `sophon_ledger_unattributed_bytes`;
+// a non-zero residue means an uninstrumented producer, not measurement
+// noise.
 //
 // Memory is fixed: exact per-cause and per-(stage, cause) totals are flat
 // arrays, the per-sample view keeps only a bounded top-K-by-bytes map
@@ -169,7 +169,6 @@ class TrafficLedger {
   void publish_metrics();
 
   [[nodiscard]] LedgerExport export_state() const;
-  [[nodiscard]] Json to_json() const;
 
  private:
   struct SampleEntry {

@@ -73,8 +73,6 @@ constexpr MetricInfo kTable[] = {
      "Fetch attempts that were retries of a failed attempt"},
     {"sophon_fetch_wasted_bytes", MetricKind::kCounter,
      "Wire bytes of fetch responses discarded for corruption before a retry"},
-    {"sophon_health_state", MetricKind::kGauge,
-     "Overall health grade: 0 OK, 1 WARN, 2 CRIT"},
     {"sophon_ledger_attributed_bytes", MetricKind::kGauge,
      "Total link bytes the traffic ledger has attributed to a cause"},
     {"sophon_ledger_control_bytes", MetricKind::kGauge,
@@ -184,7 +182,7 @@ void register_known_metrics(MetricsRegistry& registry) {
 void register_epoch_metrics(MetricsRegistry& registry) {
   for (const char* name :
        {"sophon_epoch_fetch_stall_fraction", "sophon_epoch_gpu_utilization",
-        "sophon_epoch_link_utilization", "sophon_epoch_time_seconds", "sophon_health_state"}) {
+        "sophon_epoch_link_utilization", "sophon_epoch_time_seconds"}) {
     const MetricInfo* info = find_metric(name);
     (void)registry.gauge(name);
     if (info != nullptr) registry.set_help(name, info->help);

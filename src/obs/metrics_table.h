@@ -12,7 +12,7 @@
 //
 // Bench-local names (`sophon_bench_*`) and tool-local timers are exempt by
 // convention: the table covers the library's operational surface, the one
-// the telemetry plane serves and operators alert on.
+// the Prometheus exposition prints.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +40,9 @@ struct MetricInfo {
 [[nodiscard]] const MetricInfo* find_metric(std::string_view name);
 
 /// Instantiate every table entry in `registry` at its zero value with its
-/// help text — the "scrapes list the full vocabulary before any activity"
-/// convention, extended to the whole table. Used by the telemetry plane so
-/// a freshly started run's /metrics already shows every family.
+/// help text, so an exposition lists the full vocabulary even for families
+/// that saw no activity. `sophonctl simulate --adapt` prints its final
+/// exposition this way.
 void register_known_metrics(MetricsRegistry& registry);
 
 /// The epoch-level set fed by core::adapt::run_adaptive's telemetry hooks

@@ -193,10 +193,6 @@ void StagingBuffer::advance_cursor(std::size_t position) {
   }
 }
 
-Bytes StagingBuffer::evict_unclaimed() {
-  return evict_unclaimed_if([](std::size_t, const net::FetchResponse&) { return true; });
-}
-
 Bytes StagingBuffer::evict_unclaimed_if(
     const std::function<bool(std::size_t, const net::FetchResponse&)>& pred) {
   std::lock_guard lock(mutex_);

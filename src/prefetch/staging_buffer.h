@@ -82,14 +82,12 @@ class StagingBuffer {
   /// Cancel all slots, wake all waiters, refuse further traffic.
   void shutdown();
 
-  /// Evict every ready-but-unclaimed slot (their bytes become
-  /// prefetch-wasted in the ledger). Returns the evicted byte total.
-  /// In-flight fetches are left alone — their commit() decides their fate.
-  Bytes evict_unclaimed();
-
-  /// Evict the ready slots for which `pred(position, response)` returns
-  /// true — the replan hook: a new plan invalidates staged responses whose
-  /// stage no longer matches the plan's prefix for that sample.
+  /// Evict the ready-but-unclaimed slots for which `pred(position, response)`
+  /// returns true (their bytes become prefetch-wasted in the ledger) and
+  /// return the evicted byte total. In-flight fetches are left alone — their
+  /// commit() decides their fate. This is the replan hook: a new plan
+  /// invalidates staged responses whose stage no longer matches the plan's
+  /// prefix for that sample.
   Bytes evict_unclaimed_if(
       const std::function<bool(std::size_t, const net::FetchResponse&)>& pred);
 

@@ -202,13 +202,13 @@ TEST(LedgerExport, JsonRoundTripIsLossless) {
 TEST(LedgerExport, FromJsonRejectsForeignAndVersionSkewedDocs) {
   TrafficLedger ledger({.top_k = 8});
   populate_ledger(ledger);
-  EXPECT_TRUE(LedgerExport::from_json(ledger.to_json()).has_value());
+  EXPECT_TRUE(LedgerExport::from_json(ledger.export_state().to_json()).has_value());
 
-  Json wrong_kind = ledger.to_json();
+  Json wrong_kind = ledger.export_state().to_json();
   wrong_kind.set("kind", "sophon.trace");
   EXPECT_FALSE(LedgerExport::from_json(wrong_kind).has_value());
 
-  Json wrong_version = ledger.to_json();
+  Json wrong_version = ledger.export_state().to_json();
   wrong_version.set("schema_version", std::int64_t{2});
   EXPECT_FALSE(LedgerExport::from_json(wrong_version).has_value());
 

@@ -1,10 +1,10 @@
 // The metric pre-registration drift test: run the system end-to-end with
 // every emitting subsystem lit up — prefetching loader over a packed shard,
-// resilient fetches eating injected faults, the adaptive loop with telemetry
-// hooks — and assert every `sophon_*` name the registry ends up holding has
-// a row in obs::known_metrics() with the matching kind. An instrumentation
-// point that invents a name fails here; a table row of the wrong kind fails
-// the reverse test below.
+// resilient fetches eating injected faults, the adaptive loop with its
+// metric, ledger and critical-path hooks — and assert every `sophon_*` name
+// the registry ends up holding has a row in obs::known_metrics() with the
+// matching kind. An instrumentation point that invents a name fails here; a
+// table row of the wrong kind fails the reverse test below.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,10 +17,8 @@
 #include "net/fault.h"
 #include "net/resilience.h"
 #include "obs/critpath/monitor.h"
-#include "obs/health.h"
 #include "obs/ledger.h"
 #include "obs/metrics_table.h"
-#include "obs/timeseries.h"
 #include "shard/format.h"
 #include "shard/pack.h"
 #include "storage/dataset_store.h"
@@ -52,8 +50,8 @@ class FirstAttemptFails final : public net::StorageService {
 };
 
 /// Drive a prefetching loader epoch (shard-backed server, transient faults,
-/// resilient fetches) plus an adaptive run with fault replay and telemetry
-/// hooks, all into one registry.
+/// resilient fetches) plus an adaptive run with fault replay and its
+/// observer hooks, all into one registry.
 void populate_full_run(MetricsRegistry& metrics) {
   auto profile = dataset::openimages_profile(24);
   profile.min_pixels = 6e4;
@@ -112,8 +110,9 @@ void populate_full_run(MetricsRegistry& metrics) {
   }
   std::filesystem::remove(shard_path);
 
-  // Adaptive run under a mid-run bandwidth drop with fault replay; telemetry
-  // hooks feed the epoch gauges and health state into the same registry.
+  // Adaptive run under a mid-run bandwidth drop with fault replay; its hooks
+  // feed the epoch gauges, ledger and critical-path metrics into the same
+  // registry.
   const auto big = dataset::Catalog::generate(dataset::openimages_profile(300), 42);
   sim::ClusterConfig planned;
   planned.bandwidth = Bandwidth::mbps(8000.0);
@@ -124,8 +123,6 @@ void populate_full_run(MetricsRegistry& metrics) {
   fault_profile.seed = 7;
   const net::FaultInjector faults(fault_profile);
 
-  FlightRecorder recorder(metrics);
-  HealthEvaluator health(default_health_rules());
   TrafficLedger sim_ledger({.top_k = 8, .metrics = &metrics});
   critpath::CritPathMonitor critpath_monitor(&metrics);
   core::adapt::RunOptions options;
@@ -136,13 +133,10 @@ void populate_full_run(MetricsRegistry& metrics) {
     return epoch < 2 ? Bandwidth::mbps(8000.0) : Bandwidth::mbps(400.0);
   };
   options.telemetry.metrics = &metrics;
-  options.telemetry.recorder = &recorder;
-  options.telemetry.health = &health;
   options.telemetry.ledger = &sim_ledger;
   options.telemetry.critpath = &critpath_monitor;
   const auto result = core::adapt::run_adaptive(big, pipe, cm, planned, Seconds(1.0), options);
   ASSERT_EQ(result.rows.size(), 6u);
-  ASSERT_GT(health.evaluations(), 0u);
   ASSERT_EQ(critpath_monitor.epochs(), 6u);
 }
 
@@ -168,7 +162,6 @@ TEST(MetricsTableDrift, EveryEmittedNameIsPreRegistered) {
   EXPECT_GT(snap.counters.count("sophon_fetch_retries"), 0u);
   EXPECT_GT(snap.counters.count("sophon_prefetch_issued"), 0u);
   EXPECT_GT(snap.counters.count("sophon_epochs_completed"), 0u);
-  EXPECT_GT(snap.gauges.count("sophon_health_state"), 0u);
   EXPECT_GT(snap.counters.count("sophon_fetch_attempt_bytes"), 0u);
   EXPECT_GT(snap.counters.count("sophon_ledger_records"), 0u);
   EXPECT_GT(snap.gauges.count("sophon_ledger_unattributed_bytes"), 0u);
@@ -229,20 +222,6 @@ TEST(MetricsTable, SortedAndFindable) {
   }
   EXPECT_EQ(find_metric("sophon_not_a_metric"), nullptr);
   EXPECT_EQ(find_metric(""), nullptr);
-}
-
-TEST(MetricsTable, HealthRuleInputsAreTableRows) {
-  // The default health rules read metric names; each must resolve against
-  // the table so a rename cannot silently zero a rule.
-  for (const char* name :
-       {"sophon_epoch_fetch_stall_fraction", "sophon_shard_hit", "sophon_shard_miss",
-        "sophon_shard_corrupt", "sophon_fetch_corrupt", "sophon_diskstore_corrupt",
-        "sophon_fetch_attempts", "sophon_replan_checks", "sophon_replan_triggered",
-        "sophon_prefetch_buffer_highwater_bytes", "sophon_prefetch_buffer_budget_bytes",
-        "sophon_epoch_link_utilization", "sophon_health_state",
-        "sophon_critpath_bottleneck_migrations"}) {
-    EXPECT_NE(find_metric(name), nullptr) << name;
-  }
 }
 
 }  // namespace

@@ -49,7 +49,8 @@ TEST(PrefetchWaste, EvictBeforeClaimReclassifiesStagedBytes) {
   const auto claimed = buffer.claim(0);
   ASSERT_TRUE(claimed.has_value());
 
-  const Bytes evicted = buffer.evict_unclaimed();
+  const Bytes evicted =
+      buffer.evict_unclaimed_if([](std::size_t, const net::FetchResponse&) { return true; });
   EXPECT_EQ(evicted.count(), 2000 + 3000 + 4000);
   // The claimed slot's bytes stay prefetch; the evicted ones become waste.
   EXPECT_EQ(ledger.total(obs::TrafficCause::kPrefetch).count(), 1000);

@@ -264,7 +264,7 @@ TEST(Telemetry, SnapshotDeltaOfEmptyRegistryIsEmpty) {
   EXPECT_TRUE(delta.histograms.empty());
 }
 
-// The flight recorder's contract: snapshots taken while writers hammer the
+// snapshot_delta's contract: snapshots taken while writers hammer the
 // registry chop the activity into intervals whose deltas add back up to the
 // final totals — nothing double-counted, nothing lost between snapshots.
 TEST(Telemetry, ConcurrentSnapshotDeltasSumToTheTotal) {

@@ -113,7 +113,7 @@ sanitized_targets=(
   prefetch_staging_test prefetch_replay_test prefetch_waste_test
   obs_ledger_test obs_ledger_reconcile_test storage_test
   net_resilience_test net_rpc_test net_link_test net_wire_test
-  obs_concurrency_test obs_timeseries_test obs_health_test obs_telemetry_server_test
+  obs_concurrency_test util_telemetry_test
   obs_critpath_test obs_replay_trace_test obs_report_test
   sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
   sim_golden_test sim_schedule_test sim_metamorphic_test core_decision_test
@@ -123,7 +123,7 @@ sanitized_targets=(
   codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
   image_test image_color_test pipeline_ops_test pipeline_test
 )
-sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|PolicyNames|PolicyKinds|Policies\.|PlanContext|NoOff\.|AllOff\.|ResizeOff\.|FastFlow\.|Sophon\.|Runner\.|Integration\.|Loader|Prefetch|StagingBuffer|Ledger|TrafficCause|StorageServer|DatasetStore|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|MeteringStorageService|OffloadDirective|Tracer|SpanRing|Telemetry|ObsConcurrency|FlightRecorder|Health|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
+sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|PolicyNames|PolicyKinds|Policies\.|PlanContext|NoOff\.|AllOff\.|ResizeOff\.|FastFlow\.|Sophon\.|Runner\.|Integration\.|Loader|Prefetch|StagingBuffer|Ledger|TrafficCause|StorageServer|DatasetStore|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|MeteringStorageService|OffloadDirective|Tracer|SpanRing|Telemetry|ObsConcurrency|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
 
 # One sanitizer mode: configure build-<name>/ with -DSOPHON_SANITIZE=<sanitizer>,
 # build the sanitized targets there and run the suites they hold.

@@ -23,12 +23,6 @@
 // `sophonctl help` renders it, and every invocation validates its flags
 // against it — so the table is the single source of truth the doc-drift
 // linter (tools/check.sh --docs) checks docs/CLI.md against.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <functional>
@@ -53,14 +46,10 @@
 #include "net/resilience.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
-#include "obs/health.h"
 #include "obs/ledger.h"
 #include "obs/metrics_table.h"
-#include "obs/postmortem.h"
 #include "obs/replay_trace.h"
 #include "obs/report.h"
-#include "obs/telemetry_server.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "pipeline/extra_ops.h"
 #include "prefetch/replay.h"
@@ -142,6 +131,17 @@ class Flags {
     const double value = number(key, fallback);
     if (!(value > 0.0)) {
       std::fprintf(stderr, "--%s must be greater than 0 (got %s)\n", key.c_str(),
+                   str(key, "").c_str());
+      std::exit(2);
+    }
+    return value;
+  }
+
+  /// number(key, 0); exits 2 with a message unless it lies in [0, 1].
+  [[nodiscard]] double probability(const std::string& key) const {
+    const double value = number(key, 0.0);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      std::fprintf(stderr, "--%s must be between 0 and 1 (got %s)\n", key.c_str(),
                    str(key, "").c_str());
       std::exit(2);
     }
@@ -254,7 +254,7 @@ int cmd_decide(const Flags& flags) {
     return 1;
   }
   const auto cluster = cluster_from(flags);
-  const Seconds t_g(flags.number("tg-seconds", 14.0));
+  const Seconds t_g(flags.positive_number("tg-seconds", 14.0));
   const auto result = core::decide_offloading(*profiles, cluster, t_g);
   if (!core::save_json_file(core::plan_to_json(result.plan), out)) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -268,82 +268,6 @@ int cmd_decide(const Flags& flags) {
       result.final_cost.t_cs.value(), result.baseline.predicted_epoch_time().value(),
       result.final_cost.predicted_epoch_time().value(), out.c_str());
   return 0;
-}
-
-/// Blocking HTTP/1.0 GET against the loopback telemetry endpoint. Used by
-/// `monitor` and `simulate --monitor-self`; nullopt when the connection
-/// fails (server gone), a parsed status + body otherwise.
-struct HttpReply {
-  int status = 0;
-  std::string body;
-};
-
-std::optional<HttpReply> http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return std::nullopt;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  const std::string request = "GET " + path + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      ::close(fd);
-      return std::nullopt;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string raw;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
-    raw.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const auto header_end = raw.find("\r\n\r\n");
-  if (header_end == std::string::npos) return std::nullopt;
-  HttpReply reply;
-  // Status line: "HTTP/1.0 200 OK".
-  if (const auto space = raw.find(' '); space != std::string::npos) {
-    reply.status = std::atoi(raw.c_str() + space + 1);
-  }
-  reply.body = raw.substr(header_end + 4);
-  return reply;
-}
-
-/// One `monitor` status line from a /healthz document and a /metrics
-/// exposition: the live per-epoch terminal view.
-std::string monitor_line(const Json& healthz, const std::string& exposition) {
-  const auto metric_value = [&exposition](const std::string& name) {
-    const auto pos = exposition.find("\n" + name + " ");
-    if (pos == std::string::npos) return 0.0;
-    return std::atof(exposition.c_str() + pos + 1 + name.size());
-  };
-  std::string worst;
-  if (healthz.has("rules")) {
-    const auto& rules = healthz.at("rules");
-    for (std::size_t i = 0; i < rules.size(); ++i) {
-      const auto& rule = rules.at(i);
-      if (rule.at("state").as_string() != "ok" && worst.empty()) {
-        worst = rule.at("name").as_string() + "=" + rule.at("state").as_string();
-      }
-    }
-  }
-  std::string line = strf(
-      "epochs %.0f | epoch %.1fs | link util %.2f | stall %.2f | gen %.0f | health %s",
-      metric_value("sophon_epochs_completed_total"), metric_value("sophon_epoch_time_seconds"),
-      metric_value("sophon_epoch_link_utilization"),
-      metric_value("sophon_epoch_fetch_stall_fraction"),
-      metric_value("sophon_replan_generation"), healthz.at("overall").as_string().c_str());
-  if (!worst.empty()) line += " (" + worst + ")";
-  return line;
 }
 
 /// The --adapt path of simulate: a multi-epoch run under a bandwidth
@@ -367,16 +291,11 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
 
   const double drop_factor = flags.number("bw-drop-factor", 1.0);
   const auto drop_epoch = static_cast<std::size_t>(flags.integer("bw-drop-epoch", 0));
-  // 0 = the drop is permanent; otherwise the link heals at this epoch (the
-  // recovery leg of the health arc).
-  const auto recover_epoch = static_cast<std::size_t>(flags.integer("bw-recover-epoch", 0));
   const Bandwidth planned_bw = cluster.bandwidth;
   if (drop_factor != 1.0) {
-    options.bandwidth_at = [planned_bw, drop_factor, drop_epoch,
-                            recover_epoch](std::size_t epoch) {
-      const bool dropped =
-          epoch >= drop_epoch && (recover_epoch == 0 || epoch < recover_epoch);
-      return dropped ? Bandwidth::bits_per_sec(planned_bw.bps() / drop_factor) : planned_bw;
+    options.bandwidth_at = [planned_bw, drop_factor, drop_epoch](std::size_t epoch) {
+      return epoch >= drop_epoch ? Bandwidth::bits_per_sec(planned_bw.bps() / drop_factor)
+                                 : planned_bw;
     };
   }
   net::RetryPolicy retry;
@@ -387,16 +306,10 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
     options.retry = retry;
   }
 
-  // Live telemetry plane: flight recorder + health rules always ride along
-  // (they are cheap and feed the final exposition); the HTTP endpoint and
-  // the postmortem guard are opt-in.
+  // Every table row is pre-registered, so the final exposition lists the
+  // full vocabulary.
   obs::register_known_metrics(metrics);
-  obs::FlightRecorder recorder(metrics);
-  obs::HealthEvaluator health(obs::default_health_rules());
   options.telemetry.metrics = &metrics;
-  options.telemetry.recorder = &recorder;
-  options.telemetry.health = &health;
-  options.telemetry.sample_interval = Seconds(flags.number("sample-interval", 0.0));
 
   // The traffic ledger is opt-in (--ledger-out): when absent the run loop
   // carries a null pointer and spends nothing on attribution.
@@ -407,54 +320,6 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
     ledger_options.metrics = &metrics;
     ledger = std::make_unique<obs::TrafficLedger>(ledger_options);
     options.telemetry.ledger = ledger.get();
-  }
-
-  std::unique_ptr<obs::TelemetryServer> server;
-  if (flags.flag("telemetry-port")) {
-    obs::TelemetryServerOptions server_options;
-    server_options.port = static_cast<std::uint16_t>(flags.integer("telemetry-port", 0));
-    server = std::make_unique<obs::TelemetryServer>(metrics, &recorder, &health, server_options);
-    if (server->start()) {
-      std::printf("telemetry: http://127.0.0.1:%u (/metrics /healthz /timeseries)\n",
-                  static_cast<unsigned>(server->port()));
-      std::fflush(stdout);  // a polling parent must see the port before the run
-    } else {
-      std::fprintf(stderr, "telemetry: %s (continuing without)\n", server->error().c_str());
-      server.reset();
-    }
-  }
-
-  const auto postmortem_out = flags.str("postmortem-out", "");
-  obs::PostmortemSources sources;
-  sources.metrics = &metrics;
-  sources.recorder = &recorder;
-  sources.health = &health;
-  sources.ledger = ledger.get();
-  std::unique_ptr<obs::PostmortemGuard> guard;
-  if (!postmortem_out.empty()) {
-    guard = std::make_unique<obs::PostmortemGuard>(postmortem_out, sources);
-    options.telemetry.stop_signal = &guard->stop_signal();
-  }
-
-  if (flags.flag("monitor-self") && server != nullptr) {
-    // Scrape our own endpoint over the real socket at every boundary — the
-    // single-process proof that a mid-run scrape sees the run move.
-    const std::uint16_t port = server->port();
-    options.telemetry.on_epoch = [port](const core::adapt::EpochRow& row) {
-      const auto healthz = http_get(port, "/healthz");
-      const auto exposition = http_get(port, "/metrics");
-      if (!healthz || !exposition) {
-        std::printf("monitor-self: epoch %zu scrape failed\n", row.epoch);
-        return;
-      }
-      const auto doc = Json::parse(healthz->body);
-      if (!doc) {
-        std::printf("monitor-self: epoch %zu /healthz unparseable\n", row.epoch);
-        return;
-      }
-      std::printf("monitor-self: %s\n", monitor_line(*doc, exposition->body).c_str());
-      std::fflush(stdout);
-    };
   }
 
   const auto result = core::adapt::run_adaptive(catalog, pipe, cm, cluster, gpu_batch, options);
@@ -486,37 +351,14 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
     std::printf("wrote traffic ledger to %s\n", ledger_out.c_str());
   }
   if (options.adapt) std::printf("%s", metrics.expose().c_str());
-  if (server != nullptr) server->stop();
-
-  if (result.stopped_by_signal != 0) {
-    if (guard != nullptr) {
-      guard->dump(strf("signal %d after %zu epochs", result.stopped_by_signal,
-                       result.rows.size()));
-      std::printf("stopped by signal %d after %zu epochs; wrote %s\n",
-                  result.stopped_by_signal, result.rows.size(), postmortem_out.c_str());
-    }
-    return 128 + result.stopped_by_signal;
-  }
-  if (guard != nullptr) {
-    // Fault-ladder exhaustion leaves the same black box a kill does.
-    const auto snapshot = metrics.snapshot();
-    const auto failures = snapshot.counters.find("sophon_fetch_failures");
-    if (failures != snapshot.counters.end() && failures->second > 0) {
-      guard->dump(strf("fault-ladder exhaustion: %llu fetches failed",
-                       static_cast<unsigned long long>(failures->second)));
-      std::printf("wrote postmortem (%llu exhausted fetch ladders) to %s\n",
-                  static_cast<unsigned long long>(failures->second), postmortem_out.c_str());
-    }
-  }
   return 0;
 }
 
 /// simulate's flags that only one of its two modes reads; the other mode
 /// rejects them instead of ignoring them.
 constexpr const char* kAdaptOnlyFlags[] = {
-    "epochs",          "drift-threshold", "replan-cooldown", "min-improvement",
-    "bw-drop-factor",  "bw-drop-epoch",   "bw-recover-epoch", "telemetry-port",
-    "sample-interval", "postmortem-out",  "monitor-self",     "ledger-out"};
+    "epochs",         "drift-threshold", "replan-cooldown", "min-improvement",
+    "bw-drop-factor", "bw-drop-epoch",   "ledger-out"};
 constexpr const char* kSingleEpochOnlyFlags[] = {
     "epoch",  "prefetch-depth", "workers",      "prefetch-budget-mib", "trace-out",
     "report", "report-out",     "critpath-out", "shard-budget-mib"};
@@ -538,7 +380,7 @@ int cmd_simulate(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
   const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
-  const auto epoch = static_cast<std::size_t>(flags.integer("epoch", 0));
+  const auto epoch = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
   auto cluster = cluster_from(flags);
   const auto replay_options = replay_options_from(flags);
   const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
@@ -553,12 +395,12 @@ int cmd_simulate(const Flags& flags) {
 
   // Optional fault replay (see docs/ARCHITECTURE.md, "Fault model").
   net::FaultProfile fault_profile;
-  fault_profile.transient_fail_prob = flags.number("transient-fail", 0.0);
-  fault_profile.permanent_fail_prob = flags.number("permanent-fail", 0.0);
-  fault_profile.corrupt_prob = flags.number("corrupt", 0.0);
+  fault_profile.transient_fail_prob = flags.probability("transient-fail");
+  fault_profile.permanent_fail_prob = flags.probability("permanent-fail");
+  fault_profile.corrupt_prob = flags.probability("corrupt");
   fault_profile.offload_only = flags.integer("fail-offload-only", 1) != 0;
-  fault_profile.latency_spike_prob = flags.number("latency-spike", 0.0);
-  fault_profile.bandwidth_dip_prob = flags.number("bandwidth-dip", 0.0);
+  fault_profile.latency_spike_prob = flags.probability("latency-spike");
+  fault_profile.bandwidth_dip_prob = flags.probability("bandwidth-dip");
   fault_profile.seed = static_cast<std::uint64_t>(flags.integer("fault-seed", seed));
   const net::FaultInjector faults{fault_profile};
   // Link faults (latency spikes, bandwidth dips) apply in both modes.
@@ -779,7 +621,7 @@ int cmd_whatif(const Flags& flags) {
   const auto name = flags.str("dataset", "openimages");
   const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
   const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
-  const auto epoch = static_cast<std::size_t>(flags.integer("epoch", 0));
+  const auto epoch = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
   const auto cluster = cluster_from(flags);
   const auto replay_options = replay_options_from(flags);
   const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
@@ -962,48 +804,6 @@ int cmd_validate_trace(const Flags& flags) {
     std::printf(" | tb:%s %zu", base.c_str(), count);
   }
   std::printf("\n");
-  return 0;
-}
-
-/// Poll a live telemetry endpoint and render one status line per scrape —
-/// the operator-facing counterpart of `simulate --telemetry-port`.
-int cmd_monitor(const Flags& flags) {
-  const auto port = static_cast<std::uint16_t>(flags.integer("port", 0));
-  if (port == 0) {
-    std::fprintf(stderr, "missing required flag --port\n");
-    return 2;
-  }
-  const double interval = flags.number("interval", 1.0);
-  const auto iterations = static_cast<std::size_t>(flags.integer("iterations", 0));
-  std::size_t succeeded = 0;
-  std::size_t consecutive_failures = 0;
-  for (std::size_t i = 0; iterations == 0 || i < iterations; ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(std::max(interval, 0.01)));
-    }
-    const auto healthz = http_get(port, "/healthz");
-    const auto exposition = http_get(port, "/metrics");
-    if (!healthz || !exposition) {
-      // Two misses in a row means the run ended, not a blip.
-      if (++consecutive_failures >= 2) break;
-      continue;
-    }
-    consecutive_failures = 0;
-    const auto doc = Json::parse(healthz->body);
-    if (!doc) {
-      std::fprintf(stderr, "monitor: /healthz unparseable\n");
-      return 1;
-    }
-    std::printf("%s\n", monitor_line(*doc, exposition->body).c_str());
-    std::fflush(stdout);
-    ++succeeded;
-  }
-  if (succeeded == 0) {
-    std::fprintf(stderr, "monitor: no scrape of 127.0.0.1:%u succeeded\n",
-                 static_cast<unsigned>(port));
-    return 1;
-  }
-  std::printf("monitor: %zu scrapes\n", succeeded);
   return 0;
 }
 
@@ -1212,7 +1012,7 @@ int cmd_pack(const Flags& flags) {
   const auto pipe = pipeline_for(flags.str("pipeline", "standard"));
   const pipeline::CostModel cm;
   const auto profiles = core::profile_stage2(catalog, pipe, cm);
-  const Seconds t_g(flags.number("tg-seconds", 14.0));
+  const Seconds t_g(flags.positive_number("tg-seconds", 14.0));
   const auto decision = core::decide_offloading(profiles, cluster, t_g);
   const auto budget = shard_budget_from(flags);
   const auto plan = shard::plan_materialization(profiles, decision.plan,
@@ -1377,11 +1177,6 @@ const std::vector<CommandSpec>& commands() {
             {"min-improvement", "X", "relative-improvement floor for a re-plan (default 0.05)"},
             {"bw-drop-factor", "X", "divide link bandwidth by this mid-run (default 1)"},
             {"bw-drop-epoch", "N", "epoch at which the bandwidth drop hits (default 0)"},
-            {"bw-recover-epoch", "N", "epoch at which the link heals (default 0 = never)"},
-            {"telemetry-port", "N", "serve /metrics /healthz /timeseries on 127.0.0.1 (0 = ephemeral)"},
-            {"sample-interval", "X", "wall-clock flight-recorder sampling period in seconds"},
-            {"postmortem-out", "FILE", "write a postmortem dump on kill or fault exhaustion"},
-            {"monitor-self", "", "scrape our own telemetry endpoint at every epoch boundary"},
             {"ledger-out", "FILE", "attribute every link byte to a cause and write the "
                                    "traffic-ledger export (--adapt runs)"},
             {"shard-budget-mib", "N",
@@ -1437,11 +1232,6 @@ const std::vector<CommandSpec>& commands() {
        {{"in", "FILE", "trace JSON to validate (required)"},
         {"strict", "0|1", "require span coverage and a single time base (default 1)"}},
        cmd_validate_trace},
-      {"monitor", "poll a live telemetry endpoint and render per-epoch status lines",
-       {{"port", "N", "telemetry port of a simulate --telemetry-port run (required)"},
-        {"interval", "X", "seconds between scrapes (default 1)"},
-        {"iterations", "N", "stop after this many scrapes (default: until the run ends)"}},
-       cmd_monitor},
       {"bench-compare", "compare a bench artifact against a committed baseline",
        {{"baseline", "FILE", "committed BENCH_*.json (required)"},
         {"candidate", "FILE", "freshly produced artifact to check (required)"},
@@ -1520,7 +1310,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: sophonctl <command> [flags]\n"
                "commands: gen-profiles | decide | simulate | evaluate | ingest | pack | "
-               "inspect-shard | calibrate | trace | whatif | validate-trace | monitor | "
+               "inspect-shard | calibrate | trace | whatif | validate-trace | "
                "bench-compare | traffic-report | traffic-diff | help\n");
 }
 
