@@ -42,12 +42,16 @@ core::adapt::RunResult run_series(const dataset::Catalog& catalog,
   core::adapt::RunOptions options;
   options.epochs = kEpochs;
   options.adapt = adapt;
-  options.seed = kSeed;
   options.bandwidth_at = [](std::size_t epoch) {
     const double mbps = epoch >= kDropEpoch ? kPlannedMbps / kDropFactor : kPlannedMbps;
     return Bandwidth::mbps(mbps);
   };
-  return core::adapt::run_adaptive(catalog, pipe, cm, planned, batch_time, options);
+  return core::adapt::run_adaptive(catalog, pipe, cm,
+                                   {.cluster = planned,
+                                    .gpu_batch_time = batch_time,
+                                    .seed = kSeed,
+                                    .num_samples = catalog.size()},
+                                   options);
 }
 
 double mean_epoch_time(const std::vector<core::adapt::EpochRow>& rows, std::size_t from,

@@ -166,7 +166,10 @@ TelemetryCost telemetry_cost() {
     if (mode == Mode::kMetricsAndLedger) options.telemetry.ledger = &ledger;
     if (mode == Mode::kMetricsAndCritPath) options.telemetry.critpath = &critpath;
     const auto start = std::chrono::steady_clock::now();
-    const auto result = run_adaptive(catalog, pipe, cm, planned, Seconds(1.0), options);
+    const auto result = run_adaptive(
+        catalog, pipe, cm,
+        {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = catalog.size()},
+        options);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     if (result.rows.size() != options.epochs) return -1.0;
     return std::chrono::duration<double, std::milli>(elapsed).count();

@@ -31,9 +31,13 @@ std::function<sim::SampleFlow(std::size_t)> flow_under(
 }  // namespace
 
 RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,
-                       const pipeline::CostModel& cost_model, const sim::ClusterConfig& planned,
-                       Seconds gpu_batch_time, const RunOptions& options) {
+                       const pipeline::CostModel& cost_model,
+                       const obs::critpath::EpochParams& spec, const RunOptions& options) {
   SOPHON_CHECK(!catalog.empty());
+  SOPHON_CHECK(spec.num_samples == catalog.size());
+  // The loop schedules the batch window only: refuse a spec on worker lanes
+  // rather than run it under another discipline than it asks for.
+  SOPHON_CHECK(spec.discipline == obs::critpath::Discipline::kBatchWindow);
   SOPHON_CHECK(options.epochs > 0);
 
   const TelemetryHooks& telemetry = options.telemetry;
@@ -48,9 +52,10 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
   if (telemetry.ledger != nullptr && options.initial_plan != nullptr) {
     forecast_profiles = profiles;
   }
-  AdaptiveReplanner replanner(std::move(profiles), planned,
-                              gpu_epoch_time(catalog.size(), planned.batch_size, gpu_batch_time),
-                              options.adapt_options, options.initial_plan);
+  AdaptiveReplanner replanner(
+      std::move(profiles), spec.cluster,
+      gpu_epoch_time(catalog.size(), spec.cluster.batch_size, spec.gpu_batch_time),
+      options.adapt_options, options.initial_plan);
 
   if (telemetry.metrics != nullptr) obs::register_epoch_metrics(*telemetry.metrics);
 
@@ -58,8 +63,10 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
   result.rows.reserve(options.epochs);
   std::uint64_t forecast_noted_generation = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    sim::ClusterConfig actual = planned;
-    if (options.bandwidth_at) actual.bandwidth = options.bandwidth_at(epoch);
+    obs::critpath::EpochParams params = spec;
+    if (options.bandwidth_at) params.cluster.bandwidth = options.bandwidth_at(epoch);
+    params.epoch_index = epoch;
+    const sim::ClusterConfig& actual = params.cluster;
 
     auto lease = replanner.plan();
     auto flow = flow_under(lease, catalog, pipeline, cost_model);
@@ -91,12 +98,6 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     }
 
     if (options.adapt) replanner.begin_epoch(epoch);
-    obs::critpath::EpochParams params;  // the batch-window discipline
-    params.cluster = actual;
-    params.gpu_batch_time = gpu_batch_time;
-    params.seed = options.seed;
-    params.epoch_index = epoch;
-    params.num_samples = catalog.size();
     // With a critical-path monitor wired, the epoch is scheduled once with
     // recording on and the monitor explains that record; otherwise it runs
     // plain, so an absent monitor costs nothing.

@@ -19,6 +19,7 @@
 #include "dataset/catalog.h"
 #include "net/fault.h"
 #include "net/resilience.h"
+#include "obs/critpath/critpath.h"
 #include "pipeline/cost_model.h"
 #include "pipeline/pipeline.h"
 
@@ -76,13 +77,13 @@ struct RunOptions {
   AdaptOptions adapt_options;
   /// Actual link bandwidth per epoch. Empty = the planned bandwidth holds.
   std::function<Bandwidth(std::size_t epoch)> bandwidth_at;
-  /// Initial plan; null = run the greedy decision under `planned` first.
+  /// Initial plan; null = run the greedy decision under the spec's cluster
+  /// first.
   std::shared_ptr<const OffloadPlan> initial_plan;
   /// Optional fetch-fault replay (see sim::faulty_flow); degraded samples
   /// surface in the observation the replanner sees.
   const net::FaultInjector* faults = nullptr;
   net::RetryPolicy retry;
-  std::uint64_t seed = 42;
   TelemetryHooks telemetry;
 };
 
@@ -92,13 +93,15 @@ struct RunResult {
   std::shared_ptr<const OffloadPlan> final_plan;
 };
 
-/// Run `options.epochs` simulated epochs. `planned` is the cluster the
-/// initial plan is calibrated against; `gpu_batch_time` the GPU service
-/// time per batch.
+/// Run `options.epochs` simulated epochs of the run `spec` describes. Its
+/// cluster is the one the initial plan is calibrated against; each epoch
+/// runs a copy with only the bandwidth (`bandwidth_at`) and the epoch index
+/// changed. The spec must describe `catalog` under the batch-window
+/// discipline.
 [[nodiscard]] RunResult run_adaptive(const dataset::Catalog& catalog,
                                      const pipeline::Pipeline& pipeline,
                                      const pipeline::CostModel& cost_model,
-                                     const sim::ClusterConfig& planned, Seconds gpu_batch_time,
+                                     const obs::critpath::EpochParams& spec,
                                      const RunOptions& options = {});
 
 }  // namespace sophon::core::adapt

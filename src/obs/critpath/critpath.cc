@@ -64,44 +64,35 @@ Json BlameVector::to_json() const {
   return doc;
 }
 
-namespace {
-
-/// The one discipline dispatcher: `params`' epoch through the core under
-/// provenance policy Rec, configured as simulate_epoch_flows (batch window)
-/// or replay_epoch (worker lanes) configures it.
-template <class Rec>
-void schedule_epoch(Rec& rec, const DemandFn& demand, const EpochParams& params,
-                    prefetch::ReplayResult& out) {
+RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params) {
+  // Configured as the plain entry points run_epoch dispatches to configure
+  // the core, with recording on. The record holds every transfer's
+  // interval, so the link does not count peak in-flight transfers.
+  RecordedEpoch out;
   sim::ResourceMap resources(params.cluster);
   const sim::JobLoad job = sim::single_job(params.cluster, params.num_samples, demand,
                                            params.gpu_batch_time, params.seed, params.epoch_index);
   if (params.discipline == Discipline::kWorkerReplay) {
-    // Only a plain run counts peak in-flight transfers: the record already
-    // holds every transfer's interval, and the count costs a sort.
-    resources.link.set_track_inflight(!Rec::kRecords);
-    out.epoch = sim::run_worker_lanes(rec, resources, job, prefetch::worker_lanes(params.replay),
-                                      out.prefetch);
-    out.prefetch.max_inflight = resources.link.max_inflight();
+    out.epoch = sim::run_worker_lanes(out.record, resources, job,
+                                      prefetch::worker_lanes(params.replay), out.prefetch);
   } else {
-    out.epoch =
-        sim::run_batch_window(rec, resources, {&job, 1}, params.cluster.prefetch_batches).front();
+    out.epoch = sim::run_batch_window(out.record, resources, {&job, 1},
+                                      params.cluster.prefetch_batches)
+                    .front();
   }
   out.epoch.storage_cpu_busy = resources.storage_busy();
-}
-
-}  // namespace
-
-RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params) {
-  RecordedEpoch out;
-  schedule_epoch(out.record, demand, params, out);
   return out;
 }
 
 prefetch::ReplayResult run_epoch(const DemandFn& demand, const EpochParams& params) {
-  prefetch::ReplayResult out;
-  sim::NoRecord plain;
-  schedule_epoch(plain, demand, params, out);
-  return out;
+  if (params.discipline == Discipline::kWorkerReplay) {
+    return prefetch::replay_epoch(params.num_samples, demand, params.cluster,
+                                  params.gpu_batch_time, params.seed, params.epoch_index,
+                                  params.replay);
+  }
+  return {sim::simulate_epoch_flows(params.num_samples, demand, params.cluster,
+                                    params.gpu_batch_time, params.seed, params.epoch_index),
+          {}};
 }
 
 Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,

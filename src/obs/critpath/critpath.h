@@ -77,7 +77,7 @@ struct EpochParams {
   Discipline discipline = Discipline::kBatchWindow;
   /// Worker-lane parameters (kWorkerReplay only): workers, prefetch depth /
   /// byte budget / admission inputs, cache-served sample predicate.
-  prefetch::ReplayOptions replay;
+  prefetch::ReplayOptions replay{};
 };
 
 /// Seconds each resource contributed to the critical path. The components

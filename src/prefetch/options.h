@@ -6,7 +6,8 @@
 // (or at least in flight) by the time a loader worker asks for it. These
 // options bound how far ahead it runs: credits in samples (`depth`) and in
 // staged bytes (`bytes_budget`) keep the buffer from ballooning, and the
-// horizon keeps the scheduler from racing arbitrarily far past consumption.
+// horizon (8 × depth) keeps the scheduler from racing arbitrarily far past
+// consumption.
 #pragma once
 
 #include <cstddef>
@@ -28,11 +29,6 @@ struct PrefetchOptions {
   /// against committed payloads, so one in-flight fetch may overshoot.
   Bytes bytes_budget;
 
-  /// How many epoch positions the scheduler may run ahead of the consumer's
-  /// most recent claim. Bounds skip-marker bookkeeping even when admission
-  /// rejects long runs of samples. 0 = 8 * depth.
-  std::size_t horizon = 0;
-
   /// Samples whose expected payload is at most this many bytes are fetched
   /// opportunistically (only when a credit is immediately free): their
   /// transfer is too small for look-ahead to hide anything worth the buffer
@@ -49,10 +45,10 @@ struct PrefetchOptions {
   /// never moves. Borrowed; keep it alive while prefetching.
   const cache::LruCache* cache = nullptr;
 
-  [[nodiscard]] std::size_t effective_horizon() const {
-    if (horizon > 0) return horizon;
-    return depth * 8;
-  }
+  /// How many epoch positions the scheduler may run ahead of the consumer's
+  /// most recent claim. Bounds skip-marker bookkeeping even when admission
+  /// rejects long runs of samples.
+  [[nodiscard]] std::size_t effective_horizon() const { return depth * 8; }
 };
 
 }  // namespace sophon::prefetch

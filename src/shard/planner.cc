@@ -9,15 +9,13 @@ namespace sophon::shard {
 
 std::vector<MaterializationCandidate> materialization_candidates(
     const std::vector<core::SampleProfile>& profiles, const core::OffloadPlan& plan,
-    std::size_t deterministic_limit, const MaterializationOptions& options) {
+    std::size_t deterministic_limit) {
   SOPHON_CHECK_MSG(plan.size() == profiles.size(), "plan/profiles size mismatch");
   std::vector<MaterializationCandidate> candidates;
   for (const auto& profile : profiles) {
     const std::size_t i = profile.sample_index;
     std::size_t target = plan.prefix(i);
-    if (target == 0 && options.anticipate_offload && profile.benefits()) {
-      target = profile.min_stage;
-    }
+    if (target == 0 && profile.benefits()) target = profile.min_stage;
     const std::size_t limit = std::min(target, deterministic_limit);
     if (limit == 0) continue;
 
@@ -43,9 +41,8 @@ std::vector<MaterializationCandidate> materialization_candidates(
 
 MaterializationPlan plan_materialization(const std::vector<core::SampleProfile>& profiles,
                                          const core::OffloadPlan& plan,
-                                         std::size_t deterministic_limit, Bytes budget,
-                                         const MaterializationOptions& options) {
-  auto candidates = materialization_candidates(profiles, plan, deterministic_limit, options);
+                                         std::size_t deterministic_limit, Bytes budget) {
+  auto candidates = materialization_candidates(profiles, plan, deterministic_limit);
   std::sort(candidates.begin(), candidates.end(),
             [](const MaterializationCandidate& a, const MaterializationCandidate& b) {
               if (a.efficiency() != b.efficiency()) return a.efficiency() > b.efficiency();

@@ -27,14 +27,6 @@
 
 namespace sophon::shard {
 
-struct MaterializationOptions {
-  /// Also consider samples the offload plan leaves on the compute node but
-  /// which would benefit from offloading (profile.benefits()): once their
-  /// prefix is free, the decision engine will usually pick them up on the
-  /// re-rank, so plan shard space for their min-size stage.
-  bool anticipate_offload = true;
-};
-
 /// One sample's best materialisation choice.
 struct MaterializationCandidate {
   std::uint32_t sample_index = 0;
@@ -63,13 +55,14 @@ struct MaterializationPlan {
 
 /// Per-sample best candidates, unsorted. For each sample the eligible stages
 /// are [1, min(target prefix, deterministic_limit)] where the target prefix
-/// is the offload plan's directive (or the min-size stage under
-/// `anticipate_offload` for beneficial-but-unoffloaded samples); the stage
-/// with the best efficiency wins, deeper on ties. Samples with nothing to
-/// save produce no candidate.
+/// is the offload plan's directive. A sample the plan leaves on the compute
+/// node but which would benefit from offloading (profile.benefits()) targets
+/// its min-size stage: once its prefix is free, the decision engine will
+/// usually pick it up on the re-rank. The stage with the best efficiency
+/// wins, deeper on ties. Samples with nothing to save produce no candidate.
 [[nodiscard]] std::vector<MaterializationCandidate> materialization_candidates(
     const std::vector<core::SampleProfile>& profiles, const core::OffloadPlan& plan,
-    std::size_t deterministic_limit, const MaterializationOptions& options = {});
+    std::size_t deterministic_limit);
 
 /// Greedy selection under a disk budget: candidates in descending efficiency
 /// order, stopping at the first that would overflow. The stop-at-first-
@@ -78,7 +71,7 @@ struct MaterializationPlan {
 /// — storage CPU saved is monotone in the budget, which A16 asserts.
 [[nodiscard]] MaterializationPlan plan_materialization(
     const std::vector<core::SampleProfile>& profiles, const core::OffloadPlan& plan,
-    std::size_t deterministic_limit, Bytes budget, const MaterializationOptions& options = {});
+    std::size_t deterministic_limit, Bytes budget);
 
 /// The profiles as the decision engine should see them once the plan is
 /// packed: materialised ops cost zero storage CPU (a shard read replaces

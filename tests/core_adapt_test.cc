@@ -41,6 +41,11 @@ struct Fixture {
     return AdaptiveReplanner(profiles, planned, gpu_epoch_time, options);
   }
 
+  // The run_adaptive spec: the planned cluster, one second per GPU batch.
+  obs::critpath::EpochParams spec() const {
+    return {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = catalog.size()};
+  }
+
   // The observation a perfectly calibrated epoch would report.
   static EpochObservation faithful(const AdaptiveReplanner& r) {
     EpochObservation obs;
@@ -268,7 +273,7 @@ TEST(AdaptLoop, OscillatingBandwidthDoesNotThrash) {
   options.bandwidth_at = [](std::size_t epoch) {
     return Bandwidth::mbps(epoch % 2 == 0 ? 8000.0 : 2000.0);
   };
-  const auto result = run_adaptive(f.catalog, f.pipe, f.cm, f.planned, Seconds(1.0), options);
+  const auto result = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
 
   EXPECT_LE(result.replans, 2u) << "oscillation must not swap the plan every flip";
   std::size_t last_swap = 0;
@@ -296,9 +301,8 @@ TEST(AdaptLoop, StaticAndAdaptiveAgreeUntilConditionsDrift) {
   };
   auto static_options = options;
   static_options.adapt = false;
-  const auto adaptive = run_adaptive(f.catalog, f.pipe, f.cm, f.planned, Seconds(1.0), options);
-  const auto fixed = run_adaptive(f.catalog, f.pipe, f.cm, f.planned, Seconds(1.0),
-                                  static_options);
+  const auto adaptive = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
+  const auto fixed = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), static_options);
   ASSERT_EQ(adaptive.rows.size(), fixed.rows.size());
   // Identical until (and including) the epoch that observes the drift...
   for (std::size_t e = 0; e <= 3; ++e) {
@@ -322,12 +326,12 @@ TEST(AdaptLoop, CritPathMonitorLeavesEveryRowUnchanged) {
   options.bandwidth_at = [](std::size_t epoch) {
     return Bandwidth::mbps(epoch >= 3 ? 250.0 : 8000.0);
   };
-  const auto plain = run_adaptive(f.catalog, f.pipe, f.cm, f.planned, Seconds(1.0), options);
+  const auto plain = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
 
   MetricsRegistry metrics;
   obs::critpath::CritPathMonitor monitor(&metrics);
   options.telemetry.critpath = &monitor;
-  const auto monitored = run_adaptive(f.catalog, f.pipe, f.cm, f.planned, Seconds(1.0), options);
+  const auto monitored = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
 
   ASSERT_EQ(plain.replans, 1u);
   EXPECT_EQ(monitored.replans, plain.replans);

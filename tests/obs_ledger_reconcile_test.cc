@@ -66,7 +66,10 @@ TEST(LedgerSimReconciliation, ByteExactAcrossFaultsRetriesAndAMidRunReplan) {
   options.telemetry.metrics = &metrics;
   options.telemetry.ledger = &ledger;
 
-  const auto result = core::adapt::run_adaptive(catalog, pipe, cm, planned, Seconds(1.0), options);
+  const auto result = core::adapt::run_adaptive(
+      catalog, pipe, cm,
+      {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = catalog.size()},
+      options);
   ASSERT_EQ(result.rows.size(), 6u);
   ASSERT_GT(result.replans, 0u) << "scenario must actually replan mid-run";
 

@@ -135,7 +135,9 @@ void populate_full_run(MetricsRegistry& metrics) {
   options.telemetry.metrics = &metrics;
   options.telemetry.ledger = &sim_ledger;
   options.telemetry.critpath = &critpath_monitor;
-  const auto result = core::adapt::run_adaptive(big, pipe, cm, planned, Seconds(1.0), options);
+  const auto result = core::adapt::run_adaptive(
+      big, pipe, cm,
+      {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = big.size()}, options);
   ASSERT_EQ(result.rows.size(), 6u);
   ASSERT_EQ(critpath_monitor.epochs(), 6u);
 }

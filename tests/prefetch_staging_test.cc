@@ -134,15 +134,14 @@ TEST(StagingBuffer, ShutdownWakesBlockedClaimAndCountsCancellations) {
 }
 
 TEST(StagingBuffer, HorizonBoundsSchedulerLead) {
-  PrefetchOptions options = depth_options(2);
-  options.horizon = 4;
-  StagingBuffer buffer(options, nullptr);
-  // Consumer is at 0 (never claimed): cursor may not pass horizon.
-  buffer.advance_cursor(5);
-  EXPECT_EQ(buffer.reserve(5, Bytes(0), false), StagingBuffer::Reserve::kNoCredit);
+  StagingBuffer buffer(depth_options(2), nullptr);
+  // Consumer is at 0 (never claimed): cursor may not pass the horizon,
+  // 8 × depth = 16 positions.
+  buffer.advance_cursor(17);
+  EXPECT_EQ(buffer.reserve(17, Bytes(0), false), StagingBuffer::Reserve::kNoCredit);
   // Consumer progress re-opens the window.
   EXPECT_FALSE(buffer.claim(3).has_value());
-  EXPECT_EQ(buffer.reserve(5, Bytes(0), false), StagingBuffer::Reserve::kOk);
+  EXPECT_EQ(buffer.reserve(17, Bytes(0), false), StagingBuffer::Reserve::kOk);
 }
 
 TEST(StagingBuffer, GaugesTrackOccupancy) {

@@ -53,18 +53,12 @@ TEST(MaterializationCandidates, ClampedToDeterministicLimit) {
 }
 
 TEST(MaterializationCandidates, AnticipatesBeneficialUnoffloadedSamples) {
-  // In no offload plan, but benefits(): with anticipation on we budget for
-  // its min-size stage; with anticipation off it is invisible.
+  // In no offload plan, but benefits(): we budget for its min-size stage.
   const auto p = make_profile(0, {2.0}, {1000, 400});
   const core::OffloadPlan no_offload(1);
-  auto candidates = materialization_candidates({p}, no_offload, 1);
+  const auto candidates = materialization_candidates({p}, no_offload, 1);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].stage, 1);
-
-  MaterializationOptions options;
-  options.anticipate_offload = false;
-  candidates = materialization_candidates({p}, no_offload, 1, options);
-  EXPECT_TRUE(candidates.empty());
 }
 
 TEST(MaterializationCandidates, SkipsSamplesWithNothingToSave) {

@@ -2,24 +2,12 @@
 # Developer check driver.
 #
 #   tools/check.sh            configure + build + full ctest (build/)
-#   tools/check.sh --tsan     same, in a ThreadSanitizer build (build-tsan/),
-#                             restricted to the concurrency-sensitive suites
-#                             (loader, prefetch, resilience, net, storage
-#                             server, traffic ledger), the
-#                             scheduling core's (sim, critpath), the adaptive
-#                             run loop's, the decision engines', the policies'
-#                             and the real-byte-path integration suite — TSan
-#                             slows the rest down ~10x for no extra signal.
-#   tools/check.sh --asan     AddressSanitizer build (build-asan/), same suite
-#                             restriction — heap abuse hides in the same
-#                             concurrent code TSan watches for races.
-#   tools/check.sh --ubsan    UndefinedBehaviorSanitizer build (build-ubsan/),
-#                             same restricted suite — the shard reader, wire
-#                             parsers and SJPG decoder do byte-level decoding
-#                             of untrusted input, exactly where misaligned
-#                             loads, wild shifts and integer overflow hide.
-#                             The image kernels and pipeline ops that walk
-#                             raw row pointers run in all three modes too.
+#   tools/check.sh --tsan     the full suite in a ThreadSanitizer build
+#                             (build-tsan/), bar one test (see run_sanitized).
+#   tools/check.sh --asan     the same in an AddressSanitizer build
+#                             (build-asan/).
+#   tools/check.sh --ubsan    the same in an UndefinedBehaviorSanitizer build
+#                             (build-ubsan/); a report fails its test.
 #   tools/check.sh --trace-smoke
 #                             build sophonctl, run a small traced simulation
 #                             and schema-check the emitted Chrome trace JSON
@@ -108,30 +96,17 @@ check_docs() {
   return $ok
 }
 
-sanitized_targets=(
-  loader_test loader_degradation_test loader_prefetch_test
-  prefetch_staging_test prefetch_replay_test prefetch_waste_test
-  obs_ledger_test obs_ledger_reconcile_test storage_test
-  net_resilience_test net_rpc_test net_link_test net_wire_test
-  obs_concurrency_test util_telemetry_test
-  obs_critpath_test obs_replay_trace_test obs_report_test
-  sim_resources_test sim_trainer_test sim_sharded_test sim_multijob_test
-  sim_golden_test sim_schedule_test sim_metamorphic_test core_decision_test
-  core_adapt_test core_sharded_decision_test core_replicated_decision_test
-  core_policy_test core_runner_test integration_test
-  shard_format_test storage_shard_serving_test storage_disk_test
-  codec_bitio_test codec_huffman_test codec_sjpg_test codec_fuzz_test image_ops_test
-  image_test image_color_test pipeline_ops_test pipeline_test
-)
-sanitized_regex='Adapt|ShardedDecision|ReplicatedDecision|ReplicaMap|PolicyNames|PolicyKinds|Policies\.|PlanContext|NoOff\.|AllOff\.|ResizeOff\.|FastFlow\.|Sophon\.|Runner\.|Integration\.|Loader|Prefetch|StagingBuffer|Ledger|TrafficCause|StorageServer|DatasetStore|Admission|Resilience|Backoff|FaultInjector|FaultyService|LinkFaults|MeteringStorageService|OffloadDirective|Tracer|SpanRing|Telemetry|ObsConcurrency|Wire|Crc32|Shard|DiskStore|CritPath|WhatIf|Monitor|CpuPool|Gpu\.|Trainer|MultiJob|Trace\.|EpochReport|GoldenPins|SimSchedule|SimMetamorphic|Decision|BitIo|Huffman|CodeLength|Sjpg|CodecFuzz|JsonFuzz|Resize|Image\.|Plane\.|Tensor\.|Color\.|Op(KindName|Costs)?\.|Pipeline\.'
-
 # One sanitizer mode: configure build-<name>/ with -DSOPHON_SANITIZE=<sanitizer>,
-# build the sanitized targets there and run the suites they hold.
+# build everything there and run the full suite, with UBSan reports fatal.
+# bench_trace_overhead_smoke is left out: it bounds wall-clock overhead
+# shares, and instrumentation inflates the timed code unevenly, so those
+# bounds say nothing about the code under a sanitizer.
 run_sanitized() {
   local dir="build-$1"
   cmake -B "$dir" -S . -DSOPHON_SANITIZE="$2"
-  cmake --build "$dir" -j "$jobs" --target "${sanitized_targets[@]}"
-  ctest --test-dir "$dir" --output-on-failure -j "$jobs" -R "$sanitized_regex"
+  cmake --build "$dir" -j "$jobs"
+  UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
+    ctest --test-dir "$dir" --output-on-failure -j "$jobs" -E '^bench_trace_overhead_smoke$'
 }
 
 # Critical-path smoke: the whatif command validates every ranked projection

@@ -1,28 +1,15 @@
-// sophonctl — command-line front end for the SOPHON library.
-//
-//   sophonctl gen-profiles --dataset openimages --samples 40000 --out p.json
-//   sophonctl decide --profiles p.json --mbps 500 --storage-cores 8
-//                    --tg-seconds 14 --out plan.json
-//   sophonctl simulate --dataset openimages --samples 40000 --plan plan.json
-//                      --mbps 500 --storage-cores 8
-//                      [--prefetch-depth 16 --prefetch-budget-mib 64 --workers 4]
-//                      [--trace-out=trace.json --report --critpath-out=cp.json]
-//                      [--adapt --epochs 10 --bw-drop-factor 4 --bw-drop-epoch 3]
-//   sophonctl evaluate --dataset imagenet --samples 90000 --mbps 500
-//   sophonctl calibrate --repeats 3 --out coeffs.json
-//   sophonctl ingest --dataset openimages --samples 64 --dir /tmp/ds
-//   sophonctl whatif --dataset openimages --samples 1000 --mbps 100
-//                    --replay 1 --prefetch-depth 8
-//   sophonctl validate-trace --in trace.json
-//   sophonctl help [command]
+// sophonctl — command-line front end for the SOPHON library. `sophonctl
+// help` lists every command and flag; docs/CLI.md walks through them.
 //
 // Every command prints a short report; gen-profiles/decide write JSON
 // artifacts the other commands (and external tooling) can consume.
 //
-// Commands and their flags are declared in one table (kCommands below):
-// `sophonctl help` renders it, and every invocation validates its flags
-// against it — so the table is the single source of truth the doc-drift
-// linter (tools/check.sh --docs) checks docs/CLI.md against.
+// Commands and their flags are declared in one table (commands() below):
+// `sophonctl help` renders it, and every invocation validates its flags,
+// and the mode each flag needs, against it — so the table is the single
+// source of truth the doc-drift linter (tools/check.sh --docs) checks
+// docs/CLI.md against.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +20,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <functional>
 
 #include "core/adapt/adapt.h"
 #include "core/adapt/loop.h"
@@ -52,7 +37,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "pipeline/extra_ops.h"
-#include "prefetch/replay.h"
 #include "shard/format.h"
 #include "shard/pack.h"
 #include "shard/planner.h"
@@ -63,6 +47,7 @@
 #include "util/telemetry.h"
 
 using namespace sophon;
+namespace critpath = sophon::obs::critpath;
 
 namespace {
 
@@ -119,38 +104,33 @@ class Flags {
   /// integer(key, fallback); exits 2 with a message when it is below `min`.
   [[nodiscard]] long integer_at_least(const std::string& key, long fallback, long min) const {
     const long value = integer(key, fallback);
-    if (value < min) {
-      std::fprintf(stderr, "--%s must be at least %ld (got %ld)\n", key.c_str(), min, value);
-      std::exit(2);
-    }
+    if (value < min) out_of_range(key, strf("at least %ld", min));
     return value;
   }
 
   /// number(key, fallback); exits 2 with a message unless it is above 0.
   [[nodiscard]] double positive_number(const std::string& key, double fallback) const {
     const double value = number(key, fallback);
-    if (!(value > 0.0)) {
-      std::fprintf(stderr, "--%s must be greater than 0 (got %s)\n", key.c_str(),
-                   str(key, "").c_str());
-      std::exit(2);
-    }
+    if (!(value > 0.0)) out_of_range(key, "greater than 0");
     return value;
   }
 
   /// number(key, 0); exits 2 with a message unless it lies in [0, 1].
   [[nodiscard]] double probability(const std::string& key) const {
     const double value = number(key, 0.0);
-    if (!(value >= 0.0 && value <= 1.0)) {
-      std::fprintf(stderr, "--%s must be between 0 and 1 (got %s)\n", key.c_str(),
-                   str(key, "").c_str());
-      std::exit(2);
-    }
+    if (!(value >= 0.0 && value <= 1.0)) out_of_range(key, "between 0 and 1");
     return value;
   }
 
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
+  [[noreturn]] void out_of_range(const std::string& key, const std::string& rule) const {
+    std::fprintf(stderr, "--%s must be %s (got %s)\n", key.c_str(), rule.c_str(),
+                 str(key, "").c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -166,6 +146,30 @@ pipeline::Pipeline pipeline_for(const std::string& name) {
   if (name == "validation") return pipeline::validation_pipeline();
   std::fprintf(stderr, "unknown pipeline '%s' (standard|validation)\n", name.c_str());
   std::exit(2);
+}
+
+/// Write `doc` to `path`; false, after a message, when that fails.
+bool write_json(const Json& doc, const std::string& path) {
+  if (core::save_json_file(doc, path)) return true;
+  std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  return false;
+}
+
+/// The --dataset/--samples/--seed corpus, not yet generated: ingest and pack
+/// cap its pixels first.
+struct Corpus {
+  dataset::DatasetProfile profile;
+  std::uint64_t seed = 42;
+  [[nodiscard]] dataset::Catalog generate() const {
+    return dataset::Catalog::generate(profile, seed);
+  }
+};
+
+Corpus corpus_from(const Flags& flags, long default_samples) {
+  const auto name = flags.str("dataset", "openimages");
+  const auto samples =
+      static_cast<std::size_t>(flags.integer_at_least("samples", default_samples, 1));
+  return {profile_for(name, samples), static_cast<std::uint64_t>(flags.integer("seed", 42))};
 }
 
 /// The --shard-budget-mib convention: 0 (or omitted) means unlimited.
@@ -184,56 +188,105 @@ sim::ClusterConfig cluster_from(const Flags& flags) {
   return cluster;
 }
 
-/// The loader shape --workers/--prefetch-depth/--prefetch-budget-mib ask for.
-prefetch::ReplayOptions replay_options_from(const Flags& flags) {
-  prefetch::ReplayOptions options;
-  options.workers = static_cast<std::size_t>(flags.integer_at_least("workers", 4, 1));
-  options.prefetch.depth =
+/// One simulated run: what simulate, whatif and trace schedule.
+struct RunSpec {
+  dataset::Catalog catalog;
+  pipeline::Pipeline pipe = pipeline::Pipeline::standard();
+  pipeline::CostModel cm{};
+  core::OffloadPlan plan;
+  /// The batch window unless --replay 1; the loader flags fill the lanes.
+  critpath::EpochParams params;
+
+  [[nodiscard]] sim::FlowFn flow() const {
+    return sim::plan_flow(catalog, pipe, cm, plan.assignment());
+  }
+  [[nodiscard]] Seconds gpu_epoch() const {
+    return core::gpu_epoch_time(catalog.size(), params.cluster.batch_size,
+                                params.gpu_batch_time);
+  }
+  /// The run on worker lanes with prefetch `depth`.
+  [[nodiscard]] critpath::EpochParams lanes(std::size_t depth) const {
+    auto lanes = params;
+    lanes.discipline = critpath::Discipline::kWorkerReplay;
+    lanes.replay.prefetch.depth = depth;
+    return lanes;
+  }
+};
+
+/// The run the corpus, cluster, --plan, GPU and loader flags describe, its
+/// numbers range-checked before the corpus is built; nullopt, after a
+/// message, when the --plan file is unreadable or the wrong size.
+std::optional<RunSpec> spec_from(const Flags& flags, long default_samples) {
+  const auto corpus = corpus_from(flags, default_samples);
+  critpath::EpochParams params;
+  params.seed = corpus.seed;
+  params.epoch_index = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
+  params.cluster = cluster_from(flags);
+  params.replay.workers = static_cast<std::size_t>(flags.integer_at_least("workers", 4, 1));
+  params.replay.prefetch.depth =
       static_cast<std::size_t>(flags.integer_at_least("prefetch-depth", 0, 0));
-  options.prefetch.bytes_budget =
+  params.replay.prefetch.bytes_budget =
       Bytes::mib(flags.integer_at_least("prefetch-budget-mib", 0, 0));
-  return options;
+  if (flags.integer("replay", 0) != 0) params.discipline = critpath::Discipline::kWorkerReplay;
+  const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
+  params.gpu_batch_time = gpu.batch_time(params.cluster.batch_size);
+
+  auto catalog = corpus.generate();
+  params.num_samples = catalog.size();
+  core::OffloadPlan plan(catalog.size());  // all raw without --plan
+  if (const auto path = flags.str("plan", ""); !path.empty()) {
+    const auto loaded = core::load_json_file(path);
+    auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
+    if (!parsed || parsed->size() != catalog.size()) {
+      std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
+      return std::nullopt;
+    }
+    plan = std::move(*parsed);
+  }
+  return RunSpec{.catalog = std::move(catalog), .plan = std::move(plan), .params = params};
 }
 
-/// The --plan file's offload plan for `catalog` (all raw without the flag);
-/// nullopt, after a message, when the file is unreadable or the wrong size.
-std::optional<core::OffloadPlan> plan_from(const Flags& flags, const dataset::Catalog& catalog) {
-  const auto path = flags.str("plan", "");
-  if (path.empty()) return core::OffloadPlan(catalog.size());
-  const auto loaded = core::load_json_file(path);
-  auto parsed = loaded ? core::plan_from_json(*loaded) : std::nullopt;
-  if (!parsed || parsed->size() != catalog.size()) {
-    std::fprintf(stderr, "plan %s missing or wrong size\n", path.c_str());
-    return std::nullopt;
-  }
-  return parsed;
+/// The fault flags (see docs/ARCHITECTURE.md, "Fault model"): one injector
+/// and the retry policy both simulate modes replay it under.
+struct FaultSpec {
+  net::FaultInjector injector;
+  net::RetryPolicy retry;
+};
+
+FaultSpec faults_from(const Flags& flags) {
+  net::FaultProfile profile;
+  profile.transient_fail_prob = flags.probability("transient-fail");
+  profile.permanent_fail_prob = flags.probability("permanent-fail");
+  profile.corrupt_prob = flags.probability("corrupt");
+  profile.offload_only = flags.integer("fail-offload-only", 1) != 0;
+  profile.latency_spike_prob = flags.probability("latency-spike");
+  profile.bandwidth_dip_prob = flags.probability("bandwidth-dip");
+  profile.seed =
+      static_cast<std::uint64_t>(flags.integer("fault-seed", flags.integer("seed", 42)));
+  net::RetryPolicy retry;
+  retry.max_attempts = static_cast<std::uint32_t>(flags.integer_at_least("retries", 3, 0)) + 1;
+  retry.seed = profile.seed;
+  return {net::FaultInjector{profile}, retry};
 }
 
 int cmd_gen_profiles(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
+  const auto corpus = corpus_from(flags, 40000);
   const auto out = flags.required("out");
 
   MetricsRegistry metrics;
   const auto catalog = [&] {
     ScopedTimer timer(metrics.duration("sophonctl_catalog"));
-    return dataset::Catalog::generate(profile_for(name, samples), seed);
+    return corpus.generate();
   }();
   const auto profiles = [&] {
     ScopedTimer timer(metrics.duration("sophonctl_stage2"));
     return core::profile_stage2(catalog, pipeline::Pipeline::standard(),
                                 pipeline::CostModel{});
   }();
-  if (!core::save_json_file(core::profiles_to_json(profiles), out)) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
-  std::size_t beneficial = 0;
-  for (const auto& p : profiles) {
-    if (p.benefits()) ++beneficial;
-  }
-  std::printf("wrote %zu profiles to %s (%zu beneficial, dataset %s at rest)\n",
+  if (!write_json(core::profiles_to_json(profiles), out)) return 1;
+  const auto beneficial = std::count_if(profiles.begin(), profiles.end(),
+                                        [](const core::SampleProfile& p) { return p.benefits(); });
+  std::printf("wrote %zu profiles to %s (%td beneficial, dataset %s at rest)\n",
               profiles.size(), out.c_str(), beneficial,
               human_bytes(catalog.total_encoded()).c_str());
   std::printf("%s", metrics.expose().c_str());
@@ -256,10 +309,7 @@ int cmd_decide(const Flags& flags) {
   const auto cluster = cluster_from(flags);
   const Seconds t_g(flags.positive_number("tg-seconds", 14.0));
   const auto result = core::decide_offloading(*profiles, cluster, t_g);
-  if (!core::save_json_file(core::plan_to_json(result.plan), out)) {
-    std::fprintf(stderr, "cannot write %s\n", out.c_str());
-    return 1;
-  }
+  if (!write_json(core::plan_to_json(result.plan), out)) return 1;
   std::printf(
       "plan: %zu of %zu samples offloaded (%zu beneficial)\n"
       "predicted: T_Net %.1fs -> %.1fs, T_CS %.1fs, epoch %.1fs -> %.1fs\nwrote %s\n",
@@ -272,39 +322,33 @@ int cmd_decide(const Flags& flags) {
 
 /// The --adapt path of simulate: a multi-epoch run under a bandwidth
 /// schedule, with the online replanner checking drift at every boundary.
-int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
-                          const pipeline::Pipeline& pipe, const pipeline::CostModel& cm,
-                          const sim::ClusterConfig& cluster, Seconds gpu_batch,
-                          const net::FaultInjector& faults, std::uint64_t seed,
-                          std::shared_ptr<const core::OffloadPlan> initial_plan) {
+int cmd_simulate_adaptive(const Flags& flags, const RunSpec& spec, const FaultSpec& faults) {
   MetricsRegistry metrics;
   core::adapt::RunOptions options;
-  options.initial_plan = std::move(initial_plan);
-  options.epochs = static_cast<std::size_t>(flags.integer("epochs", 10));
+  // An explicit --plan is the run's initial plan; without one the run
+  // starts from the greedy decision.
+  if (flags.flag("plan")) {
+    options.initial_plan = std::make_shared<const core::OffloadPlan>(spec.plan);
+  }
+  options.epochs = static_cast<std::size_t>(flags.integer_at_least("epochs", 10, 1));
   options.adapt = flags.integer("adapt", 1) != 0;
   options.adapt_options.drift_threshold = flags.number("drift-threshold", 0.2);
   options.adapt_options.replan_cooldown =
-      static_cast<std::size_t>(flags.integer("replan-cooldown", 2));
+      static_cast<std::size_t>(flags.integer_at_least("replan-cooldown", 2, 1));
   options.adapt_options.min_improvement = flags.number("min-improvement", 0.05);
   options.adapt_options.metrics = &metrics;
-  options.seed = seed;
 
-  const double drop_factor = flags.number("bw-drop-factor", 1.0);
-  const auto drop_epoch = static_cast<std::size_t>(flags.integer("bw-drop-epoch", 0));
-  const Bandwidth planned_bw = cluster.bandwidth;
+  const double drop_factor = flags.positive_number("bw-drop-factor", 1.0);
+  const auto drop_epoch = static_cast<std::size_t>(flags.integer_at_least("bw-drop-epoch", 0, 0));
+  const Bandwidth planned_bw = spec.params.cluster.bandwidth;
   if (drop_factor != 1.0) {
     options.bandwidth_at = [planned_bw, drop_factor, drop_epoch](std::size_t epoch) {
       return epoch >= drop_epoch ? Bandwidth::bits_per_sec(planned_bw.bps() / drop_factor)
                                  : planned_bw;
     };
   }
-  net::RetryPolicy retry;
-  if (faults.enabled()) {
-    retry.max_attempts = static_cast<std::uint32_t>(flags.integer("retries", 3)) + 1;
-    retry.seed = faults.profile().seed;
-    options.faults = &faults;
-    options.retry = retry;
-  }
+  if (faults.injector.enabled()) options.faults = &faults.injector;
+  options.retry = faults.retry;
 
   // Every table row is pre-registered, so the final exposition lists the
   // full vocabulary.
@@ -316,23 +360,20 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
   const auto ledger_out = flags.str("ledger-out", "");
   std::unique_ptr<obs::TrafficLedger> ledger;
   if (!ledger_out.empty()) {
-    obs::TrafficLedger::Options ledger_options;
-    ledger_options.metrics = &metrics;
-    ledger = std::make_unique<obs::TrafficLedger>(ledger_options);
+    ledger = std::make_unique<obs::TrafficLedger>(obs::TrafficLedger::Options{.metrics = &metrics});
     options.telemetry.ledger = ledger.get();
   }
 
-  const auto result = core::adapt::run_adaptive(catalog, pipe, cm, cluster, gpu_batch, options);
+  const auto result =
+      core::adapt::run_adaptive(spec.catalog, spec.pipe, spec.cm, spec.params, options);
   TextTable table({"epoch", "link", "gen", "offloaded", "epoch time", "traffic", "decision"});
   for (const auto& row : result.rows) {
     const auto& drift = row.decision.drift;
-    std::string decision = options.adapt
-                               ? strf("%s (drift %.2f %s)",
-                                      std::string(core::adapt::replan_outcome_name(
-                                                      row.decision.outcome))
-                                          .c_str(),
-                                      drift.max_drift, std::string(drift.worst).c_str())
-                               : "static";
+    const auto outcome = std::string(core::adapt::replan_outcome_name(row.decision.outcome));
+    const std::string decision = options.adapt ? strf("%s (drift %.2f %s)", outcome.c_str(),
+                                                      drift.max_drift,
+                                                      std::string(drift.worst).c_str())
+                                               : "static";
     table.add_row({strf("%zu", row.epoch), strf("%.0f Mbps", row.actual_mbps),
                    strf("%llu", static_cast<unsigned long long>(row.plan_generation)),
                    strf("%zu", row.offloaded), strf("%.1f s", row.epoch_time.value()),
@@ -340,71 +381,27 @@ int cmd_simulate_adaptive(const Flags& flags, const dataset::Catalog& catalog,
   }
   std::printf("%s", table.render().c_str());
   std::printf("re-plans accepted: %zu | final plan offloads %zu of %zu samples\n",
-              result.replans, result.final_plan->offloaded_count(), catalog.size());
+              result.replans, result.final_plan->offloaded_count(), spec.catalog.size());
   if (ledger != nullptr) {
     const auto exported = ledger->export_state();
     std::printf("%s", obs::render_traffic_report(exported).c_str());
-    if (!core::save_json_file(exported.to_json(), ledger_out)) {
-      std::fprintf(stderr, "cannot write %s\n", ledger_out.c_str());
-      return 1;
-    }
+    if (!write_json(exported.to_json(), ledger_out)) return 1;
     std::printf("wrote traffic ledger to %s\n", ledger_out.c_str());
   }
   if (options.adapt) std::printf("%s", metrics.expose().c_str());
   return 0;
 }
 
-/// simulate's flags that only one of its two modes reads; the other mode
-/// rejects them instead of ignoring them.
-constexpr const char* kAdaptOnlyFlags[] = {
-    "epochs",         "drift-threshold", "replan-cooldown", "min-improvement",
-    "bw-drop-factor", "bw-drop-epoch",   "ledger-out"};
-constexpr const char* kSingleEpochOnlyFlags[] = {
-    "epoch",  "prefetch-depth", "workers",      "prefetch-budget-mib", "trace-out",
-    "report", "report-out",     "critpath-out", "shard-budget-mib"};
-
 int cmd_simulate(const Flags& flags) {
-  const bool adapt = flags.flag("adapt");
-  for (const char* flag : kAdaptOnlyFlags) {
-    if (!adapt && flags.flag(flag)) {
-      std::fprintf(stderr, "--%s requires --adapt\n", flag);
-      return 2;
-    }
-  }
-  for (const char* flag : kSingleEpochOnlyFlags) {
-    if (adapt && flags.flag(flag)) {
-      std::fprintf(stderr, "--%s cannot be combined with --adapt\n", flag);
-      return 2;
-    }
-  }
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
-  const auto epoch = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
-  auto cluster = cluster_from(flags);
-  const auto replay_options = replay_options_from(flags);
-  const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
-  const auto pipe = pipeline::Pipeline::standard();
-  const pipeline::CostModel cm;
-
-  auto loaded_plan = plan_from(flags, catalog);
-  if (!loaded_plan) return 1;
-  core::OffloadPlan plan = std::move(*loaded_plan);
-
-  const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
-
-  // Optional fault replay (see docs/ARCHITECTURE.md, "Fault model").
-  net::FaultProfile fault_profile;
-  fault_profile.transient_fail_prob = flags.probability("transient-fail");
-  fault_profile.permanent_fail_prob = flags.probability("permanent-fail");
-  fault_profile.corrupt_prob = flags.probability("corrupt");
-  fault_profile.offload_only = flags.integer("fail-offload-only", 1) != 0;
-  fault_profile.latency_spike_prob = flags.probability("latency-spike");
-  fault_profile.bandwidth_dip_prob = flags.probability("bandwidth-dip");
-  fault_profile.seed = static_cast<std::uint64_t>(flags.integer("fault-seed", seed));
-  const net::FaultInjector faults{fault_profile};
+  const auto faults = faults_from(flags);
+  auto loaded = spec_from(flags, 40000);
+  if (!loaded) return 1;
+  RunSpec& spec = *loaded;
   // Link faults (latency spikes, bandwidth dips) apply in both modes.
-  if (faults.enabled()) cluster.link_faults = &faults;
+  if (faults.injector.enabled()) spec.params.cluster.link_faults = &faults.injector;
+  if (flags.flag("adapt")) return cmd_simulate_adaptive(flags, spec, faults);
+  const auto& catalog = spec.catalog;
+  const auto& cluster = spec.params.cluster;
 
   // Materialization what-if: spend a disk budget on deterministic prefixes,
   // then re-run the offload decision over the adjusted profiles (materialised
@@ -412,16 +409,16 @@ int cmd_simulate(const Flags& flags) {
   // below charge the shard-read cost instead of live prefix CPU for them.
   std::vector<core::SampleProfile> adjusted;  // non-empty iff materialization on
   if (const long budget_mib = flags.integer("shard-budget-mib", -1); budget_mib >= 0) {
-    const auto profiles = core::profile_stage2(catalog, pipe, cm);
-    const Seconds gpu_epoch = core::gpu_epoch_time(catalog.size(), cluster.batch_size,
-                                                   gpu.batch_time(cluster.batch_size));
+    const auto profiles = core::profile_stage2(catalog, spec.pipe, spec.cm);
+    const Seconds gpu_epoch = spec.gpu_epoch();
     if (flags.str("plan", "").empty()) {
-      plan = core::decide_offloading(profiles, cluster, gpu_epoch).plan;
+      spec.plan = core::decide_offloading(profiles, cluster, gpu_epoch).plan;
     }
-    const auto mat = shard::plan_materialization(profiles, plan, pipe.deterministic_prefix(),
+    const auto mat = shard::plan_materialization(profiles, spec.plan,
+                                                 spec.pipe.deterministic_prefix(),
                                                  shard_budget_from(flags));
     adjusted = shard::adjusted_profiles(profiles, mat);
-    const auto baseline = core::evaluate_plan(profiles, plan, cluster, gpu_epoch);
+    const auto baseline = core::evaluate_plan(profiles, spec.plan, cluster, gpu_epoch);
     const auto redecided = core::decide_offloading(adjusted, cluster, gpu_epoch);
     std::printf("materialized %zu of %zu samples (%s on disk, saves %.1f s/epoch storage CPU)\n",
                 mat.materialized, catalog.size(), human_bytes(mat.total_bytes).c_str(),
@@ -429,26 +426,15 @@ int cmd_simulate(const Flags& flags) {
     std::printf(
         "re-rank: offloaded %zu -> %zu | predicted epoch %.1f s -> %.1f s | "
         "T_CS %.1f s -> %.1f s | T_Net %.1f s -> %.1f s\n",
-        plan.offloaded_count(), redecided.plan.offloaded_count(),
+        spec.plan.offloaded_count(), redecided.plan.offloaded_count(),
         baseline.predicted_epoch_time().value(),
         redecided.final_cost.predicted_epoch_time().value(), baseline.t_cs.value(),
         redecided.final_cost.t_cs.value(), baseline.t_net.value(),
         redecided.final_cost.t_net.value());
-    plan = redecided.plan;
+    spec.plan = redecided.plan;
   }
 
-  if (adapt) {
-    // An explicit --plan is the run's initial plan; without one the run
-    // starts from the greedy decision.
-    std::shared_ptr<const core::OffloadPlan> initial_plan;
-    if (flags.flag("plan")) initial_plan = std::make_shared<const core::OffloadPlan>(plan);
-    return cmd_simulate_adaptive(flags, catalog, pipe, cm, cluster,
-                                 gpu.batch_time(cluster.batch_size), faults, seed,
-                                 std::move(initial_plan));
-  }
-
-  std::function<sim::SampleFlow(std::size_t)> flow =
-      sim::plan_flow(catalog, pipe, cm, plan.assignment());
+  sim::FlowFn flow = spec.flow();
   if (!adjusted.empty()) {
     // A materialized prefix costs its adjusted profile, not live prefix CPU.
     flow = [&adjusted, planned = std::move(flow)](std::size_t idx) {
@@ -461,21 +447,19 @@ int cmd_simulate(const Flags& flags) {
     };
   }
   sim::FaultReplayStats replay;
-  if (faults.enabled()) {
-    const auto raw_flow = sim::plan_flow(catalog, pipe, cm, {});
-    net::RetryPolicy retry;
-    retry.max_attempts = static_cast<std::uint32_t>(flags.integer("retries", 3)) + 1;
-    retry.seed = fault_profile.seed;
-    flow = sim::faulty_flow(flow, raw_flow, faults, retry, epoch, &replay);
+  if (faults.injector.enabled()) {
+    flow = sim::faulty_flow(flow, sim::plan_flow(catalog, spec.pipe, spec.cm, {}),
+                            faults.injector, faults.retry, spec.params.epoch_index, &replay);
   }
 
-  const auto stats = sim::simulate_epoch_flows(catalog.size(), flow, cluster,
-                                               gpu.batch_time(cluster.batch_size), seed, epoch);
+  // Every view below schedules this one flow through the one dispatcher:
+  // the headline on the batch window, the rest on worker lanes.
+  const auto stats = critpath::run_epoch(flow, spec.params).epoch;
   std::printf("epoch %.1f s | traffic %s | GPU util %.1f%% | offloaded %zu | storage CPU %.1fs\n",
               stats.epoch_time.value(), human_bytes(stats.traffic).c_str(),
               100.0 * stats.gpu_utilization, stats.offloaded_samples,
               stats.storage_cpu_busy.value());
-  if (faults.enabled()) {
+  if (faults.injector.enabled()) {
     std::printf("faults: %llu retries | %zu degraded | %zu failed | %s wasted | %.2fs backoff\n",
                 static_cast<unsigned long long>(replay.retries), replay.degraded, replay.failed,
                 human_bytes(replay.wasted_traffic).c_str(), replay.backoff.value());
@@ -487,128 +471,99 @@ int cmd_simulate(const Flags& flags) {
     std::printf("%s", metrics.expose().c_str());
   }
 
-  // Optional clairvoyant-prefetch comparison: replay the same flows through
-  // the worker-level loader model, demand vs. prefetch (see src/prefetch/).
-  if (const auto depth = replay_options.prefetch.depth; depth > 0) {
-    auto options = replay_options;
-    options.prefetch.depth = 0;
-    const auto gpu_batch = gpu.batch_time(cluster.batch_size);
-    const auto demand = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch, seed,
-                                               epoch, options);
-    options.prefetch.depth = depth;
-    const auto prefetched = prefetch::replay_epoch(catalog.size(), flow, cluster, gpu_batch,
-                                                   seed, epoch, options);
+  // Optional clairvoyant-prefetch comparison: the same flows on worker
+  // lanes, demand vs. prefetch (see src/prefetch/).
+  const std::size_t depth = spec.params.replay.prefetch.depth;
+  if (depth > 0) {
+    const auto demand = critpath::run_epoch(flow, spec.lanes(0));
+    const auto prefetched = critpath::run_epoch(flow, spec.lanes(depth));
     const double speedup =
         demand.epoch.epoch_time.value() / prefetched.epoch.epoch_time.value();
     std::printf(
         "prefetch (depth %zu, %zu workers): epoch %.1f s -> %.1f s (%.2fx) | "
         "traffic %s -> %s\n",
-        depth, options.workers, demand.epoch.epoch_time.value(),
+        depth, spec.params.replay.workers, demand.epoch.epoch_time.value(),
         prefetched.epoch.epoch_time.value(), speedup,
         human_bytes(demand.epoch.traffic).c_str(), human_bytes(prefetched.epoch.traffic).c_str());
     const auto& ps = prefetched.prefetch;
+    const auto n = [](std::uint64_t count) { return static_cast<unsigned long long>(count); };
     std::printf(
         "prefetch stats: %llu issued | %llu hits (%llu late) | %llu demand | "
         "%llu deprioritized | stall %.1fs -> %.1fs | link inflight peak %llu\n",
-        static_cast<unsigned long long>(ps.issued), static_cast<unsigned long long>(ps.hits),
-        static_cast<unsigned long long>(ps.late_hits),
-        static_cast<unsigned long long>(ps.demand_fetches),
-        static_cast<unsigned long long>(ps.skipped_deprioritized),
-        demand.prefetch.worker_stall.value(), ps.worker_stall.value(),
-        static_cast<unsigned long long>(ps.max_inflight));
+        n(ps.issued), n(ps.hits), n(ps.late_hits), n(ps.demand_fetches),
+        n(ps.skipped_deprioritized), demand.prefetch.worker_stall.value(),
+        ps.worker_stall.value(), n(ps.max_inflight));
   }
 
-  // Recorded run: schedule the epoch once through the worker-level model
-  // with recording on; the Chrome trace, the stall attribution and the
-  // critical path are all views of that one record.
+  // Recorded run: schedule the epoch once on worker lanes with recording
+  // on; the Chrome trace, the stall attribution and the critical path are
+  // all views of that one record.
   const auto trace_out = flags.str("trace-out", "");
   const auto critpath_out = flags.str("critpath-out", "");
   const bool want_report = flags.flag("report");
-  if (!trace_out.empty() || want_report || !critpath_out.empty()) {
-    const obs::critpath::EpochParams params{
-        .cluster = cluster,
-        .gpu_batch_time = gpu.batch_time(cluster.batch_size),
-        .seed = seed,
-        .epoch_index = epoch,
-        .num_samples = catalog.size(),
-        .discipline = obs::critpath::Discipline::kWorkerReplay,
-        .replay = replay_options};
-    const auto traced = obs::critpath::record_epoch(flow, params);
+  if (trace_out.empty() && !want_report && critpath_out.empty()) return 0;
+  const auto params = spec.lanes(depth);
+  const auto traced = critpath::record_epoch(flow, params);
 
-    auto& tracer = obs::global_tracer();
-    // Everything records from this thread: one ring must hold the whole
-    // epoch (fetch/wait + preprocess + per-op + storage + link + gpu spans).
-    tracer.set_capacity(catalog.size() * 12 + 4096);
-    tracer.set_enabled(true);
-    const obs::SampleCostFn costs = [&](std::uint32_t idx) {
-      const auto& meta = catalog.sample(idx);
-      const std::size_t prefix = plan.prefix(idx);
-      obs::SampleOpCosts detail;
-      detail.prefix = static_cast<std::int32_t>(prefix);
-      for (std::size_t i = prefix; i < pipe.size(); ++i) {
-        detail.compute_ops.emplace_back(std::string(pipe.op(i).name()),
-                                        pipe.op_cost(meta.raw, i, cm));
-      }
-      return detail;
-    };
-    const auto flows = obs::build_replay_trace(traced.record, costs, tracer);
-
-    // Critical-path analysis of the recorded epoch: decompose the blame
-    // vector, rank the stock what-if scenarios, and overlay the path as a
-    // highlighted track in the Chrome trace.
-    if (!critpath_out.empty()) {
-      const auto whatif = obs::critpath::project(
-          obs::critpath::critical_path(traced.record, traced.epoch.epoch_time), flow, params,
-          obs::critpath::default_scenarios(params));
-      const auto& analysis = whatif.baseline;
-      std::printf("%s%s", analysis.render().c_str(), whatif.render().c_str());
-      const std::uint32_t critpath_track = tracer.track("critical-path");
-      for (const auto& segment : analysis.path) {
-        obs::SpanArgs args;
-        args.sample = segment.sample;
-        args.position = segment.position;
-        tracer.record_at(critpath_track, obs::SpanCategory::kOther,
-                         obs::critpath::resource_name(segment.via), segment.begin, segment.end,
-                         args);
-      }
-      Json doc = analysis.to_json();
-      doc.set("whatif", whatif.to_json());
-      if (!core::save_json_file(doc, critpath_out)) {
-        std::fprintf(stderr, "cannot write %s\n", critpath_out.c_str());
-        return 1;
-      }
-      std::printf("wrote critical-path analysis to %s\n", critpath_out.c_str());
+  auto& tracer = obs::global_tracer();
+  // Everything records from this thread: one ring must hold the whole
+  // epoch (fetch/wait + preprocess + per-op + storage + link + gpu spans).
+  tracer.set_capacity(catalog.size() * 12 + 4096);
+  tracer.set_enabled(true);
+  const obs::SampleCostFn costs = [&](std::uint32_t idx) {
+    obs::SampleOpCosts detail;
+    detail.prefix = static_cast<std::int32_t>(spec.plan.prefix(idx));
+    for (std::size_t i = spec.plan.prefix(idx); i < spec.pipe.size(); ++i) {
+      detail.compute_ops.emplace_back(std::string(spec.pipe.op(i).name()),
+                                      spec.pipe.op_cost(catalog.sample(idx).raw, i, spec.cm));
     }
+    return detail;
+  };
+  const auto flows = obs::build_replay_trace(traced.record, costs, tracer);
 
-    tracer.set_enabled(false);
-    const auto spans = tracer.drain();
-    const auto labels = tracer.labels();
-
-    if (!trace_out.empty()) {
-      if (!core::save_json_file(obs::chrome_trace_json(spans, labels, flows), trace_out)) {
-        std::fprintf(stderr, "cannot write %s\n", trace_out.c_str());
-        return 1;
-      }
-      std::printf("wrote %zu spans + %zu flows (%llu dropped) to %s\n", spans.size(),
-                  flows.size(), static_cast<unsigned long long>(tracer.dropped()),
-                  trace_out.c_str());
+  // Critical-path analysis of the recorded epoch: decompose the blame
+  // vector, rank the stock what-if scenarios, and overlay the path as a
+  // highlighted track in the Chrome trace.
+  if (!critpath_out.empty()) {
+    const auto whatif = critpath::project(
+        critpath::critical_path(traced.record, traced.epoch.epoch_time), flow, params,
+        critpath::default_scenarios(params));
+    const auto& analysis = whatif.baseline;
+    std::printf("%s%s", analysis.render().c_str(), whatif.render().c_str());
+    const std::uint32_t critpath_track = tracer.track("critical-path");
+    for (const auto& segment : analysis.path) {
+      obs::SpanArgs args;
+      args.sample = segment.sample;
+      args.position = segment.position;
+      tracer.record_at(critpath_track, obs::SpanCategory::kOther,
+                       critpath::resource_name(segment.via), segment.begin, segment.end, args);
     }
-    if (want_report) {
-      auto report = obs::EpochReport::build(spans, labels, traced.epoch.epoch_time);
-      const auto profiles = core::profile_stage2(catalog, pipe, cm);
-      const auto predicted = core::evaluate_plan(
-          profiles, plan, cluster,
-          core::gpu_epoch_time(catalog.size(), cluster.batch_size, params.gpu_batch_time));
-      report.set_predicted(obs::EpochReport::Costs{predicted.t_g, predicted.t_cc,
-                                                   predicted.t_cs, predicted.t_net});
-      std::printf("%s", report.render().c_str());
-      if (const auto out = flags.str("report-out", ""); !out.empty()) {
-        if (!core::save_json_file(report.to_json(), out)) {
-          std::fprintf(stderr, "cannot write %s\n", out.c_str());
-          return 1;
-        }
-        std::printf("wrote stall report to %s\n", out.c_str());
-      }
+    Json doc = analysis.to_json();
+    doc.set("whatif", whatif.to_json());
+    if (!write_json(doc, critpath_out)) return 1;
+    std::printf("wrote critical-path analysis to %s\n", critpath_out.c_str());
+  }
+
+  tracer.set_enabled(false);
+  const auto spans = tracer.drain();
+  const auto labels = tracer.labels();
+
+  if (!trace_out.empty()) {
+    if (!write_json(obs::chrome_trace_json(spans, labels, flows), trace_out)) return 1;
+    std::printf("wrote %zu spans + %zu flows (%llu dropped) to %s\n", spans.size(), flows.size(),
+                static_cast<unsigned long long>(tracer.dropped()), trace_out.c_str());
+  }
+  if (want_report) {
+    auto report = obs::EpochReport::build(spans, labels, traced.epoch.epoch_time);
+    const auto predicted =
+        core::evaluate_plan(core::profile_stage2(catalog, spec.pipe, spec.cm), spec.plan,
+                            cluster, spec.gpu_epoch());
+    report.set_predicted(obs::EpochReport::Costs{predicted.t_g, predicted.t_cc, predicted.t_cs,
+                                                 predicted.t_net});
+    std::printf("%s", report.render().c_str());
+    if (const auto out = flags.str("report-out", ""); !out.empty()) {
+      if (!write_json(report.to_json(), out)) return 1;
+      std::printf("wrote stall report to %s\n", out.c_str());
     }
   }
   return 0;
@@ -618,53 +573,29 @@ int cmd_simulate(const Flags& flags) {
 /// scenarios, and (by default) validate every projection against a real
 /// simulator re-run under the perturbed config.
 int cmd_whatif(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 40000, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
-  const auto epoch = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
-  const auto cluster = cluster_from(flags);
-  const auto replay_options = replay_options_from(flags);
-  const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
-  const auto pipe = pipeline::Pipeline::standard();
-  const pipeline::CostModel cm;
-
-  auto loaded_plan = plan_from(flags, catalog);
-  if (!loaded_plan) return 1;
-  core::OffloadPlan plan = std::move(*loaded_plan);
-
-  const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
-
-  obs::critpath::EpochParams params;
-  params.cluster = cluster;
-  params.gpu_batch_time = gpu.batch_time(cluster.batch_size);
-  params.seed = seed;
-  params.epoch_index = epoch;
-  params.num_samples = catalog.size();
-  if (flags.integer("replay", 0) != 0) {
-    params.discipline = obs::critpath::Discipline::kWorkerReplay;
-    params.replay = replay_options;
-  }
-
-  const auto flow = sim::plan_flow(catalog, pipe, cm, plan.assignment());
+  const auto spec = spec_from(flags, 40000);
+  if (!spec) return 1;
+  const auto& params = spec->params;
+  const auto flow = spec->flow();
 
   // Schedule the baseline once: its record is both the analyzed critical
   // path and, through its own epoch time, the observed run.
-  const auto recorded = obs::critpath::record_epoch(flow, params);
-  const auto report = obs::critpath::project(
-      obs::critpath::critical_path(recorded.record, recorded.epoch.epoch_time), flow, params,
-      obs::critpath::default_scenarios(params));
+  const auto recorded = critpath::record_epoch(flow, params);
+  const auto report = critpath::project(
+      critpath::critical_path(recorded.record, recorded.epoch.epoch_time), flow, params,
+      critpath::default_scenarios(params));
   std::printf("%s%s", report.baseline.render().c_str(), report.render().c_str());
 
-  int exit_code = 0;
   Json doc = report.to_json();
+  std::size_t validated = report.ranked.size();  // all, unless validation finds otherwise
   if (flags.integer("validate", 1) != 0) {
     // Every projection must match a real simulator re-run under the
     // perturbed config.
     const double tolerance = flags.number("tolerance", 0.05);
-    std::size_t validated = 0;
+    validated = 0;
     Json verdicts = Json::array();
     for (const auto& projection : report.ranked) {
-      const Seconds actual = obs::critpath::run_epoch(flow, projection.params).epoch.epoch_time;
+      const Seconds actual = critpath::run_epoch(flow, projection.params).epoch.epoch_time;
       const double reference = std::max(actual.value(), 1e-12);
       const double error =
           std::fabs(projection.projected_epoch_time.value() - actual.value()) / reference;
@@ -678,11 +609,7 @@ int cmd_whatif(const Flags& flags) {
       verdict.set("rel_error", error);
       verdict.set("ok", ok);
       verdicts.push_back(std::move(verdict));
-      if (ok) {
-        ++validated;
-      } else {
-        exit_code = 1;
-      }
+      validated += ok ? 1 : 0;
     }
     std::printf("what-if validated: %zu of %zu scenarios within %.0f%%\n", validated,
                 report.ranked.size(), 100.0 * tolerance);
@@ -695,13 +622,10 @@ int cmd_whatif(const Flags& flags) {
   }
 
   if (const auto out = flags.str("out", ""); !out.empty()) {
-    if (!core::save_json_file(doc, out)) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
+    if (!write_json(doc, out)) return 1;
     std::printf("wrote what-if report to %s\n", out.c_str());
   }
-  return exit_code;
+  return validated == report.ranked.size() ? 0 : 1;
 }
 
 /// Schema-check a Chrome trace-event document with the in-repo JSON parser:
@@ -880,14 +804,11 @@ int cmd_bench_compare(const Flags& flags) {
 }
 
 int cmd_evaluate(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(
-      flags.integer_at_least("samples", name == "imagenet" ? 90000 : 40000, 1));
   core::RunConfig config;
+  const auto corpus =
+      corpus_from(flags, flags.str("dataset", "openimages") == "imagenet" ? 90000 : 40000);
   config.cluster = cluster_from(flags);
-  const auto catalog = dataset::Catalog::generate(
-      profile_for(name, samples), static_cast<std::uint64_t>(flags.integer("seed", 42)));
-  const auto results = core::run_all_policies(catalog, pipeline::Pipeline::standard(),
+  const auto results = core::run_all_policies(corpus.generate(), pipeline::Pipeline::standard(),
                                               pipeline::CostModel{}, config);
   TextTable table({"policy", "epoch time", "traffic", "offloaded"});
   for (const auto& r : results) {
@@ -899,34 +820,14 @@ int cmd_evaluate(const Flags& flags) {
 }
 
 int cmd_trace(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 8000, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
-  const auto cluster = cluster_from(flags);
-  const auto catalog = dataset::Catalog::generate(profile_for(name, samples), seed);
-  const auto pipe = pipeline::Pipeline::standard();
-  const pipeline::CostModel cm;
-
-  auto loaded_plan = plan_from(flags, catalog);
-  if (!loaded_plan) return 1;
-  core::OffloadPlan plan = std::move(*loaded_plan);
-
-  const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
-  obs::critpath::EpochParams params;
-  params.cluster = cluster;
-  params.gpu_batch_time = gpu.batch_time(cluster.batch_size);
-  params.seed = seed;
-  params.num_samples = catalog.size();
-  const auto traced =
-      obs::critpath::record_epoch(sim::plan_flow(catalog, pipe, cm, plan.assignment()), params);
+  const auto spec = spec_from(flags, 8000);
+  if (!spec) return 1;
+  const auto traced = critpath::record_epoch(spec->flow(), spec->params);
   std::printf("epoch %.1f s | traffic %s | mean per-sample latency %s\n",
               traced.epoch.epoch_time.value(), human_bytes(traced.epoch.traffic).c_str(),
               human_seconds(obs::mean_latency(traced.record)).c_str());
   if (const auto out = flags.str("out", ""); !out.empty()) {
-    if (!core::save_json_file(obs::timeline_json(traced.record), out)) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
+    if (!write_json(obs::timeline_json(traced.record), out)) return 1;
     std::printf("wrote %zu timeline records to %s\n", traced.record.visits().size(),
                 out.c_str());
   }
@@ -949,46 +850,36 @@ int cmd_calibrate(const Flags& flags) {
   options.repeats = repeats;
   const auto result = dataset::calibrate_cost_model(corpus, options);
   const auto& c = result.coefficients;
+  const std::pair<const char*, double> fitted[] = {
+      {"decode_ns_per_byte", c.decode_ns_per_byte},
+      {"decode_ns_per_pixel", c.decode_ns_per_pixel},
+      {"crop_ns_per_src_pixel", c.crop_ns_per_src_pixel},
+      {"resize_ns_per_out_pixel", c.resize_ns_per_out_pixel},
+      {"flip_ns_per_pixel", c.flip_ns_per_pixel},
+      {"to_tensor_ns_per_element", c.to_tensor_ns_per_element},
+      {"normalize_ns_per_element", c.normalize_ns_per_element}};
   std::printf("fitted coefficients (median relative error %.0f%%):\n",
               100.0 * result.median_relative_error());
-  std::printf("  decode_ns_per_byte        %.2f\n", c.decode_ns_per_byte);
-  std::printf("  decode_ns_per_pixel       %.2f\n", c.decode_ns_per_pixel);
-  std::printf("  crop_ns_per_src_pixel     %.2f\n", c.crop_ns_per_src_pixel);
-  std::printf("  resize_ns_per_out_pixel   %.2f\n", c.resize_ns_per_out_pixel);
-  std::printf("  flip_ns_per_pixel         %.2f\n", c.flip_ns_per_pixel);
-  std::printf("  to_tensor_ns_per_element  %.2f\n", c.to_tensor_ns_per_element);
-  std::printf("  normalize_ns_per_element  %.2f\n", c.normalize_ns_per_element);
+  for (const auto& [name, value] : fitted) std::printf("  %-25s %.2f\n", name, value);
   if (const auto out = flags.str("out", ""); !out.empty()) {
     Json json = Json::object();
     json.set("kind", "sophon.cost_coefficients");
     json.set("version", 1);
-    json.set("decode_ns_per_byte", c.decode_ns_per_byte);
-    json.set("decode_ns_per_pixel", c.decode_ns_per_pixel);
-    json.set("crop_ns_per_src_pixel", c.crop_ns_per_src_pixel);
-    json.set("resize_ns_per_out_pixel", c.resize_ns_per_out_pixel);
-    json.set("flip_ns_per_pixel", c.flip_ns_per_pixel);
-    json.set("to_tensor_ns_per_element", c.to_tensor_ns_per_element);
-    json.set("normalize_ns_per_element", c.normalize_ns_per_element);
-    if (!core::save_json_file(json, out)) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 1;
-    }
+    for (const auto& [name, value] : fitted) json.set(name, value);
+    if (!write_json(json, out)) return 1;
     std::printf("wrote %s\n", out.c_str());
   }
   return 0;
 }
 
 int cmd_ingest(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 64, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
+  auto corpus = corpus_from(flags, 64);
   const auto dir = flags.required("dir");
-  auto profile = profile_for(name, samples);
   // Ingest is real materialisation; keep images modest unless overridden.
-  profile.max_pixels = flags.number("max-pixels", 1.5e6);
-  const auto catalog = dataset::Catalog::generate(profile, seed);
+  corpus.profile.max_pixels = flags.number("max-pixels", 1.5e6);
+  const auto catalog = corpus.generate();
   storage::DiskStore store{dir};
-  const auto written = store.ingest_catalog(catalog, seed, profile.quality);
+  const auto written = store.ingest_catalog(catalog, corpus.seed, corpus.profile.quality);
   std::printf("ingested %zu blobs (%s) into %s\n", written,
               human_bytes(store.stored_bytes()).c_str(), dir.c_str());
   return 0;
@@ -999,16 +890,13 @@ int cmd_ingest(const Flags& flags) {
 /// materialization efficiency under the byte budget, execute them, write
 /// the shard.
 int cmd_pack(const Flags& flags) {
-  const auto name = flags.str("dataset", "openimages");
-  const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 512, 1));
-  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
+  auto corpus = corpus_from(flags, 512);
   const auto out = flags.required("out");
   const auto cluster = cluster_from(flags);
-  auto profile = profile_for(name, samples);
   // Packing is real materialisation (like ingest); keep images modest
   // unless overridden.
-  profile.max_pixels = flags.number("max-pixels", 1.5e6);
-  const auto catalog = dataset::Catalog::generate(profile, seed);
+  corpus.profile.max_pixels = flags.number("max-pixels", 1.5e6);
+  const auto catalog = corpus.generate();
   const auto pipe = pipeline_for(flags.str("pipeline", "standard"));
   const pipeline::CostModel cm;
   const auto profiles = core::profile_stage2(catalog, pipe, cm);
@@ -1017,7 +905,8 @@ int cmd_pack(const Flags& flags) {
   const auto budget = shard_budget_from(flags);
   const auto plan = shard::plan_materialization(profiles, decision.plan,
                                                 pipe.deterministic_prefix(), budget);
-  const auto stats = shard::pack_catalog(catalog, seed, profile.quality, pipe, cm, plan, out);
+  const auto stats =
+      shard::pack_catalog(catalog, corpus.seed, corpus.profile.quality, pipe, cm, plan, out);
   if (!stats) {
     std::fprintf(stderr, "cannot write shard %s\n", out.c_str());
     return 1;
@@ -1031,6 +920,7 @@ int cmd_pack(const Flags& flags) {
               plan.cpu_saved.value(), stats->modeled_cpu.value());
   return 0;
 }
+
 
 /// Open a shard, re-verify every entry's crc32, and summarise the contents
 /// per materialisation stage. Non-zero exit on a malformed file or any
@@ -1102,10 +992,25 @@ int cmd_traffic_diff(const Flags& flags) {
 // flag validation. tools/check.sh --docs diffs `sophonctl help` against
 // docs/CLI.md, so a flag added here without a docs entry fails CI.
 
+/// The mode of its command a flag needs: simulate's --adapt run or its
+/// single-epoch run, whatif's --replay 1. Outside it the flag exits 2
+/// instead of being ignored.
+enum Mode : std::uint8_t { kAnyMode, kNeedsAdapt, kNoAdapt, kNeedsReplay };
+
+/// Why `flags` may not carry a flag of `mode`; null when they may.
+const char* mode_violation(Mode mode, const Flags& flags) {
+  const bool adapt = flags.flag("adapt");
+  if (mode == kNeedsAdapt && !adapt) return "requires --adapt";
+  if (mode == kNoAdapt && adapt) return "cannot be combined with --adapt";
+  if (mode == kNeedsReplay && flags.integer("replay", 0) == 0) return "requires --replay 1";
+  return nullptr;
+}
+
 struct FlagSpec {
   const char* name;
   const char* arg;  // value placeholder, or "" for a boolean switch
   const char* help;
+  Mode mode = kAnyMode;
 };
 
 struct CommandSpec {
@@ -1150,7 +1055,7 @@ const std::vector<CommandSpec>& commands() {
        cmd_decide},
       {"simulate", "simulate training epochs under a plan, faults, prefetch, or --adapt",
        with_common(
-           {{"epoch", "N", "epoch index for the single-epoch run (default 0)"},
+           {{"epoch", "N", "epoch index for the single-epoch run (default 0)", kNoAdapt},
             {"plan", "FILE",
              "offload plan from decide (default: no offloading; under --adapt, the "
              "greedy plan)"},
@@ -1162,26 +1067,35 @@ const std::vector<CommandSpec>& commands() {
             {"bandwidth-dip", "P", "per-transfer link bandwidth dip probability"},
             {"fault-seed", "N", "fault replay seed (default: --seed)"},
             {"retries", "N", "retry budget per failed fetch (default 3)"},
-            {"prefetch-depth", "N", "enable prefetch comparison at this depth"},
-            {"workers", "N", "loader workers for prefetch/traced replay (default 4)"},
-            {"prefetch-budget-mib", "N", "staging-buffer byte budget (0 = unbounded)"},
-            {"trace-out", "FILE", "write a Chrome trace of the replayed epoch"},
-            {"report", "", "print the epoch stall-attribution report"},
-            {"report-out", "FILE", "write the stall report JSON"},
-            {"critpath-out", "FILE", "write the critical-path analysis + ranked what-if "
-                                     "scenarios JSON (adds a critical-path trace track)"},
+            {"prefetch-depth", "N", "enable prefetch comparison at this depth", kNoAdapt},
+            {"workers", "N", "loader workers for prefetch/traced replay (default 4)", kNoAdapt},
+            {"prefetch-budget-mib", "N", "staging-buffer byte budget (0 = unbounded)", kNoAdapt},
+            {"trace-out", "FILE", "write a Chrome trace of the replayed epoch", kNoAdapt},
+            {"report", "", "print the epoch stall-attribution report", kNoAdapt},
+            {"report-out", "FILE", "write the stall report JSON", kNoAdapt},
+            {"critpath-out", "FILE",
+             "write the critical-path analysis + ranked what-if "
+             "scenarios JSON (adds a critical-path trace track)",
+             kNoAdapt},
             {"adapt", "0|1", "multi-epoch adaptive run (0 = static multi-epoch baseline)"},
-            {"epochs", "N", "epochs for the --adapt run (default 10)"},
-            {"drift-threshold", "X", "re-plan when drift exceeds this (default 0.2)"},
-            {"replan-cooldown", "N", "min epochs between accepted re-plans (default 2)"},
-            {"min-improvement", "X", "relative-improvement floor for a re-plan (default 0.05)"},
-            {"bw-drop-factor", "X", "divide link bandwidth by this mid-run (default 1)"},
-            {"bw-drop-epoch", "N", "epoch at which the bandwidth drop hits (default 0)"},
-            {"ledger-out", "FILE", "attribute every link byte to a cause and write the "
-                                   "traffic-ledger export (--adapt runs)"},
+            {"epochs", "N", "epochs for the --adapt run (default 10)", kNeedsAdapt},
+            {"drift-threshold", "X", "re-plan when drift exceeds this (default 0.2)", kNeedsAdapt},
+            {"replan-cooldown", "N", "min epochs between accepted re-plans (default 2)",
+             kNeedsAdapt},
+            {"min-improvement", "X", "relative-improvement floor for a re-plan (default 0.05)",
+             kNeedsAdapt},
+            {"bw-drop-factor", "X", "divide link bandwidth by this mid-run (default 1)",
+             kNeedsAdapt},
+            {"bw-drop-epoch", "N", "epoch at which the bandwidth drop hits (default 0)",
+             kNeedsAdapt},
+            {"ledger-out", "FILE",
+             "attribute every link byte to a cause and write the "
+             "traffic-ledger export (--adapt runs)",
+             kNeedsAdapt},
             {"shard-budget-mib", "N",
              "materialize deterministic prefixes under this disk budget and re-rank "
-             "(0 = unlimited)"}},
+             "(0 = unlimited)",
+             kNoAdapt}},
            true, true),
        cmd_simulate},
       {"evaluate", "compare all offloading policies on one corpus",
@@ -1217,10 +1131,11 @@ const std::vector<CommandSpec>& commands() {
                     {"replay", "0|1",
                      "worker-level replay discipline instead of the batch-window trainer "
                      "(default 0)"},
-                    {"workers", "N", "loader workers for --replay 1 (default 4)"},
-                    {"prefetch-depth", "N", "prefetch depth for --replay 1 (default 0)"},
+                    {"workers", "N", "loader workers for --replay 1 (default 4)", kNeedsReplay},
+                    {"prefetch-depth", "N", "prefetch depth for --replay 1 (default 0)",
+                     kNeedsReplay},
                     {"prefetch-budget-mib", "N",
-                     "staging byte budget for --replay 1 (0 = unbounded)"},
+                     "staging byte budget for --replay 1 (0 = unbounded)", kNeedsReplay},
                     {"validate", "0|1",
                      "re-run the simulator under each scenario and check the projection "
                      "(default 1)"},
@@ -1285,21 +1200,21 @@ int cmd_help(const std::string& topic) {
 }
 
 /// Reject flags the command's spec does not declare — typos fail loudly
-/// instead of silently falling back to defaults.
+/// instead of silently falling back to defaults — and flags the selected
+/// mode does not read.
 bool validate_flags(const CommandSpec& spec, const Flags& flags) {
   bool ok = true;
   for (const auto& [key, value] : flags.values()) {
     if (key == "help") continue;
-    bool known = false;
-    for (const auto& flag : spec.flags) {
-      if (key == flag.name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
+    const auto flag = std::find_if(spec.flags.begin(), spec.flags.end(),
+                                   [&key](const FlagSpec& f) { return key == f.name; });
+    const char* wrong_mode = nullptr;
+    if (flag == spec.flags.end()) {
       std::fprintf(stderr, "unknown flag --%s for 'sophonctl %s' (see: sophonctl help %s)\n",
                    key.c_str(), spec.name, spec.name);
+      ok = false;
+    } else if ((wrong_mode = mode_violation(flag->mode, flags)) != nullptr) {
+      std::fprintf(stderr, "--%s %s\n", key.c_str(), wrong_mode);
       ok = false;
     }
   }
@@ -1307,21 +1222,15 @@ bool validate_flags(const CommandSpec& spec, const Flags& flags) {
 }
 
 void usage() {
-  std::fprintf(stderr,
-               "usage: sophonctl <command> [flags]\n"
-               "commands: gen-profiles | decide | simulate | evaluate | ingest | pack | "
-               "inspect-shard | calibrate | trace | whatif | validate-trace | "
-               "bench-compare | traffic-report | traffic-diff | help\n");
+  std::string names;
+  for (const auto& spec : commands()) names += std::string(spec.name) + " | ";
+  std::fprintf(stderr, "usage: sophonctl <command> [flags]\ncommands: %shelp\n", names.c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
-  }
-  const std::string command = argv[1];
+  const std::string command = argc > 1 ? argv[1] : "";
   if (command == "help" || command == "--help" || command == "-h") {
     return cmd_help(argc > 2 ? argv[2] : "");
   }
