@@ -7,6 +7,7 @@ namespace sophon::dataset {
 
 Catalog Catalog::generate(const DatasetProfile& profile, std::uint64_t seed) {
   SOPHON_CHECK(profile.num_samples > 0);
+  SOPHON_CHECK(profile.min_pixels <= profile.max_pixels);
   Catalog catalog;
   catalog.samples_.reserve(profile.num_samples);
   for (std::uint64_t id = 0; id < profile.num_samples; ++id) {

@@ -33,6 +33,14 @@ TEST(Catalog, GenerateIsDeterministic) {
   }
 }
 
+TEST(Catalog, GenerateRejectsInvertedPixelBounds) {
+  auto profile = openimages_profile(10);
+  profile.max_pixels = profile.min_pixels - 1.0;
+  EXPECT_THROW((void)Catalog::generate(profile, 1), ContractViolation);
+  profile.max_pixels = profile.min_pixels;
+  EXPECT_EQ(Catalog::generate(profile, 1).size(), 10u);
+}
+
 TEST(Catalog, FractionLargerThan) {
   const auto catalog = Catalog::generate(openimages_profile(1000), 3);
   EXPECT_DOUBLE_EQ(catalog.fraction_larger_than(Bytes(0)), 1.0);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dataset/synth.h"
 #include "net/wire.h"
 #include "util/check.h"
@@ -135,6 +137,37 @@ TEST(StorageServer, EpochsGetDifferentAugmentations) {
   req.epoch = 0;
   const auto c = f.server.fetch(req);
   EXPECT_EQ(a.payload, c.payload);  // same epoch → same crop
+}
+
+// Distinct tensors one 320x240 sample yields over `epochs` epochs: online,
+// with each epoch's augmentation streams, or from a stage-2 artifact frozen
+// at epoch 0's streams (preprocess-once reuse, paper §3.3).
+std::size_t distinct_variants(std::uint64_t sample_id, std::size_t epochs, bool frozen) {
+  dataset::SampleMeta meta;
+  meta.id = sample_id;
+  meta.raw = pipeline::SampleShape::encoded(Bytes(1), 320, 240, 3);
+  meta.texture = 0.4;
+  const pipeline::SampleData raw =
+      pipeline::EncodedBlob{dataset::materialize_encoded(meta, 9, 70)};
+  const auto pipe = pipeline::Pipeline::standard();
+  const auto frozen_seed = augmentation_seed(42, 0, sample_id);
+  const std::size_t stage = frozen ? 2 : 0;
+  const auto artifact = frozen ? pipe.run_seeded(raw, 0, stage, frozen_seed) : raw;
+  std::vector<std::vector<std::uint8_t>> seen;
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    const auto seed = frozen ? frozen_seed : augmentation_seed(42, epoch, sample_id);
+    auto bytes = net::serialize_sample(pipe.run_seeded(artifact, stage, pipe.size(), seed));
+    if (std::find(seen.begin(), seen.end(), bytes) == seen.end()) seen.push_back(bytes);
+  }
+  return seen.size();
+}
+
+TEST(VariantCounting, OnlineProducesFreshAugmentationsEveryEpoch) {
+  EXPECT_EQ(distinct_variants(5, 12, /*frozen=*/false), 12u);
+}
+
+TEST(VariantCounting, ReuseCollapsesToOneVariant) {
+  EXPECT_EQ(distinct_variants(6, 12, /*frozen=*/true), 1u);
 }
 
 TEST(StorageServer, RejectsUnknownSampleAndBadDirective) {

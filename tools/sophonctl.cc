@@ -91,11 +91,6 @@ class Flags {
     return it->second;
   }
 
-  [[nodiscard]] double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
   [[nodiscard]] long integer(const std::string& key, long fallback) const {
     const auto it = values_.find(key);
     return it == values_.end() ? fallback : std::atol(it->second.c_str());
@@ -105,6 +100,14 @@ class Flags {
   [[nodiscard]] long integer_at_least(const std::string& key, long fallback, long min) const {
     const long value = integer(key, fallback);
     if (value < min) out_of_range(key, strf("at least %ld", min));
+    return value;
+  }
+
+  /// number(key, fallback); exits 2 with a message when it is below `min`.
+  [[nodiscard]] double number_at_least(const std::string& key, double fallback,
+                                       double min) const {
+    const double value = number(key, fallback);
+    if (!(value >= min)) out_of_range(key, strf("at least %g", min));
     return value;
   }
 
@@ -125,6 +128,11 @@ class Flags {
   [[nodiscard]] const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
+  [[nodiscard]] double number(const std::string& key, double fallback) const {
+    const auto it = values_.find(key);
+    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+  }
+
   [[noreturn]] void out_of_range(const std::string& key, const std::string& rule) const {
     std::fprintf(stderr, "--%s must be %s (got %s)\n", key.c_str(), rule.c_str(),
                  str(key, "").c_str());
@@ -332,10 +340,10 @@ int cmd_simulate_adaptive(const Flags& flags, const RunSpec& spec, const FaultSp
   }
   options.epochs = static_cast<std::size_t>(flags.integer_at_least("epochs", 10, 1));
   options.adapt = flags.integer("adapt", 1) != 0;
-  options.adapt_options.drift_threshold = flags.number("drift-threshold", 0.2);
+  options.adapt_options.drift_threshold = flags.number_at_least("drift-threshold", 0.2, 0.0);
   options.adapt_options.replan_cooldown =
       static_cast<std::size_t>(flags.integer_at_least("replan-cooldown", 2, 1));
-  options.adapt_options.min_improvement = flags.number("min-improvement", 0.05);
+  options.adapt_options.min_improvement = flags.number_at_least("min-improvement", 0.05, 0.0);
   options.adapt_options.metrics = &metrics;
 
   const double drop_factor = flags.positive_number("bw-drop-factor", 1.0);
@@ -573,6 +581,7 @@ int cmd_simulate(const Flags& flags) {
 /// scenarios, and (by default) validate every projection against a real
 /// simulator re-run under the perturbed config.
 int cmd_whatif(const Flags& flags) {
+  const double tolerance = flags.number_at_least("tolerance", 0.05, 0.0);
   const auto spec = spec_from(flags, 40000);
   if (!spec) return 1;
   const auto& params = spec->params;
@@ -591,7 +600,6 @@ int cmd_whatif(const Flags& flags) {
   if (flags.integer("validate", 1) != 0) {
     // Every projection must match a real simulator re-run under the
     // perturbed config.
-    const double tolerance = flags.number("tolerance", 0.05);
     validated = 0;
     Json verdicts = Json::array();
     for (const auto& projection : report.ranked) {
@@ -785,7 +793,7 @@ bool bench_compare_value(const std::string& path, const Json& baseline, const Js
 int cmd_bench_compare(const Flags& flags) {
   const auto baseline_path = flags.required("baseline");
   const auto candidate_path = flags.required("candidate");
-  const double tolerance = flags.number("tolerance", 0.05);
+  const double tolerance = flags.number_at_least("tolerance", 0.05, 0.0);
   const auto baseline = core::load_json_file(baseline_path);
   const auto candidate = core::load_json_file(candidate_path);
   if (!baseline || !candidate) {
@@ -836,7 +844,7 @@ int cmd_trace(const Flags& flags) {
 
 int cmd_calibrate(const Flags& flags) {
   const auto samples = static_cast<std::size_t>(flags.integer_at_least("samples", 5, 1));
-  const auto repeats = static_cast<int>(flags.integer("repeats", 3));
+  const auto repeats = static_cast<int>(flags.integer_at_least("repeats", 3, 1));
   std::vector<dataset::SampleMeta> corpus;
   for (std::size_t i = 0; i < samples; ++i) {
     dataset::SampleMeta meta;
@@ -876,7 +884,8 @@ int cmd_ingest(const Flags& flags) {
   auto corpus = corpus_from(flags, 64);
   const auto dir = flags.required("dir");
   // Ingest is real materialisation; keep images modest unless overridden.
-  corpus.profile.max_pixels = flags.number("max-pixels", 1.5e6);
+  corpus.profile.max_pixels =
+      flags.number_at_least("max-pixels", 1.5e6, corpus.profile.min_pixels);
   const auto catalog = corpus.generate();
   storage::DiskStore store{dir};
   const auto written = store.ingest_catalog(catalog, corpus.seed, corpus.profile.quality);
@@ -895,7 +904,8 @@ int cmd_pack(const Flags& flags) {
   const auto cluster = cluster_from(flags);
   // Packing is real materialisation (like ingest); keep images modest
   // unless overridden.
-  corpus.profile.max_pixels = flags.number("max-pixels", 1.5e6);
+  corpus.profile.max_pixels =
+      flags.number_at_least("max-pixels", 1.5e6, corpus.profile.min_pixels);
   const auto catalog = corpus.generate();
   const auto pipe = pipeline_for(flags.str("pipeline", "standard"));
   const pipeline::CostModel cm;
