@@ -1,11 +1,14 @@
 // M1 — codec micro-benchmarks: SJPG encode/decode throughput across texture
-// and quality, plus the pixel kernels the pipeline executes per sample.
+// and quality, plus the pixel kernels the pipeline executes per sample and
+// the compute-side suffix with and without its fused steps.
 #include <benchmark/benchmark.h>
 
 #include "codec/sjpg.h"
 #include "dataset/synth.h"
 #include "image/color.h"
 #include "image/ops.h"
+#include "pipeline/pipeline.h"
+#include "util/rng.h"
 
 namespace sophon {
 namespace {
@@ -52,6 +55,56 @@ void BM_SjpgDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * w * h * 3);
 }
 BENCHMARK(BM_SjpgDecode)->Args({512, 384, 95})->Args({512, 384, 55})->Args({800, 600, 60});
+
+// RandomResizedCrop's rects on an 800x600 image, drawn as the crop op draws
+// them (area scale U[0.08, 1], aspect ratio [3/4, 4/3]).
+std::vector<image::CropRect> crop_rects(int w, int h) {
+  std::vector<image::CropRect> rects;
+  for (std::uint64_t stream = 0; stream < 64; ++stream) {
+    Rng rng(derive_seed(stream, 1));
+    rects.push_back(image::sample_resized_crop_rect(w, h, rng));
+  }
+  return rects;
+}
+
+// The 800x600 q60 image decoded over RandomResizedCrop's rects in turn: only
+// the rows down to a rect's bottom and the columns up to its right edge are
+// rebuilt, and only the rect is merged to RGB.
+void BM_SjpgDecodeRegion(benchmark::State& state) {
+  const auto blob = codec::sjpg_encode(synth(800, 600, 0.5), 60);
+  const auto rects = crop_rects(800, 600);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto img = codec::sjpg_decode(blob, rects[i++ % rects.size()]);
+    benchmark::DoNotOptimize(img);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 800 * 600 * 3);
+}
+BENCHMARK(BM_SjpgDecodeRegion);
+
+// The compute side of a raw fetch: the standard five ops on the 800x600 q60
+// blob, one run_seeded call per op (arg 0) or one call for all five (arg 1),
+// which fuses Decode → RandomResizedCrop and ToTensor → Normalize.
+void BM_LocalSuffix(benchmark::State& state) {
+  const auto pipe = pipeline::Pipeline::standard();
+  const pipeline::SampleData blob =
+      pipeline::EncodedBlob{codec::sjpg_encode(synth(800, 600, 0.5), 60)};
+  const bool fused = state.range(0) == 1;
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    const auto seed = stream++ % 64;
+    pipeline::SampleData data = blob;
+    if (fused) {
+      data = pipe.run_seeded(std::move(data), 0, pipe.size(), seed);
+    } else {
+      for (std::size_t k = 0; k < pipe.size(); ++k) {
+        data = pipe.run_seeded(std::move(data), k, k + 1, seed);
+      }
+    }
+    benchmark::DoNotOptimize(data);
+  }
+}
+BENCHMARK(BM_LocalSuffix)->ArgName("fused")->Arg(0)->Arg(1);
 
 // The decoder's last step: 4:2:0 planes of an 800x600 image back to RGB.
 void BM_MergeYcbcr420(benchmark::State& state) {

@@ -186,20 +186,26 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths, std::ui
     }
   }
 
-  // A second code of length at most kTableBits - first.length is fixed by
-  // the index bits after the first, so the entry its zero-filled index
-  // holds is the one a lookup at the real position finds.
+  // A code of length at most kTableBits - used after the first `used` bits
+  // is fixed by the index bits that follow them, so the entry its
+  // zero-filled index holds is the one a lookup at the real position finds.
   constexpr std::size_t kMask = (std::size_t{1} << kTableBits) - 1;
+  literals_.assign(table_.size(), Literals{});
   for (std::size_t i = 0; i < table_.size(); ++i) {
-    Entry& first = table_[i];
-    if (first.length == 0 || first.symbol == escape) continue;
-    const Entry& next = table_[(i << first.length) & kMask];
-    if (next.length == 0 || next.length > kTableBits - first.length || next.symbol == escape ||
-        next.symbol > 0xffff) {
-      continue;
+    Literals& run = literals_[i];
+    int used = 0;
+    while (run.count < run.symbols.size()) {
+      const Entry& next = table_[(i << used) & kMask];
+      if (next.length == 0 || next.length > kTableBits - used || next.symbol == escape ||
+          next.symbol > 0xffff) {
+        break;
+      }
+      used += next.length;
+      run.symbols[run.count] = static_cast<std::uint16_t>(next.symbol);
+      run.ends[run.count] = static_cast<std::uint8_t>(used);
+      run.bits = static_cast<std::uint8_t>(used);
+      ++run.count;
     }
-    first.second = static_cast<std::uint16_t>(next.symbol);
-    first.pair_length = static_cast<std::uint8_t>(first.length + next.length);
   }
 }
 

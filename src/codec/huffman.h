@@ -48,8 +48,9 @@ class HuffmanEncoder {
 /// table holds only codes reachable at their length, and where an
 /// over-subscribed table lets codes overlap, the shortest one wins.
 ///
-/// Where two codes fit in the lookup width, the same entry also holds the
-/// second one, so `decode_pair` resolves both with one lookup.
+/// Each lookup also resolves a run of up to four literal codes (none the
+/// escape) that lie within the lookup width, so `literals` answers for
+/// several symbols with one lookup.
 class HuffmanDecoder {
  public:
   /// Longest code the decoder accepts (the serialised lengths are 5-bit).
@@ -57,7 +58,7 @@ class HuffmanDecoder {
 
   /// Every length must be at most kMaxCodeBits. `escape`, when given, is a
   /// symbol the stream follows with raw bits (SJPG's zero-run marker), so
-  /// no pair starts or ends with it.
+  /// no run of literals holds it.
   explicit HuffmanDecoder(const std::vector<std::uint8_t>& lengths,
                           std::uint32_t escape = invalid_symbol());
 
@@ -72,15 +73,30 @@ class HuffmanDecoder {
     return e.symbol;
   }
 
-  /// Decode the next two symbols when both codes lie within the lookup
-  /// width and neither is the escape; they are exactly the symbols two
-  /// `decode` calls would return. Otherwise consume nothing and return
-  /// nullopt, and the caller decodes one symbol.
+  /// The codes that lie within the lookup width at the reader's position,
+  /// up to four and stopping before the escape, a longer code or a gap.
+  /// `symbols[k]` is what the (k+1)-th `decode` call would return and
+  /// `ends[k]` the bits those k+1 calls consume; `count` is 0 when the next
+  /// code is not such a literal. Consumes nothing: the caller skips
+  /// `ends[n - 1]` bits for the first n symbols it takes, or `bits` for
+  /// all of them, which keeps a load off the reader's dependency chain.
+  struct alignas(16) Literals {
+    std::array<std::uint16_t, 4> symbols{};
+    std::array<std::uint8_t, 4> ends{};
+    std::uint8_t count = 0;
+    std::uint8_t bits = 0;  // ends[count - 1], or 0
+  };
+  [[nodiscard]] const Literals& literals(BitReader& in) const {
+    return literals_[in.peek(kTableBits)];
+  }
+
+  /// The first two of `literals`, consumed, when there are two; otherwise
+  /// consume nothing and return nullopt.
   [[nodiscard]] std::optional<std::array<std::uint32_t, 2>> decode_pair(BitReader& in) const {
-    const Entry e = table_[in.peek(kTableBits)];
-    if (e.pair_length == 0) return std::nullopt;
-    in.skip(e.pair_length);
-    return std::array<std::uint32_t, 2>{e.symbol, e.second};
+    const Literals& run = literals(in);
+    if (run.count < 2) return std::nullopt;
+    in.skip(run.ends[1]);
+    return std::array<std::uint32_t, 2>{run.symbols[0], run.symbols[1]};
   }
 
   [[nodiscard]] static constexpr std::uint32_t invalid_symbol() { return 0xffffffffu; }
@@ -90,9 +106,7 @@ class HuffmanDecoder {
 
   struct Entry {
     std::uint32_t symbol = 0;
-    std::uint16_t second = 0;      // the following code's symbol, if pair_length > 0
-    std::uint8_t length = 0;       // 0: no code of at most kTableBits bits
-    std::uint8_t pair_length = 0;  // both codes' bits; 0: no pair in this entry
+    std::uint8_t length = 0;  // 0: no code of at most kTableBits bits
   };
 
   /// The walk for codes longer than kTableBits (or no code at all) over
@@ -107,6 +121,7 @@ class HuffmanDecoder {
   std::vector<std::uint32_t> count_;         // number of codes of this length
   std::vector<std::uint32_t> sorted_symbols_;
   std::vector<Entry> table_;                 // 1 << kTableBits entries
+  std::vector<Literals> literals_;           // 1 << kTableBits entries
 };
 
 /// Serialise code lengths into the bitstream (alphabet size is implicit —

@@ -7,6 +7,7 @@
 #include "codec/bitio.h"
 #include "codec/huffman.h"
 #include "image/color.h"
+#include "image/ops.h"
 #include "util/check.h"
 
 namespace sophon::codec {
@@ -209,8 +210,63 @@ void encode_plane(BitWriter& out, const image::Plane& plane, int step) {
   }
 }
 
-bool decode_plane(BitReader& in, image::Plane& plane, int step) {
-  std::vector<Predictor> row_modes(static_cast<std::size_t>(plane.height()));
+/// Pass 1 of a row: entropy-decodes its w residuals, dequantised, into
+/// `res`, which has room for three more (a lookup's four literals are
+/// written whole, and only those inside the row are consumed). The row
+/// starts with `zeros` residuals still pending from the last zero-run
+/// marker; a run may carry past the row's end, but not past the plane's
+/// `left` pixels from the row's start. Returns false on a corrupt stream.
+/// Kept out of line so the reader's state stays in registers in this loop
+/// rather than competing with the row rebuild's.
+[[gnu::noinline]] bool decode_residuals(BitReader& in, const HuffmanDecoder& decoder,
+                                        std::size_t w, std::size_t left, int step, int* res,
+                                        std::size_t& zeros) {
+  BitReader bits = in;
+  std::size_t x = std::min(zeros, w);
+  std::fill_n(res, x, 0);
+  zeros -= x;
+  while (x < w) {
+    // Up to four literal residuals per lookup, then one symbol.
+    const auto& run = decoder.literals(bits);
+    if (run.count > 0) {
+      res[x] = unzigzag(run.symbols[0]) * step;
+      res[x + 1] = unzigzag(run.symbols[1]) * step;
+      res[x + 2] = unzigzag(run.symbols[2]) * step;
+      res[x + 3] = unzigzag(run.symbols[3]) * step;
+      if (run.count <= w - x) [[likely]] {
+        bits.skip(run.bits);
+        x += run.count;
+      } else {
+        bits.skip(run.ends[w - x - 1]);
+        x = w;
+      }
+      if (bits.overrun()) return false;
+      continue;
+    }
+    const auto sym = decoder.decode(bits);
+    if (sym == HuffmanDecoder::invalid_symbol() || bits.overrun()) return false;
+    if (sym != kZrun) {
+      res[x++] = unzigzag(sym) * step;
+      continue;
+    }
+    const auto run_length = static_cast<std::size_t>(bits.get(10)) + kMinRun;
+    if (run_length > left - x) return false;
+    const std::size_t n = std::min(run_length, w - x);
+    std::fill_n(res + x, n, 0);
+    x += n;
+    zeros = run_length - n;
+  }
+  in = bits;
+  return true;
+}
+
+/// Decodes a width x height plane and rebuilds its top-left corner into
+/// `corner`, which may be as small as 1 x 1: the entropy pass always runs to
+/// the plane's end, so a corner decode accepts exactly the streams a whole
+/// one does, and no predictor reads right of or below the pixel it rebuilds.
+bool decode_plane(BitReader& in, int width, int height, int step, image::Plane& corner) {
+  SOPHON_CHECK(corner.width() <= width && corner.height() <= height);
+  std::vector<Predictor> row_modes(static_cast<std::size_t>(height));
   for (auto& mode : row_modes) {
     mode = static_cast<Predictor>(in.get(2));
   }
@@ -223,51 +279,23 @@ bool decode_plane(BitReader& in, image::Plane& plane, int step) {
   if (!any) return false;
   const HuffmanDecoder decoder(lengths, kZrun);
 
-  // Each row is decoded in two passes. Pass 1 entropy-decodes the row's
-  // residuals, dequantised, into `residuals`; a zero run is a fill and may
-  // carry into the next rows. Pass 2 rebuilds the row through the predictor
-  // shared with the encoder. The reader is a local copy for the whole plane,
-  // so its state stays in registers.
-  const auto w = static_cast<std::size_t>(plane.width());
-  const std::size_t total = w * static_cast<std::size_t>(plane.height());
-  std::vector<int> residuals(w);
+  // Each row is decoded in two passes: decode_residuals, then a rebuild of
+  // the row's part of the corner through the predictor shared with the
+  // encoder.
+  const auto w = static_cast<std::size_t>(width);
+  const std::size_t total = w * static_cast<std::size_t>(height);
+  const auto corner_w = static_cast<std::size_t>(corner.width());
+  std::vector<int> residuals(w + 3);
   int* const res = residuals.data();
-  BitReader bits = in;
-  std::size_t zeros = 0;  // pending zero residuals from the last run marker
-  for (int y = 0; y < plane.height(); ++y) {
+  std::size_t zeros = 0;
+  for (int y = 0; y < height; ++y) {
     const std::size_t row_start = static_cast<std::size_t>(y) * w;
-    std::size_t x = std::min(zeros, w);
-    std::fill_n(res, x, 0);
-    zeros -= x;
-    while (x < w) {
-      // Two literal residuals per lookup where they fit, then one symbol.
-      if (x + 1 < w) {
-        if (const auto pair = decoder.decode_pair(bits)) {
-          if (bits.overrun()) return false;
-          res[x] = unzigzag((*pair)[0]) * step;
-          res[x + 1] = unzigzag((*pair)[1]) * step;
-          x += 2;
-          continue;
-        }
-      }
-      const auto sym = decoder.decode(bits);
-      if (sym == HuffmanDecoder::invalid_symbol() || bits.overrun()) return false;
-      if (sym != kZrun) {
-        res[x++] = unzigzag(sym) * step;
-        continue;
-      }
-      const auto run = static_cast<std::size_t>(bits.get(10)) + kMinRun;
-      if (run > total - row_start - x) return false;
-      const std::size_t n = std::min(run, w - x);
-      std::fill_n(res + x, n, 0);
-      x += n;
-      zeros = run - n;
-    }
-    std::uint8_t* row = plane.data().data() + row_start;
-    predict_row(row, y > 0 ? row - w : nullptr, plane.width(),
+    if (!decode_residuals(in, decoder, w, total - row_start, step, res, zeros)) return false;
+    if (y >= corner.height()) continue;
+    std::uint8_t* row = corner.data().data() + static_cast<std::size_t>(y) * corner_w;
+    predict_row(row, y > 0 ? row - corner_w : nullptr, corner.width(),
                 row_modes[static_cast<std::size_t>(y)], [res](int px, int) { return res[px]; });
   }
-  in = bits;
   return true;
 }
 
@@ -331,9 +359,15 @@ std::optional<SjpgHeader> sjpg_peek(std::span<const std::uint8_t> blob) {
   return hdr;
 }
 
-std::optional<image::Image> sjpg_decode(std::span<const std::uint8_t> blob) {
+std::optional<image::Image> sjpg_decode(std::span<const std::uint8_t> blob,
+                                        std::optional<image::CropRect> region) {
   const auto hdr = sjpg_peek(blob);
   if (!hdr) return std::nullopt;
+  const image::CropRect rect = region.value_or(image::CropRect{0, 0, hdr->width, hdr->height});
+  SOPHON_CHECK(rect.x >= 0 && rect.y >= 0 && rect.width > 0 && rect.height > 0);
+  SOPHON_CHECK(rect.width <= hdr->width - rect.x && rect.height <= hdr->height - rect.y);
+  const int right = rect.x + rect.width;
+  const int bottom = rect.y + rect.height;
 
   BitReader in(blob);
   in.get(32);  // magic
@@ -345,19 +379,21 @@ std::optional<image::Image> sjpg_decode(std::span<const std::uint8_t> blob) {
   const int luma_step = sjpg_quant_step(hdr->quality);
   const int chroma_step = std::min(2 * luma_step, 32);
 
+  image::Plane y(right, bottom);
+  if (!decode_plane(in, hdr->width, hdr->height, luma_step, y)) return std::nullopt;
   if (hdr->channels == 3) {
-    image::Plane y(hdr->width, hdr->height);
-    image::Plane cb((hdr->width + 1) / 2, (hdr->height + 1) / 2);
-    image::Plane cr((hdr->width + 1) / 2, (hdr->height + 1) / 2);
-    if (!decode_plane(in, y, luma_step)) return std::nullopt;
-    if (!decode_plane(in, cb, chroma_step)) return std::nullopt;
-    if (!decode_plane(in, cr, chroma_step)) return std::nullopt;
-    return image::merge_ycbcr_420(y, cb, cr, hdr->width, hdr->height);
+    const int chroma_w = (hdr->width + 1) / 2;
+    const int chroma_h = (hdr->height + 1) / 2;
+    image::Plane cb((right + 1) / 2, (bottom + 1) / 2);
+    image::Plane cr((right + 1) / 2, (bottom + 1) / 2);
+    if (!decode_plane(in, chroma_w, chroma_h, chroma_step, cb)) return std::nullopt;
+    if (!decode_plane(in, chroma_w, chroma_h, chroma_step, cr)) return std::nullopt;
+    return image::merge_ycbcr_420(y, cb, cr, rect);
   }
 
-  image::Plane gray(hdr->width, hdr->height);
-  if (!decode_plane(in, gray, luma_step)) return std::nullopt;
-  return image::Image(hdr->width, hdr->height, 1, std::move(gray.data()));
+  image::Image gray(right, bottom, 1, std::move(y.data()));
+  if (rect.x == 0 && rect.y == 0) return gray;
+  return image::crop(gray, rect);
 }
 
 }  // namespace sophon::codec

@@ -34,9 +34,16 @@ struct SjpgHeader {
 /// inputs yield identical bytes.
 [[nodiscard]] std::vector<std::uint8_t> sjpg_encode(const image::Image& img, int quality);
 
-/// Decode a full SJPG blob. Returns nullopt on a malformed stream (bad
-/// magic, truncated payload, corrupt entropy data).
-[[nodiscard]] std::optional<image::Image> sjpg_decode(std::span<const std::uint8_t> blob);
+/// Decode an SJPG blob, or only its `region` (the whole image when none is
+/// given): the result is region-sized and its pixels are exactly those of
+/// that region of the whole decode. The region must lie inside the image
+/// (see `sjpg_peek`). Returns nullopt on a malformed stream (bad magic,
+/// truncated payload, corrupt entropy data); a region decode rejects
+/// exactly the streams a whole decode does, because every plane is
+/// entropy-decoded to its end and only the pixel reconstruction stops at
+/// the region's right and bottom edges.
+[[nodiscard]] std::optional<image::Image> sjpg_decode(
+    std::span<const std::uint8_t> blob, std::optional<image::CropRect> region = std::nullopt);
 
 /// Parse only the header — O(1); used by the storage server to answer size
 /// queries without decoding.

@@ -122,27 +122,40 @@ void put_rgb(std::uint8_t* dst, int y, int r, int g, int b) {
 }
 }  // namespace
 
-Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr, int width, int height) {
-  SOPHON_CHECK(y.width() == width && y.height() == height);
-  SOPHON_CHECK(cb.width() == (width + 1) / 2 && cb.height() == (height + 1) / 2);
+Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr, const CropRect& region) {
+  SOPHON_CHECK(region.x >= 0 && region.y >= 0 && region.width > 0 && region.height > 0);
+  const auto left = static_cast<std::size_t>(region.x);
+  const auto top = static_cast<std::size_t>(region.y);
+  const std::size_t right = left + static_cast<std::size_t>(region.width);
+  const std::size_t bottom = top + static_cast<std::size_t>(region.height);
+  SOPHON_CHECK(static_cast<std::size_t>(y.width()) >= right &&
+               static_cast<std::size_t>(y.height()) >= bottom);
+  SOPHON_CHECK(static_cast<std::size_t>(cb.width()) >= (right + 1) / 2 &&
+               static_cast<std::size_t>(cb.height()) >= (bottom + 1) / 2);
   SOPHON_CHECK(cr.width() == cb.width() && cr.height() == cb.height());
-  Image out(width, height, 3);
-  const auto w = static_cast<std::size_t>(width);
+  Image out(region.width, region.height, 3);
+  const auto w = static_cast<std::size_t>(y.width());
   const auto cw = static_cast<std::size_t>(cb.width());
-  for (std::size_t py = 0; py < static_cast<std::size_t>(height); ++py) {
+  std::uint8_t* dst = out.data().data();
+  for (std::size_t py = top; py < bottom; ++py) {
     const std::uint8_t* luma = y.data().data() + py * w;
     const std::uint8_t* blue = cb.data().data() + (py / 2) * cw;
     const std::uint8_t* red = cr.data().data() + (py / 2) * cw;
-    std::uint8_t* dst = out.data().data() + py * w * 3;
-    // One chroma sample covers two luma samples; an odd width ends on one.
-    for (std::size_t cx = 0; cx < cw; ++cx) {
+    // One chroma sample covers an even column and the odd one after it. A
+    // region may start on the odd half of a pair and end on the even half.
+    const auto put = [&](std::size_t px, std::size_t n) {
+      const std::size_t cx = px / 2;
       const int r = kChroma.cr_to_r[red[cx]];
       const int g = (kChroma.cb_to_g[blue[cx]] + kChroma.cr_to_g[red[cx]]) >> 16;
       const int b = kChroma.cb_to_b[blue[cx]];
-      put_rgb(dst + 6 * cx, luma[2 * cx], r, g, b);
-      if (2 * cx + 1 == w) break;
-      put_rgb(dst + 6 * cx + 3, luma[2 * cx + 1], r, g, b);
-    }
+      put_rgb(dst, luma[px], r, g, b);
+      if (n == 2) put_rgb(dst + 3, luma[px + 1], r, g, b);
+      dst += 3 * n;
+    };
+    std::size_t px = left;
+    if (px % 2 == 1) put(px++, 1);
+    for (; px + 1 < right; px += 2) put(px, 2);
+    if (px < right) put(px, 1);
   }
   return out;
 }

@@ -35,9 +35,17 @@ struct YcbcrPlanes {
 
 [[nodiscard]] YcbcrPlanes split_ycbcr_420(const Image& rgb);
 
-/// Reassemble an RGB image from 4:2:0 planes (nearest-neighbour chroma
-/// upsampling). `width`/`height` give the full-resolution size.
+/// Reassemble the `region` of an RGB image from its 4:2:0 planes
+/// (nearest-neighbour chroma upsampling); the result is region-sized. The
+/// planes need only reach the region's right and bottom edges: luma at
+/// least x + width by y + height, chroma at least half that, rounded up.
 [[nodiscard]] Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr,
-                                    int width, int height);
+                                    const CropRect& region);
+
+/// The whole `width` x `height` image.
+[[nodiscard]] inline Image merge_ycbcr_420(const Plane& y, const Plane& cb, const Plane& cr,
+                                           int width, int height) {
+  return merge_ycbcr_420(y, cb, cr, CropRect{0, 0, width, height});
+}
 
 }  // namespace sophon::image

@@ -9,6 +9,15 @@
 
 namespace sophon::image {
 
+/// Axis-aligned rectangle in pixel coordinates: a crop, or the region of an
+/// image a decode or a merge produces.
+struct CropRect {
+  int x = 0;
+  int y = 0;
+  int width = 0;
+  int height = 0;
+};
+
 /// Interleaved uint8 image, height-major (HWC). Value type: cheap to move,
 /// explicit to copy. Invariant: data().size() == width*height*channels.
 class Image {

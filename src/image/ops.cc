@@ -151,10 +151,16 @@ Image resized_crop(const Image& src, const CropRect& rect, int size) {
   return resample_rect(src, rect, size, size);
 }
 
-Tensor to_tensor(const Image& src) {
+namespace {
+
+constexpr float kInv255 = 1.0f / 255.0f;
+
+/// Writes each channel of `src` as a CHW plane of `to_float(c, v)` over its
+/// uint8 values v.
+template <typename ToFloat>
+Tensor to_tensor_with(const Image& src, ToFloat to_float) {
   SOPHON_CHECK(!src.empty());
   Tensor out(src.channels(), src.height(), src.width());
-  constexpr float kInv255 = 1.0f / 255.0f;
   const auto ch = static_cast<std::size_t>(src.channels());
   const std::size_t plane =
       static_cast<std::size_t>(src.width()) * static_cast<std::size_t>(src.height());
@@ -162,22 +168,54 @@ Tensor to_tensor(const Image& src) {
   for (std::size_t c = 0; c < ch; ++c) {
     float* dst = out.data().data() + c * plane;
     const std::uint8_t* from = pixels + c;
-    for (std::size_t i = 0; i < plane; ++i) dst[i] = static_cast<float>(from[i * ch]) * kInv255;
+    for (std::size_t i = 0; i < plane; ++i) dst[i] = to_float(c, from[i * ch]);
   }
   return out;
 }
 
+/// Normalize's per-channel terms: the mean and the reciprocal of the std.
+struct ChannelScale {
+  std::array<float, 3> mean;
+  std::array<float, 3> inv_std;
+};
+
+ChannelScale channel_scale(int channels, const std::array<float, 3>& mean,
+                           const std::array<float, 3>& stddev) {
+  SOPHON_CHECK(channels <= 3);
+  ChannelScale scale{mean, {}};
+  for (std::size_t c = 0; c < static_cast<std::size_t>(channels); ++c) {
+    SOPHON_CHECK_MSG(stddev[c] > 0.0f, "stddev must be positive");
+    scale.inv_std[c] = 1.0f / stddev[c];
+  }
+  return scale;
+}
+
+}  // namespace
+
+Tensor to_tensor(const Image& src) {
+  return to_tensor_with(
+      src, [](std::size_t, std::uint8_t v) { return static_cast<float>(v) * kInv255; });
+}
+
 void normalize(Tensor& t, const std::array<float, 3>& mean, const std::array<float, 3>& stddev) {
-  SOPHON_CHECK(t.channels() <= 3);
+  const ChannelScale scale = channel_scale(t.channels(), mean, stddev);
   const std::size_t plane =
       static_cast<std::size_t>(t.width()) * static_cast<std::size_t>(t.height());
   for (std::size_t c = 0; c < static_cast<std::size_t>(t.channels()); ++c) {
-    SOPHON_CHECK_MSG(stddev[c] > 0.0f, "stddev must be positive");
-    const float m = mean[c];
-    const float inv_s = 1.0f / stddev[c];
+    const float m = scale.mean[c];
+    const float inv_s = scale.inv_std[c];
     float* values = t.data().data() + c * plane;
     for (std::size_t i = 0; i < plane; ++i) values[i] = (values[i] - m) * inv_s;
   }
+}
+
+Tensor to_normalized_tensor(const Image& src, const std::array<float, 3>& mean,
+                            const std::array<float, 3>& stddev) {
+  const ChannelScale scale = channel_scale(src.channels(), mean, stddev);
+  return to_tensor_with(src, [&scale](std::size_t c, std::uint8_t v) {
+    const float value = static_cast<float>(v) * kInv255;
+    return (value - scale.mean[c]) * scale.inv_std[c];
+  });
 }
 
 }  // namespace sophon::image

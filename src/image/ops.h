@@ -12,14 +12,6 @@
 
 namespace sophon::image {
 
-/// Axis-aligned crop rectangle in pixel coordinates.
-struct CropRect {
-  int x = 0;
-  int y = 0;
-  int width = 0;
-  int height = 0;
-};
-
 /// Extract a sub-image. The rectangle must lie fully inside `src`.
 [[nodiscard]] Image crop(const Image& src, const CropRect& rect);
 
@@ -47,6 +39,11 @@ struct CropRect {
 /// Per-channel (x - mean) / std in place; `mean`/`stddev` indexed by channel.
 /// Channels beyond 3 are not supported (the pipeline is RGB).
 void normalize(Tensor& t, const std::array<float, 3>& mean, const std::array<float, 3>& stddev);
+
+/// to_tensor then normalize in one pass: per element the same float
+/// operations in the same order, so the result is bit-identical.
+[[nodiscard]] Tensor to_normalized_tensor(const Image& src, const std::array<float, 3>& mean,
+                                          const std::array<float, 3>& stddev);
 
 /// The ImageNet normalisation constants used by the paper's training script.
 inline constexpr std::array<float, 3> kImagenetMean{0.485f, 0.456f, 0.406f};

@@ -56,6 +56,63 @@ class PreprocessOp {
   [[nodiscard]] virtual bool is_random() const { return false; }
 };
 
+/// The standard operators whose adjacent pairs `Pipeline::run_seeded` runs
+/// as one step: Decode → RandomResizedCrop and ToTensor → Normalize. The
+/// flip, and every other op, is reached only through its factory.
+class DecodeOp final : public PreprocessOp {
+ public:
+  [[nodiscard]] OpKind kind() const override { return OpKind::kDecode; }
+  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
+  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override;
+  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override;
+  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override;
+};
+
+class RandomResizedCropOp final : public PreprocessOp {
+ public:
+  explicit RandomResizedCropOp(int target_size);
+
+  [[nodiscard]] OpKind kind() const override { return OpKind::kRandomResizedCrop; }
+  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
+  [[nodiscard]] bool is_random() const override { return true; }
+  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override;
+  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override;
+  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override;
+
+  [[nodiscard]] int target_size() const { return target_size_; }
+
+ private:
+  int target_size_;
+};
+
+class ToTensorOp final : public PreprocessOp {
+ public:
+  [[nodiscard]] OpKind kind() const override { return OpKind::kToTensor; }
+  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
+  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override;
+  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override;
+  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override;
+};
+
+class NormalizeOp final : public PreprocessOp {
+ public:
+  NormalizeOp(std::array<float, 3> mean, std::array<float, 3> stddev)
+      : mean_(mean), stddev_(stddev) {}
+
+  [[nodiscard]] OpKind kind() const override { return OpKind::kNormalize; }
+  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
+  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override;
+  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override;
+  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override;
+
+  [[nodiscard]] const std::array<float, 3>& mean() const { return mean_; }
+  [[nodiscard]] const std::array<float, 3>& stddev() const { return stddev_; }
+
+ private:
+  std::array<float, 3> mean_;
+  std::array<float, 3> stddev_;
+};
+
 /// Factory helpers for the standard operators.
 std::unique_ptr<PreprocessOp> make_decode_op();
 std::unique_ptr<PreprocessOp> make_random_resized_crop_op(int target_size);

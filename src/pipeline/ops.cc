@@ -24,67 +24,85 @@ std::string_view op_kind_name(OpKind kind) {
   return "Unknown";
 }
 
+SampleData DecodeOp::apply(SampleData in, Rng& /*rng*/) const {
+  const auto* blob = std::get_if<EncodedBlob>(&in);
+  SOPHON_CHECK_MSG(blob != nullptr, "Decode expects an encoded blob");
+  auto decoded = codec::sjpg_decode(blob->bytes);
+  SOPHON_CHECK_MSG(decoded.has_value(), "corrupt SJPG payload");
+  return SampleData(std::move(*decoded));
+}
+
+SampleShape DecodeOp::out_shape(const SampleShape& in) const {
+  SOPHON_CHECK(in.repr == Repr::kEncoded);
+  SampleShape out = in;
+  out.repr = Repr::kImage;
+  out.bytes = out.byte_size();
+  return out;
+}
+
+Seconds DecodeOp::cost(const SampleShape& in, const CostModel& model) const {
+  return model.decode_cost(in);
+}
+
+RandomResizedCropOp::RandomResizedCropOp(int target_size) : target_size_(target_size) {
+  SOPHON_CHECK(target_size > 0);
+}
+
+SampleData RandomResizedCropOp::apply(SampleData in, Rng& rng) const {
+  const auto* img = std::get_if<image::Image>(&in);
+  SOPHON_CHECK_MSG(img != nullptr, "RandomResizedCrop expects a decoded image");
+  const auto rect = image::sample_resized_crop_rect(img->width(), img->height(), rng);
+  return SampleData(image::resized_crop(*img, rect, target_size_));
+}
+
+SampleShape RandomResizedCropOp::out_shape(const SampleShape& in) const {
+  SOPHON_CHECK(in.repr == Repr::kImage);
+  SampleShape out = in;
+  out.width = target_size_;
+  out.height = target_size_;
+  out.bytes = out.byte_size();
+  return out;
+}
+
+Seconds RandomResizedCropOp::cost(const SampleShape& in, const CostModel& model) const {
+  return model.resized_crop_cost(in, target_size_);
+}
+
+SampleData ToTensorOp::apply(SampleData in, Rng& /*rng*/) const {
+  const auto* img = std::get_if<image::Image>(&in);
+  SOPHON_CHECK_MSG(img != nullptr, "ToTensor expects a decoded image");
+  return SampleData(image::to_tensor(*img));
+}
+
+SampleShape ToTensorOp::out_shape(const SampleShape& in) const {
+  SOPHON_CHECK(in.repr == Repr::kImage);
+  SampleShape out = in;
+  out.repr = Repr::kTensor;
+  out.bytes = out.byte_size();
+  return out;
+}
+
+Seconds ToTensorOp::cost(const SampleShape& in, const CostModel& model) const {
+  return model.to_tensor_cost(in);
+}
+
+SampleData NormalizeOp::apply(SampleData in, Rng& /*rng*/) const {
+  auto* tensor = std::get_if<image::Tensor>(&in);
+  SOPHON_CHECK_MSG(tensor != nullptr, "Normalize expects a tensor");
+  image::normalize(*tensor, mean_, stddev_);
+  return in;
+}
+
+SampleShape NormalizeOp::out_shape(const SampleShape& in) const {
+  SOPHON_CHECK(in.repr == Repr::kTensor);
+  return in;
+}
+
+Seconds NormalizeOp::cost(const SampleShape& in, const CostModel& model) const {
+  return model.normalize_cost(in);
+}
+
 namespace {
-
-class DecodeOp final : public PreprocessOp {
- public:
-  [[nodiscard]] OpKind kind() const override { return OpKind::kDecode; }
-  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
-
-  [[nodiscard]] SampleData apply(SampleData in, Rng& /*rng*/) const override {
-    const auto* blob = std::get_if<EncodedBlob>(&in);
-    SOPHON_CHECK_MSG(blob != nullptr, "Decode expects an encoded blob");
-    auto decoded = codec::sjpg_decode(blob->bytes);
-    SOPHON_CHECK_MSG(decoded.has_value(), "corrupt SJPG payload");
-    return SampleData(std::move(*decoded));
-  }
-
-  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
-    SOPHON_CHECK(in.repr == Repr::kEncoded);
-    SampleShape out = in;
-    out.repr = Repr::kImage;
-    out.bytes = out.byte_size();
-    return out;
-  }
-
-  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override {
-    return model.decode_cost(in);
-  }
-};
-
-class RandomResizedCropOp final : public PreprocessOp {
- public:
-  explicit RandomResizedCropOp(int target_size) : target_size_(target_size) {
-    SOPHON_CHECK(target_size > 0);
-  }
-
-  [[nodiscard]] OpKind kind() const override { return OpKind::kRandomResizedCrop; }
-  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
-  [[nodiscard]] bool is_random() const override { return true; }
-
-  [[nodiscard]] SampleData apply(SampleData in, Rng& rng) const override {
-    const auto* img = std::get_if<image::Image>(&in);
-    SOPHON_CHECK_MSG(img != nullptr, "RandomResizedCrop expects a decoded image");
-    const auto rect = image::sample_resized_crop_rect(img->width(), img->height(), rng);
-    return SampleData(image::resized_crop(*img, rect, target_size_));
-  }
-
-  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
-    SOPHON_CHECK(in.repr == Repr::kImage);
-    SampleShape out = in;
-    out.width = target_size_;
-    out.height = target_size_;
-    out.bytes = out.byte_size();
-    return out;
-  }
-
-  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override {
-    return model.resized_crop_cost(in, target_size_);
-  }
-
- private:
-  int target_size_;
-};
 
 class RandomHorizontalFlipOp final : public PreprocessOp {
  public:
@@ -114,59 +132,6 @@ class RandomHorizontalFlipOp final : public PreprocessOp {
 
  private:
   double probability_;
-};
-
-class ToTensorOp final : public PreprocessOp {
- public:
-  [[nodiscard]] OpKind kind() const override { return OpKind::kToTensor; }
-  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
-
-  [[nodiscard]] SampleData apply(SampleData in, Rng& /*rng*/) const override {
-    const auto* img = std::get_if<image::Image>(&in);
-    SOPHON_CHECK_MSG(img != nullptr, "ToTensor expects a decoded image");
-    return SampleData(image::to_tensor(*img));
-  }
-
-  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
-    SOPHON_CHECK(in.repr == Repr::kImage);
-    SampleShape out = in;
-    out.repr = Repr::kTensor;
-    out.bytes = out.byte_size();
-    return out;
-  }
-
-  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override {
-    return model.to_tensor_cost(in);
-  }
-};
-
-class NormalizeOp final : public PreprocessOp {
- public:
-  NormalizeOp(std::array<float, 3> mean, std::array<float, 3> stddev)
-      : mean_(mean), stddev_(stddev) {}
-
-  [[nodiscard]] OpKind kind() const override { return OpKind::kNormalize; }
-  [[nodiscard]] std::string_view name() const override { return op_kind_name(kind()); }
-
-  [[nodiscard]] SampleData apply(SampleData in, Rng& /*rng*/) const override {
-    auto* tensor = std::get_if<image::Tensor>(&in);
-    SOPHON_CHECK_MSG(tensor != nullptr, "Normalize expects a tensor");
-    image::normalize(*tensor, mean_, stddev_);
-    return in;
-  }
-
-  [[nodiscard]] SampleShape out_shape(const SampleShape& in) const override {
-    SOPHON_CHECK(in.repr == Repr::kTensor);
-    return in;
-  }
-
-  [[nodiscard]] Seconds cost(const SampleShape& in, const CostModel& model) const override {
-    return model.normalize_cost(in);
-  }
-
- private:
-  std::array<float, 3> mean_;
-  std::array<float, 3> stddev_;
 };
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "pipeline/pipeline.h"
 
+#include "codec/sjpg.h"
+#include "image/ops.h"
 #include "util/check.h"
 
 namespace sophon::pipeline {
@@ -23,28 +25,72 @@ const PreprocessOp& Pipeline::op(std::size_t index) const {
   return *ops_[index];
 }
 
-SampleData Pipeline::run(SampleData sample, std::size_t from_stage, std::size_t to_stage,
-                         Rng& rng) const {
-  SOPHON_CHECK(from_stage <= to_stage && to_stage <= ops_.size());
-  for (std::size_t i = from_stage; i < to_stage; ++i) {
-    obs::Span span(obs::SpanCategory::kPreprocess, ops_[i]->name());
-    sample = ops_[i]->apply(std::move(sample), rng);
+namespace {
+
+/// Decode → RandomResizedCrop as one step. The rect depends only on the
+/// image's dimensions, so drawing it from the header consumes `crop_rng`
+/// exactly as the crop op does; the region's pixels equal the whole
+/// decode's, and resampling all of them is resampling that rect of the
+/// whole image.
+SampleData decode_resized_crop(SampleData sample, const DecodeOp& decode,
+                               const RandomResizedCropOp& crop, Rng& crop_rng,
+                               obs::SpanCategory span_category) {
+  image::Image region;
+  {
+    obs::Span span(span_category, decode.name());
+    const auto* blob = std::get_if<EncodedBlob>(&sample);
+    SOPHON_CHECK_MSG(blob != nullptr, "Decode expects an encoded blob");
+    const auto header = codec::sjpg_peek(blob->bytes);
+    SOPHON_CHECK_MSG(header.has_value(), "corrupt SJPG payload");
+    const auto rect = image::sample_resized_crop_rect(header->width, header->height, crop_rng);
+    auto decoded = codec::sjpg_decode(blob->bytes, rect);
+    SOPHON_CHECK_MSG(decoded.has_value(), "corrupt SJPG payload");
+    region = std::move(*decoded);
   }
+  obs::Span span(span_category, crop.name());
+  return image::resize_bilinear(region, crop.target_size(), crop.target_size());
+}
+
+/// ToTensor → Normalize as one pass over the image.
+SampleData normalized_tensor(SampleData sample, const ToTensorOp& to_tensor,
+                             const NormalizeOp& normalize, obs::SpanCategory span_category) {
+  {
+    obs::Span span(span_category, to_tensor.name());
+    const auto* img = std::get_if<image::Image>(&sample);
+    SOPHON_CHECK_MSG(img != nullptr, "ToTensor expects a decoded image");
+    sample = image::to_normalized_tensor(*img, normalize.mean(), normalize.stddev());
+  }
+  const obs::Span span(span_category, normalize.name());
   return sample;
 }
 
-SampleData Pipeline::run_all(SampleData sample, Rng& rng) const {
-  return run(std::move(sample), 0, ops_.size(), rng);
-}
+}  // namespace
 
 SampleData Pipeline::run_seeded(SampleData sample, std::size_t from_stage, std::size_t to_stage,
                                 std::uint64_t stream_seed,
                                 obs::SpanCategory span_category) const {
   SOPHON_CHECK(from_stage <= to_stage && to_stage <= ops_.size());
+  const auto op_rng = [stream_seed](std::size_t i) {
+    return Rng(derive_seed(stream_seed, static_cast<std::uint64_t>(i)));
+  };
   for (std::size_t i = from_stage; i < to_stage; ++i) {
-    obs::Span span(span_category, ops_[i]->name());
-    Rng op_rng(derive_seed(stream_seed, static_cast<std::uint64_t>(i)));
-    sample = ops_[i]->apply(std::move(sample), op_rng);
+    const PreprocessOp* op = ops_[i].get();
+    const PreprocessOp* next = i + 1 < to_stage ? ops_[i + 1].get() : nullptr;
+    const auto* decode = dynamic_cast<const DecodeOp*>(op);
+    const auto* crop = dynamic_cast<const RandomResizedCropOp*>(next);
+    const auto* to_tensor = dynamic_cast<const ToTensorOp*>(op);
+    const auto* normalize = dynamic_cast<const NormalizeOp*>(next);
+    if (decode != nullptr && crop != nullptr) {
+      Rng crop_rng = op_rng(++i);
+      sample = decode_resized_crop(std::move(sample), *decode, *crop, crop_rng, span_category);
+    } else if (to_tensor != nullptr && normalize != nullptr) {
+      ++i;
+      sample = normalized_tensor(std::move(sample), *to_tensor, *normalize, span_category);
+    } else {
+      obs::Span span(span_category, op->name());
+      Rng rng = op_rng(i);
+      sample = op->apply(std::move(sample), rng);
+    }
   }
   return sample;
 }

@@ -26,20 +26,22 @@ class Pipeline {
   [[nodiscard]] std::size_t size() const { return ops_.size(); }
   [[nodiscard]] const PreprocessOp& op(std::size_t index) const;
 
-  /// Execute ops [from_stage, to_stage) on a real payload.
-  [[nodiscard]] SampleData run(SampleData sample, std::size_t from_stage, std::size_t to_stage,
-                               Rng& rng) const;
-
-  /// Execute the whole pipeline.
-  [[nodiscard]] SampleData run_all(SampleData sample, Rng& rng) const;
-
   /// Execute ops [from_stage, to_stage) with per-op RNG streams derived from
   /// `stream_seed`. Because each op gets its own stream (keyed by op index),
   /// the result is identical no matter where the pipeline is cut — the
   /// property that lets the storage node run a prefix and the compute node
   /// the suffix while preserving the exact augmentations of local execution.
-  /// Each op records a span of `span_category` when tracing is enabled; the
-  /// storage node passes kStoragePrep so prefix work is attributed to it.
+  ///
+  /// Two adjacent pairs of standard ops run as one step when both ops fall
+  /// in the range, with bit-identical results:
+  ///   * Decode → RandomResizedCrop draws the crop rect from the SJPG
+  ///     header (with the crop's own stream, as the crop op draws it from
+  ///     the decoded image), decodes only that region and resamples it;
+  ///   * ToTensor → Normalize converts and normalises in one pass.
+  /// Each op records a span of `span_category` under its own name when
+  /// tracing is enabled (a fused Normalize's span is empty: its work is
+  /// timed in ToTensor's); the storage node passes kStoragePrep so prefix
+  /// work is attributed to it.
   [[nodiscard]] SampleData run_seeded(
       SampleData sample, std::size_t from_stage, std::size_t to_stage, std::uint64_t stream_seed,
       obs::SpanCategory span_category = obs::SpanCategory::kPreprocess) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 
@@ -271,6 +272,51 @@ TEST(HuffmanDecoder, PairsMatchTwoSingleDecodes) {
     }
   }
   EXPECT_GT(pairs, 1000u);  // the pair path really ran
+}
+
+TEST(HuffmanDecoder, LiteralRunsMatchSingleDecodes) {
+  // Every run `literals` reports must hold exactly the symbols, and end
+  // after exactly the bits, of as many decode calls, and never the escape.
+  // An empty run means the next code is the escape, longer than the lookup
+  // width, or no code at all. Tables range from complete to corrupt.
+  Rng rng(11);
+  std::array<std::size_t, 5> by_count{};
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> lengths(512, 0);
+    const auto used = rng.uniform_int(1, 80);
+    const auto max_len = rng.uniform_int(1, 14);
+    for (std::int64_t i = 0; i < used; ++i) {
+      lengths[static_cast<std::size_t>(rng.uniform_int(0, 511))] =
+          static_cast<std::uint8_t>(rng.uniform_int(1, max_len));
+    }
+    const auto escape = static_cast<std::uint32_t>(rng.uniform_int(0, 511));
+    const HuffmanDecoder decoder(lengths, escape);
+    std::vector<std::uint8_t> bits(static_cast<std::size_t>(rng.uniform_int(0, 64)));
+    for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    BitReader stream(bits);
+    for (int i = 0; i < 300 && stream.bits_consumed() <= 8 * bits.size() + 32; ++i) {
+      BitReader peeked = stream;
+      const auto& run = decoder.literals(peeked);
+      ASSERT_EQ(peeked.bits_consumed(), stream.bits_consumed());
+      ASSERT_LE(run.count, 4u);
+      ++by_count[run.count];
+      BitReader single = stream;
+      for (std::size_t k = 0; k < run.count; ++k) {
+        ASSERT_EQ(run.symbols[k], decoder.decode(single)) << "trial " << trial << " k " << k;
+        ASSERT_NE(run.symbols[k], escape);
+        ASSERT_EQ(run.ends[k], single.bits_consumed() - stream.bits_consumed());
+        ASSERT_LE(run.ends[k], 10u);
+      }
+      if (run.count == 0) {
+        const auto sym = decoder.decode(single);
+        const auto bits_read = single.bits_consumed() - stream.bits_consumed();
+        ASSERT_TRUE(sym == escape || sym == HuffmanDecoder::invalid_symbol() || bits_read > 10)
+            << "trial " << trial;
+      }
+      stream = single;
+    }
+  }
+  for (std::size_t n = 0; n <= 4; ++n) EXPECT_GT(by_count[n], 50u) << n << " literals";
 }
 
 TEST(HuffmanDecoder, EmptyTableDecodesNothing) {

@@ -9,6 +9,7 @@
 #include "codec/huffman.h"
 #include "dataset/profile.h"
 #include "dataset/synth.h"
+#include "image/ops.h"
 #include "util/check.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -189,6 +190,54 @@ TEST(Sjpg, OddDimensionsRoundTrip) {
     EXPECT_EQ(decoded->width(), w);
     EXPECT_EQ(decoded->height(), h);
   }
+}
+
+/// A random region of a w x h image; every third one reaches the right
+/// and bottom edges, and every fifth is a single pixel.
+image::CropRect random_region(Rng& rng, int w, int h, int trial) {
+  image::CropRect r;
+  r.x = static_cast<int>(rng.uniform_int(0, w - 1));
+  r.y = static_cast<int>(rng.uniform_int(0, h - 1));
+  r.width = static_cast<int>(rng.uniform_int(1, w - r.x));
+  r.height = static_cast<int>(rng.uniform_int(1, h - r.y));
+  if (trial % 3 == 0) {
+    r.width = w - r.x;
+    r.height = h - r.y;
+  }
+  if (trial % 5 == 0) r.width = r.height = 1;
+  return r;
+}
+
+TEST(Sjpg, RegionDecodeMatchesCropOfWholeDecode) {
+  Rng rng(41);
+  for (const auto& [w, h] : {std::pair{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 5}, {33, 17},
+                             {64, 48}, {97, 63}}) {
+    for (const int channels : {1, 3}) {
+      const auto img = random_image(w, h, channels, static_cast<std::uint64_t>(w * 100 + h));
+      for (const int quality : {1, 55, 95}) {
+        const auto blob = sjpg_encode(img, quality);
+        const auto whole = sjpg_decode(blob);
+        ASSERT_TRUE(whole.has_value());
+        for (int trial = 0; trial < 12; ++trial) {
+          const auto r = random_region(rng, w, h, trial);
+          const auto part = sjpg_decode(blob, r);
+          ASSERT_TRUE(part.has_value());
+          ASSERT_EQ(*part, image::crop(*whole, r))
+              << w << "x" << h << "x" << channels << " q" << quality << " region " << r.x
+              << "," << r.y << " " << r.width << "x" << r.height;
+        }
+        EXPECT_EQ(sjpg_decode(blob, image::CropRect{0, 0, w, h}), whole);
+      }
+    }
+  }
+}
+
+TEST(Sjpg, RegionDecodeRejectsRegionsOutsideTheImage) {
+  const auto blob = sjpg_encode(smooth_image(8, 6), 75);
+  EXPECT_THROW((void)sjpg_decode(blob, image::CropRect{4, 0, 5, 2}), ContractViolation);
+  EXPECT_THROW((void)sjpg_decode(blob, image::CropRect{0, 5, 2, 2}), ContractViolation);
+  EXPECT_THROW((void)sjpg_decode(blob, image::CropRect{-1, 0, 2, 2}), ContractViolation);
+  EXPECT_THROW((void)sjpg_decode(blob, image::CropRect{0, 0, 0, 2}), ContractViolation);
 }
 
 TEST(Sjpg, QuantStepMonotoneInQuality) {

@@ -100,6 +100,49 @@ TEST(Color, MergeMatchesPointConversionOnEveryInput) {
   EXPECT_EQ(mismatches, 0);
 }
 
+TEST(Color, RegionMergeMatchesCropOfWholeMerge) {
+  // Odd and even sizes and offsets, single pixels and edge-touching
+  // regions; planes exactly as large as the region needs, or larger.
+  Rng rng(12);
+  for (const auto& [w, h] : {std::pair{1, 1}, {2, 3}, {5, 4}, {17, 9}, {40, 33}}) {
+    const int cw = (w + 1) / 2;
+    const int ch = (h + 1) / 2;
+    Plane y(w, h);
+    Plane cb(cw, ch);
+    Plane cr(cw, ch);
+    for (auto* plane : {&y, &cb, &cr}) {
+      for (auto& v : plane->data()) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    }
+    const auto whole = merge_ycbcr_420(y, cb, cr, w, h);
+    for (int trial = 0; trial < 40; ++trial) {
+      CropRect r;
+      r.x = static_cast<int>(rng.uniform_int(0, w - 1));
+      r.y = static_cast<int>(rng.uniform_int(0, h - 1));
+      r.width = static_cast<int>(rng.uniform_int(1, w - r.x));
+      r.height = static_cast<int>(rng.uniform_int(1, h - r.y));
+      const auto part = merge_ycbcr_420(y, cb, cr, r);
+      ASSERT_EQ(part.width(), r.width);
+      ASSERT_EQ(part.height(), r.height);
+      for (int py = 0; py < r.height; ++py)
+        for (int px = 0; px < r.width; ++px)
+          for (int c = 0; c < 3; ++c)
+            ASSERT_EQ(part.at(px, py, c), whole.at(r.x + px, r.y + py, c))
+                << w << "x" << h << " region " << r.x << "," << r.y << " " << r.width << "x"
+                << r.height;
+    }
+  }
+}
+
+TEST(Color, RegionMergeRejectsPlanesShortOfTheRegion) {
+  const Plane y(6, 6);
+  const Plane cb(3, 3);
+  const Plane cr(3, 3);
+  EXPECT_THROW((void)merge_ycbcr_420(y, cb, cr, CropRect{2, 2, 5, 2}), ContractViolation);
+  EXPECT_THROW((void)merge_ycbcr_420(y, Plane(2, 3), Plane(2, 3), CropRect{0, 0, 6, 2}),
+               ContractViolation);
+  EXPECT_THROW((void)merge_ycbcr_420(y, cb, cr, CropRect{0, 0, 0, 2}), ContractViolation);
+}
+
 TEST(Color, MergeRejectsMismatchedPlanes) {
   Plane y(8, 8);
   Plane cb(4, 4);

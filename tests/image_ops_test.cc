@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 #include "util/crc32.h"
@@ -216,6 +217,29 @@ TEST(Normalize, AppliesMeanAndStd) {
   EXPECT_NEAR(t.at(0, 0, 0), (1.0f - 0.485f) / 0.229f, 1e-5);
   EXPECT_NEAR(t.at(1, 0, 0), (0.0f - 0.456f) / 0.224f, 1e-5);
   EXPECT_NEAR(t.at(2, 0, 0), (128.0f / 255.0f - 0.406f) / 0.225f, 1e-5);
+}
+
+TEST(Normalize, OnePassMatchesToTensorThenNormalize) {
+  // Bit-identical, not merely close: every byte value in every channel,
+  // RGB and grayscale.
+  for (const int channels : {1, 3}) {
+    Image img(256, 3, channels);
+    for (std::size_t i = 0; i < img.data().size(); ++i) {
+      img.data()[i] = static_cast<std::uint8_t>(i / static_cast<std::size_t>(channels) % 256);
+    }
+    for (const auto& [mean, stddev] :
+         {std::pair{kImagenetMean, kImagenetStd},
+          std::pair{std::array<float, 3>{0.5f, 0.25f, 1.0f}, std::array<float, 3>{0.3f, 2.0f, 0.7f}}}) {
+      auto expected = to_tensor(img);
+      normalize(expected, mean, stddev);
+      const auto fused = to_normalized_tensor(img, mean, stddev);
+      ASSERT_EQ(fused.channels(), expected.channels());
+      ASSERT_EQ(0, std::memcmp(fused.data().data(), expected.data().data(),
+                               expected.data().size() * sizeof(float)));
+    }
+  }
+  EXPECT_THROW((void)to_normalized_tensor(Image(2, 2, 3), {0.f, 0.f, 0.f}, {1.f, 0.f, 1.f}),
+               ContractViolation);
 }
 
 TEST(Normalize, RejectsZeroStd) {

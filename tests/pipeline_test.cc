@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 
 #include "codec/sjpg.h"
 #include "dataset/synth.h"
 #include "net/message.h"
 #include "net/wire.h"
+#include "pipeline/extra_ops.h"
 #include "util/check.h"
 #include "util/crc32.h"
 
@@ -43,8 +45,7 @@ TEST(Pipeline, StandardHasFiveOpsInOrder) {
 
 TEST(Pipeline, RunAllYieldsNormalizedTensor) {
   const auto pipe = Pipeline::standard();
-  Rng rng(1);
-  const auto out = pipe.run_all(encoded_sample(300, 200), rng);
+  const auto out = pipe.run_seeded(encoded_sample(300, 200), 0, pipe.size(), 1);
   const auto* t = std::get_if<image::Tensor>(&out);
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->width(), 224);
@@ -54,8 +55,7 @@ TEST(Pipeline, RunAllYieldsNormalizedTensor) {
 
 TEST(Pipeline, PartialRunStopsAtStage) {
   const auto pipe = Pipeline::standard();
-  Rng rng(2);
-  const auto at2 = pipe.run(encoded_sample(300, 200), 0, 2, rng);
+  const auto at2 = pipe.run_seeded(encoded_sample(300, 200), 0, 2, 2);
   const auto* img = std::get_if<image::Image>(&at2);
   ASSERT_NE(img, nullptr);
   EXPECT_EQ(img->width(), 224);
@@ -154,16 +154,14 @@ TEST(Pipeline, OpCostMatchesTraceEntries) {
 
 TEST(Pipeline, RunRejectsBadStageBounds) {
   const auto pipe = Pipeline::standard();
-  Rng rng(3);
-  EXPECT_THROW((void)pipe.run(encoded_sample(64, 64), 3, 2, rng), ContractViolation);
-  EXPECT_THROW((void)pipe.run(encoded_sample(64, 64), 0, 6, rng), ContractViolation);
+  EXPECT_THROW((void)pipe.run_seeded(encoded_sample(64, 64), 3, 2, 3), ContractViolation);
+  EXPECT_THROW((void)pipe.run_seeded(encoded_sample(64, 64), 0, 6, 3), ContractViolation);
   EXPECT_THROW((void)pipe.op(5), ContractViolation);
 }
 
 TEST(Pipeline, CustomTargetSize) {
   const auto pipe = Pipeline::standard(96);
-  Rng rng(4);
-  const auto out = pipe.run(encoded_sample(300, 300), 0, 2, rng);
+  const auto out = pipe.run_seeded(encoded_sample(300, 300), 0, 2, 4);
   EXPECT_EQ(std::get<image::Image>(out).width(), 96);
 }
 
@@ -258,6 +256,102 @@ TEST(Pipeline, TensorsArePinned) {
       }
     }
   }
+}
+
+/// The wire bytes of a payload: its representation, dimensions and every
+/// pixel or float byte.
+std::vector<std::uint8_t> payload_bytes(const SampleData& payload) {
+  return net::serialize_sample(payload);
+}
+
+/// torchvision's central-crop fallback of RandomResizedCrop for a w x h
+/// image; a drawn rect equal to it is counted as the fallback.
+image::CropRect fallback_rect(int w, int h) {
+  const double ratio = static_cast<double>(w) / h;
+  int cw = w;
+  int ch = h;
+  if (ratio < 3.0 / 4.0) ch = static_cast<int>(std::lround(w / (3.0 / 4.0)));
+  if (ratio > 4.0 / 3.0) cw = static_cast<int>(std::lround(h * (4.0 / 3.0)));
+  cw = std::min(cw, w);
+  ch = std::min(ch, h);
+  return {(w - cw) / 2, (h - ch) / 2, cw, ch};
+}
+
+TEST(Pipeline, FusedRunsMatchTheOpByOpChain) {
+  // One run_seeded(from, to) call fuses Decode → RandomResizedCrop and
+  // ToTensor → Normalize wherever both ops fall in the range; chaining
+  // run_seeded(k, k + 1) never does. Every cut must give the same bytes.
+  const auto pipe = Pipeline::standard(24);
+  const std::array<PinnedImage, 10> images{{
+      {"rgb_1x1", 1, 1, 3, 0.5},
+      {"gray_1x37", 1, 37, 1, 0.3},
+      {"rgb_1x37", 1, 37, 3, 0.3},
+      {"rgb_37x1", 37, 1, 3, 0.7},
+      {"gray_2x19", 2, 19, 1, 0.6},
+      {"rgb_3x5", 3, 5, 3, 0.9},
+      {"rgb_33x17", 33, 17, 3, 0.8},
+      {"gray_57x41", 57, 41, 1, 0.5},
+      {"rgb_97x63", 97, 63, 3, 0.05},
+      {"rgb_121x7", 121, 7, 3, 0.4},
+  }};
+  std::size_t right_edge = 0;
+  std::size_t bottom_edge = 0;
+  std::size_t fallbacks = 0;
+  std::size_t flips = 0;
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    const auto& spec = images[i];
+    const auto img = pinned_image(spec, i + 11);
+    for (const int quality : {55, 60, 95}) {
+      const SampleData blob = EncodedBlob{codec::sjpg_encode(img, quality)};
+      for (std::uint64_t stream = 1; stream <= 12; ++stream) {
+        Rng crop_rng(derive_seed(stream, 1));
+        const auto rect = image::sample_resized_crop_rect(spec.width, spec.height, crop_rng);
+        right_edge += rect.x + rect.width == spec.width;
+        bottom_edge += rect.y + rect.height == spec.height;
+        const auto fallback = fallback_rect(spec.width, spec.height);
+        fallbacks += rect.x == fallback.x && rect.y == fallback.y &&
+                     rect.width == fallback.width && rect.height == fallback.height;
+        Rng flip_rng(derive_seed(stream, 2));
+        flips += flip_rng.bernoulli(0.5);
+        ++runs;
+
+        // stages[k] is the payload at stage k, one op at a time.
+        std::vector<SampleData> stages{blob};
+        for (std::size_t k = 0; k < pipe.size(); ++k) {
+          stages.push_back(pipe.run_seeded(stages[k], k, k + 1, stream));
+        }
+        for (std::size_t from = 0; from < pipe.size(); ++from) {
+          for (std::size_t to = from + 1; to <= pipe.size(); ++to) {
+            const auto fused = pipe.run_seeded(stages[from], from, to, stream);
+            ASSERT_EQ(payload_bytes(fused), payload_bytes(stages[to]))
+                << spec.name << " q" << quality << " stream " << stream << " [" << from << ", "
+                << to << ") rect " << rect.x << "," << rect.y << " " << rect.width << "x"
+                << rect.height;
+          }
+        }
+      }
+    }
+  }
+  // The grid reached every case the fusion has to get right.
+  EXPECT_GT(right_edge, 0u);
+  EXPECT_GT(bottom_edge, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(flips, 0u);
+  EXPECT_LT(flips, runs);
+}
+
+TEST(Pipeline, FusionSkipsOpsThatOnlyShareAKind) {
+  // The validation pipeline's Resize reports the crop's kind; it must run
+  // on the decoded image as it always did, not as a fused crop.
+  std::vector<std::unique_ptr<PreprocessOp>> ops;
+  ops.push_back(make_decode_op());
+  ops.push_back(make_resize_shorter_op(16));
+  const Pipeline pipe(std::move(ops));
+  const auto out = pipe.run_seeded(encoded_sample(40, 30), 0, 2, 5);
+  const auto& img = std::get<image::Image>(out);
+  EXPECT_EQ(img.width(), 21);
+  EXPECT_EQ(img.height(), 16);
 }
 
 }  // namespace
