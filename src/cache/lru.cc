@@ -28,11 +28,6 @@ bool LruCache::contains(std::uint64_t id) const {
   return index_.contains(id);
 }
 
-Bytes LruCache::resident_size(std::uint64_t id) const {
-  const auto it = index_.find(id);
-  return it == index_.end() ? Bytes(0) : it->second->size;
-}
-
 void LruCache::evict_until_fits(Bytes incoming) {
   while (resident_ + incoming > capacity_ && !lru_.empty()) {
     const auto& victim = lru_.back();

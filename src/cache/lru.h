@@ -30,11 +30,6 @@ class LruCache {
   /// Query residency without disturbing recency.
   [[nodiscard]] bool contains(std::uint64_t id) const;
 
-  /// Bytes the entry occupies, or zero when absent. Recency-neutral, like
-  /// contains() — the prefetch admission policy polls this for upcoming
-  /// samples and must not perturb the eviction order while doing so.
-  [[nodiscard]] Bytes resident_size(std::uint64_t id) const;
-
   [[nodiscard]] Bytes capacity() const { return capacity_; }
   [[nodiscard]] Bytes resident() const { return resident_; }
   [[nodiscard]] std::size_t entries() const { return index_.size(); }

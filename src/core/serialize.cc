@@ -8,6 +8,20 @@ namespace sophon::core {
 namespace {
 constexpr int kProfilesVersion = 1;
 constexpr int kPlanVersion = 1;
+
+/// `value` as an integer, or nullopt when it is not one (a hand-edited file
+/// may hold a string, a fraction or 1e300 where an integer belongs).
+std::optional<std::int64_t> integer(const Json& value) {
+  if (!value.is_integer()) return std::nullopt;
+  return value.as_int();
+}
+
+/// Whether `json` is an object whose "kind" and "version" name this artifact.
+bool is_artifact(const Json& json, const char* kind, int version) {
+  if (!json.is_object() || !json.has("kind") || !json.has("version")) return false;
+  const Json& k = json.at("kind");
+  return k.is_string() && k.as_string() == kind && integer(json.at("version")) == version;
+}
 }  // namespace
 
 Json profiles_to_json(const std::vector<SampleProfile>& profiles) {
@@ -32,9 +46,7 @@ Json profiles_to_json(const std::vector<SampleProfile>& profiles) {
 }
 
 std::optional<std::vector<SampleProfile>> profiles_from_json(const Json& json) {
-  if (!json.is_object() || !json.has("kind") || !json.has("version")) return std::nullopt;
-  if (json.at("kind").as_string() != "sophon.stage2_profiles") return std::nullopt;
-  if (json.at("version").as_int() != kProfilesVersion) return std::nullopt;
+  if (!is_artifact(json, "sophon.stage2_profiles", kProfilesVersion)) return std::nullopt;
   if (!json.has("samples") || !json.at("samples").is_array()) return std::nullopt;
 
   std::vector<SampleProfile> profiles;
@@ -46,24 +58,31 @@ std::optional<std::vector<SampleProfile>> profiles_from_json(const Json& json) {
         !row.has("min_stage") || !row.has("index")) {
       return std::nullopt;
     }
-    SampleProfile p;
-    p.sample_index = static_cast<std::uint32_t>(row.at("index").as_int());
+    const auto index = integer(row.at("index"));
+    const auto min_stage = integer(row.at("min_stage"));
     const auto& sizes = row.at("stage_sizes");
     const auto& costs = row.at("op_costs_s");
-    if (!sizes.is_array() || !costs.is_array() || sizes.size() != costs.size() + 1) {
+    // A plan has one entry per row, so an index names a row.
+    if (!index || *index < 0 || static_cast<std::size_t>(*index) >= rows.size() || !min_stage ||
+        !sizes.is_array() || !costs.is_array() || sizes.size() != costs.size() + 1) {
       return std::nullopt;
     }
+    SampleProfile p;
+    p.sample_index = static_cast<std::uint32_t>(*index);
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-      p.stage_sizes.push_back(Bytes(sizes.at(s).as_int()));
+      const auto size = integer(sizes.at(s));
+      if (!size || *size < 0) return std::nullopt;
+      p.stage_sizes.push_back(Bytes(*size));
     }
     for (std::size_t c = 0; c < costs.size(); ++c) {
-      p.op_costs.push_back(Seconds(costs.at(c).as_number()));
+      const Json& cost = costs.at(c);
+      if (!cost.is_number() || !(cost.as_number() >= 0.0)) return std::nullopt;
+      p.op_costs.push_back(Seconds(cost.as_number()));
     }
-    const auto min_stage = row.at("min_stage").as_int();
-    if (min_stage < 0 || static_cast<std::size_t>(min_stage) >= p.stage_sizes.size()) {
+    if (*min_stage < 0 || static_cast<std::size_t>(*min_stage) >= p.stage_sizes.size()) {
       return std::nullopt;
     }
-    p.min_stage = static_cast<std::uint32_t>(min_stage);
+    p.min_stage = static_cast<std::uint32_t>(*min_stage);
     p.reduction = p.stage_sizes[0] - p.stage_sizes[p.min_stage];
     Seconds prefix;
     for (std::uint32_t s = 0; s < p.min_stage; ++s) prefix += p.op_costs[s];
@@ -96,26 +115,24 @@ Json plan_to_json(const OffloadPlan& plan) {
 }
 
 std::optional<OffloadPlan> plan_from_json(const Json& json) {
-  if (!json.is_object() || !json.has("kind") || !json.has("version")) return std::nullopt;
-  if (json.at("kind").as_string() != "sophon.offload_plan") return std::nullopt;
-  if (json.at("version").as_int() != kPlanVersion) return std::nullopt;
+  if (!is_artifact(json, "sophon.offload_plan", kPlanVersion)) return std::nullopt;
   if (!json.has("num_samples") || !json.has("runs") || !json.at("runs").is_array()) {
     return std::nullopt;
   }
-  const auto n = json.at("num_samples").as_int();
-  if (n < 0) return std::nullopt;
-  OffloadPlan plan(static_cast<std::size_t>(n));
+  const auto n = integer(json.at("num_samples"));
+  if (!n || *n < 0) return std::nullopt;
+  OffloadPlan plan(static_cast<std::size_t>(*n));
   std::size_t i = 0;
   const auto& runs = json.at("runs");
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const auto& pair = runs.at(r);
     if (!pair.is_array() || pair.size() != 2) return std::nullopt;
-    const auto prefix = pair.at(static_cast<std::size_t>(0)).as_int();
-    const auto count = pair.at(1).as_int();
-    if (prefix < 0 || prefix > 255 || count <= 0) return std::nullopt;
-    if (i + static_cast<std::size_t>(count) > plan.size()) return std::nullopt;
-    for (std::int64_t k = 0; k < count; ++k) {
-      plan.set(i++, static_cast<std::uint8_t>(prefix));
+    const auto prefix = integer(pair.at(static_cast<std::size_t>(0)));
+    const auto count = integer(pair.at(1));
+    if (!prefix || !count || *prefix < 0 || *prefix > 255 || *count <= 0) return std::nullopt;
+    if (i + static_cast<std::size_t>(*count) > plan.size()) return std::nullopt;
+    for (std::int64_t k = 0; k < *count; ++k) {
+      plan.set(i++, static_cast<std::uint8_t>(*prefix));
     }
   }
   if (i != plan.size()) return std::nullopt;

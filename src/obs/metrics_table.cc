@@ -115,8 +115,6 @@ constexpr MetricInfo kTable[] = {
      "Staging-buffer hits that made the consumer wait"},
     {"sophon_prefetch_lead_seconds", MetricKind::kHistogram,
      "Lead time between prefetch completion and consumer claim"},
-    {"sophon_prefetch_skipped_cached", MetricKind::kCounter,
-     "Prefetch candidates skipped because the cache already held them"},
     {"sophon_prefetch_skipped_consumed", MetricKind::kCounter,
      "Prefetch candidates skipped because the consumer already passed them"},
     {"sophon_prefetch_skipped_deprioritized", MetricKind::kCounter,

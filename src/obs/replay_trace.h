@@ -5,11 +5,11 @@
 // sample's nodes — claim, issue, storage done, transmission, arrival, ready.
 // Everything here is derived from that record, so one structure describes an
 // epoch:
-//   * build_replay_trace translates it into the span vocabulary the threaded
-//     loader records live, on virtual-time tracks: the link's "transfer" and
-//     the GPU's "gpu_batch" spans (a server's job is [parent, node] of the
-//     node it completed), a demand fetch as a kFetch stall on the consuming
-//     worker's lane, a late prefetch hit as a kStagingWait, and the compute
+//   * build_replay_trace translates it into a Trace in the span vocabulary
+//     the threaded loader records live, on virtual-time tracks: the link's
+//     "transfer" and the GPU's "gpu_batch" spans (a server's job is
+//     [parent, node] of the node it completed), a demand fetch as a kFetch
+//     stall on the consuming worker's lane, a late prefetch hit as a kStagingWait, and the compute
 //     window as a kPreprocess parent subdivided into per-op child spans using
 //     the pipeline's analytic costs (supplied by the caller, since the record
 //     only knows the summed compute cost). Storage-side prefix executions
@@ -45,18 +45,18 @@ struct SampleOpCosts {
 /// Maps a catalog sample id to its cost detail.
 using SampleCostFn = std::function<SampleOpCosts(std::uint32_t sample_index)>;
 
-/// Record spans for the whole epoch onto `tracer` (virtual time): link and
-/// GPU spans in schedule order, then each worker-lane visit (batch-window
-/// visits have no lane and add no worker spans). `costs` may be empty, in
-/// which case preprocess spans are emitted whole, without per-op children.
+/// The whole epoch as a Trace in virtual time: link and GPU spans in
+/// schedule order, then each worker-lane visit (batch-window visits have no
+/// lane and add no worker spans), then the storage lanes. Tracks are
+/// numbered in order of their first span, so only tracks that carry spans
+/// (or a flow end) are labeled. `costs` may be empty, in which case
+/// preprocess spans are emitted whole, without per-op children.
 ///
-/// Returns the causal flow arrows for the trace: one per prefetched sample
+/// The flows are the trace's causal arrows: one per prefetched sample
 /// (issue on the "prefetch" track -> claim on the consuming worker's lane;
 /// ids are position + 1) and one per retried demand fetch (end of the retry
 /// backoff -> the successful fetch's completion; ids are position + 2^32).
-/// Pass them to the three-argument chrome_trace_json to render the arrows.
-std::vector<TraceFlow> build_replay_trace(const sim::Recorder& record, const SampleCostFn& costs,
-                                          Tracer& tracer);
+[[nodiscard]] Trace build_replay_trace(const sim::Recorder& record, const SampleCostFn& costs);
 
 /// Fraction of each `bucket`-long interval the link spent transmitting, from
 /// t=0 to the last arrival. Exact: each transfer is its transmission node's

@@ -53,16 +53,14 @@ std::string fmt_seconds(Seconds s) {
 
 }  // namespace
 
-EpochReport EpochReport::build(
-    const std::vector<SpanEvent>& spans,
-    const std::vector<std::pair<std::uint32_t, std::string>>& labels, Seconds wall) {
+EpochReport EpochReport::build(const Trace& trace, Seconds wall) {
   EpochReport report;
   report.wall_ = wall;
 
-  std::map<std::uint32_t, std::string> label_of(labels.begin(), labels.end());
+  std::map<std::uint32_t, std::string> label_of(trace.labels.begin(), trace.labels.end());
   std::map<std::uint32_t, std::vector<const SpanEvent*>> by_track;
   std::int64_t transfer_bytes = 0;
-  for (const auto& span : spans) {
+  for (const auto& span : trace.spans) {
     by_track[span.track].push_back(&span);
     if (span.category == SpanCategory::kTransfer && span.args.bytes >= 0) {
       transfer_bytes += span.args.bytes;

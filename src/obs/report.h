@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -62,12 +61,10 @@ class EpochReport {
     Seconds t_net;
   };
 
-  /// Fold `spans` (one drained trace) against `labels` (Tracer::labels()).
+  /// Fold the spans of `trace` against its labels (flows are ignored).
   /// Tracks whose label starts with "worker" become WorkerBreakdown rows;
   /// `wall` is the epoch's wall-clock (or virtual makespan) time.
-  [[nodiscard]] static EpochReport build(
-      const std::vector<SpanEvent>& spans,
-      const std::vector<std::pair<std::uint32_t, std::string>>& labels, Seconds wall);
+  [[nodiscard]] static EpochReport build(const Trace& trace, Seconds wall);
 
   [[nodiscard]] const std::vector<WorkerBreakdown>& workers() const { return workers_; }
   [[nodiscard]] Seconds wall() const { return wall_; }

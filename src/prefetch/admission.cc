@@ -1,14 +1,9 @@
 #include "prefetch/admission.h"
 
-#include "cache/lru.h"
-
 namespace sophon::prefetch {
 
-Admission admit(const PrefetchOptions& options, std::uint64_t sample_id, std::uint8_t prefix_len,
+Admission admit(const PrefetchOptions& options, std::uint8_t prefix_len,
                 std::optional<Bytes> expected_wire) {
-  if (options.cache != nullptr && options.cache->contains(sample_id)) {
-    return Admission::kSkip;
-  }
   if (expected_wire.has_value()) {
     if (options.deprioritize_below.count() > 0 && *expected_wire <= options.deprioritize_below) {
       return Admission::kDeprioritize;

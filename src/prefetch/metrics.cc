@@ -3,8 +3,8 @@
 namespace sophon::prefetch {
 
 void register_prefetch_metrics(MetricsRegistry& registry) {
-  for (const char* name : {kIssued, kHits, kLate, kFailed, kCancelled, kSkippedCached,
-                           kSkippedDeprioritized, kSkippedConsumed}) {
+  for (const char* name :
+       {kIssued, kHits, kLate, kFailed, kCancelled, kSkippedDeprioritized, kSkippedConsumed}) {
     (void)registry.counter(name);
   }
   (void)registry.gauge(kBufferDepth);

@@ -17,7 +17,6 @@ inline constexpr const char* kHits = "sophon_prefetch_hits";
 inline constexpr const char* kLate = "sophon_prefetch_late";
 inline constexpr const char* kFailed = "sophon_prefetch_failed";
 inline constexpr const char* kCancelled = "sophon_prefetch_cancelled";
-inline constexpr const char* kSkippedCached = "sophon_prefetch_skipped_cached";
 inline constexpr const char* kSkippedDeprioritized = "sophon_prefetch_skipped_deprioritized";
 inline constexpr const char* kSkippedConsumed = "sophon_prefetch_skipped_consumed";
 

@@ -14,10 +14,6 @@
 
 #include "util/units.h"
 
-namespace sophon::cache {
-class LruCache;
-}  // namespace sophon::cache
-
 namespace sophon::prefetch {
 
 struct PrefetchOptions {
@@ -39,11 +35,6 @@ struct PrefetchOptions {
   /// their exact payload size is unknown (the real fetch path has no
   /// catalog): the offload plan ships them as small post-crop tensors.
   bool deprioritize_offloaded = true;
-
-  /// Optional raw-blob LRU on the compute node: samples resident in it are
-  /// served locally, so prefetching them would fetch bytes the demand path
-  /// never moves. Borrowed; keep it alive while prefetching.
-  const cache::LruCache* cache = nullptr;
 
   /// How many epoch positions the scheduler may run ahead of the consumer's
   /// most recent claim. Bounds skip-marker bookkeeping even when admission

@@ -9,8 +9,8 @@ sim::WorkerLanes worker_lanes(const ReplayOptions& options) {
   lanes.workers = options.workers;
   lanes.depth = options.prefetch.depth;
   lanes.bytes_budget = options.prefetch.bytes_budget;
-  lanes.admit = [prefetch = options.prefetch](std::uint64_t id, Bytes wire) {
-    return admit(prefetch, id, 0, wire) == Admission::kPrefetch;
+  lanes.admit = [prefetch = options.prefetch](std::uint64_t, Bytes wire) {
+    return admit(prefetch, 0, wire) == Admission::kPrefetch;
   };
   lanes.served_locally = options.served_locally;
   return lanes;

@@ -38,13 +38,7 @@ void PrefetchScheduler::run() {
     const std::uint8_t prefix =
         plan_.size() == 0 ? std::uint8_t{0} : plan_.prefix(sample_id);
 
-    const Admission decision = admit(config_.options, sample_id, prefix, std::nullopt);
-    if (decision == Admission::kSkip) {
-      skipped_cached_.fetch_add(1, std::memory_order_relaxed);
-      if (config_.metrics != nullptr) config_.metrics->counter(kSkippedCached).increment();
-      buffer_.advance_cursor(position + 1);
-      continue;
-    }
+    const Admission decision = admit(config_.options, prefix, std::nullopt);
 
     // The real path has no catalog, so reservations carry a zero byte
     // estimate; the budget bites once payloads commit.
@@ -125,7 +119,6 @@ PrefetchScheduler::Stats PrefetchScheduler::stats() const {
   stats.late_hits = buffer_.late_hits();
   stats.failed = failed_.load(std::memory_order_relaxed);
   stats.cancelled = buffer_.cancelled();
-  stats.skipped_cached = skipped_cached_.load(std::memory_order_relaxed);
   stats.skipped_deprioritized = skipped_deprioritized_.load(std::memory_order_relaxed);
   stats.skipped_consumed = skipped_consumed_.load(std::memory_order_relaxed);
   return stats;

@@ -73,7 +73,6 @@ class PrefetchScheduler {
     std::uint64_t late_hits = 0;
     std::uint64_t failed = 0;
     std::uint64_t cancelled = 0;
-    std::uint64_t skipped_cached = 0;
     std::uint64_t skipped_deprioritized = 0;
     std::uint64_t skipped_consumed = 0;
   };
@@ -93,7 +92,6 @@ class PrefetchScheduler {
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> issued_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> skipped_cached_{0};
   std::atomic<std::uint64_t> skipped_deprioritized_{0};
   std::atomic<std::uint64_t> skipped_consumed_{0};
 };

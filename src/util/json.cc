@@ -30,6 +30,11 @@ double Json::as_number() const {
   return number_;
 }
 
+bool Json::is_integer() const {
+  return type_ == Type::kNumber && number_ == std::trunc(number_) &&
+         std::fabs(number_) <= 9007199254740992.0;
+}
+
 std::int64_t Json::as_int() const {
   SOPHON_CHECK(type_ == Type::kNumber);
   const auto i = static_cast<std::int64_t>(number_);

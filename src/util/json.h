@@ -39,6 +39,9 @@ class Json {
   [[nodiscard]] bool is_string() const { return type_ == Type::kString; }
   [[nodiscard]] bool is_array() const { return type_ == Type::kArray; }
   [[nodiscard]] bool is_object() const { return type_ == Type::kObject; }
+  /// A number with an integral value of magnitude at most 2^53, which
+  /// as_int() reads exactly.
+  [[nodiscard]] bool is_integer() const;
 
   /// Typed accessors; contract-checked against the actual type.
   [[nodiscard]] bool as_bool() const;

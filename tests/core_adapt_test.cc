@@ -103,12 +103,8 @@ TEST(AdaptObserve, FoldsReportIntoCostComponents) {
   const auto flow = sim::plan_flow(f.catalog, f.pipe, f.cm, plan.assignment());
   const auto recorded = obs::critpath::record_epoch(flow, params);
 
-  obs::Tracer tracer(f.catalog.size() * 8 + 1024);
-  tracer.set_enabled(true);
-  (void)obs::build_replay_trace(recorded.record, {}, tracer);
-  tracer.set_enabled(false);
-  const auto report =
-      obs::EpochReport::build(tracer.drain(), tracer.labels(), recorded.epoch.epoch_time);
+  const auto report = obs::EpochReport::build(obs::build_replay_trace(recorded.record, {}),
+                                              recorded.epoch.epoch_time);
   const auto costs = report.observed();
   ASSERT_GT(costs.t_cs.value(), 0.0);
   ASSERT_GT(costs.t_net.value(), 0.0);

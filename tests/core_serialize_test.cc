@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/decision.h"
 #include "core/profiler.h"
@@ -46,6 +47,71 @@ TEST(SerializeProfiles, RejectsWrongKindOrVersion) {
   json2.set("version", 99);
   EXPECT_FALSE(profiles_from_json(json2).has_value());
   EXPECT_FALSE(profiles_from_json(Json(3)).has_value());
+}
+
+/// Parse `text`, which must be well-formed JSON.
+Json parse(const std::string& text) {
+  auto json = Json::parse(text);
+  EXPECT_TRUE(json.has_value()) << text;
+  return json.value_or(Json());
+}
+
+TEST(SerializeProfiles, RejectsFieldsOfTheWrongType) {
+  // A hand-edited artifact is rejected, never read as a type it lacks.
+  const auto profiles = [](const std::string& kind, const std::string& version,
+                           const std::string& row) {
+    return profiles_from_json(parse(R"({"kind": )" + kind + R"(, "version": )" + version +
+                                    R"(, "samples": [)" + row + "]}"));
+  };
+  const std::string kind = R"("sophon.stage2_profiles")";
+  const std::string good = R"({"index": 0, "stage_sizes": [10, 5], "op_costs_s": [0.5], )"
+                           R"("min_stage": 1})";
+  ASSERT_TRUE(profiles(kind, "1", good).has_value());
+  EXPECT_FALSE(profiles("5", "1", good).has_value());
+  EXPECT_FALSE(profiles(kind, R"("1")", good).has_value());
+  EXPECT_FALSE(profiles(kind, "1.5", good).has_value());
+  EXPECT_FALSE(profiles(kind, "1",
+                        R"({"index": 0, "stage_sizes": [10, 5], "op_costs_s": ["x"], )"
+                        R"("min_stage": 1})")
+                   .has_value());
+  EXPECT_FALSE(profiles(kind, "1",
+                        R"({"index": "0", "stage_sizes": [10, 5], "op_costs_s": [0.5], )"
+                        R"("min_stage": 1})")
+                   .has_value());
+  EXPECT_FALSE(profiles(kind, "1",
+                        R"({"index": 0, "stage_sizes": [10, "5"], "op_costs_s": [0.5], )"
+                        R"("min_stage": 1})")
+                   .has_value());
+  EXPECT_FALSE(profiles(kind, "1",
+                        R"({"index": 0, "stage_sizes": [10, 5], "op_costs_s": [0.5], )"
+                        R"("min_stage": 0.5})")
+                   .has_value());
+  // Values a plan cannot use: an index past the rows (a plan has one entry
+  // per row), a negative size or cost.
+  for (const char* bad : {R"("index": 1, "stage_sizes": [10, 5], "op_costs_s": [0.5])",
+                          R"("index": -1, "stage_sizes": [10, 5], "op_costs_s": [0.5])",
+                          R"("index": 0, "stage_sizes": [-10, 5], "op_costs_s": [0.5])",
+                          R"("index": 0, "stage_sizes": [10, 5], "op_costs_s": [-0.5])"}) {
+    EXPECT_FALSE(profiles(kind, "1", std::string("{") + bad + R"(, "min_stage": 1})").has_value())
+        << bad;
+  }
+}
+
+TEST(SerializePlan, RejectsFieldsOfTheWrongType) {
+  const auto plan = [](const std::string& num_samples, const std::string& runs) {
+    return plan_from_json(parse(R"({"kind": "sophon.offload_plan", "version": 1, )"
+                                R"("num_samples": )" +
+                                num_samples + R"(, "runs": )" + runs + "}"));
+  };
+  ASSERT_TRUE(plan("3", "[[1, 3]]").has_value());
+  EXPECT_FALSE(plan("3", R"([["x", 3]])").has_value());
+  EXPECT_FALSE(plan("3", R"([[1, "3"]])").has_value());
+  EXPECT_FALSE(plan("3", "[[1.5, 3]]").has_value());
+  EXPECT_FALSE(plan(R"("3")", "[[1, 3]]").has_value());
+  EXPECT_FALSE(plan("1e300", "[[1, 3]]").has_value());
+  EXPECT_FALSE(plan_from_json(parse(R"({"kind": 5, "version": 1, "num_samples": 3, )"
+                                    R"("runs": [[1, 3]]})"))
+                   .has_value());
 }
 
 TEST(SerializePlan, RoundTripIsLossless) {

@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "cache/lru.h"
 #include "loader/loader.h"
 #include "net/wire.h"
 #include "obs/ledger.h"
@@ -166,28 +165,6 @@ TEST(LoaderPrefetch, FailedPrefetchFallsBackSilently) {
   // Each offloaded sample's one induced failure was eaten exactly once:
   // either by the scheduler (silent fallback) or by a worker (degradation).
   EXPECT_EQ(stats->failed + loader.degraded_samples(), offloaded);
-}
-
-TEST(LoaderPrefetch, CacheResidentSamplesAreNotPrefetched) {
-  Fixture f;
-  const core::OffloadPlan no_off(f.catalog.size());
-  cache::LruCache cache(Bytes::mib(64));
-  for (std::uint64_t id = 0; id < f.catalog.size(); id += 2) {
-    cache.access(id, Bytes(1000));
-  }
-  auto options = with_prefetch(2, 8);
-  options.prefetch.cache = &cache;
-  DataLoader loader(f.server, f.pipe, no_off, f.catalog.size(), options);
-  loader.start();
-  std::size_t count = 0;
-  while (loader.next()) ++count;
-  EXPECT_EQ(count, f.catalog.size());
-  const auto stats = loader.prefetch_stats();
-  ASSERT_TRUE(stats.has_value());
-  // The even ids are cache-resident: the scheduler must leave them to the
-  // demand path (which would serve them locally in a full system).
-  EXPECT_EQ(stats->skipped_cached, f.catalog.size() / 2);
-  EXPECT_LE(stats->issued, f.catalog.size() / 2);
 }
 
 TEST(LoaderPrefetch, EarlyDestructionCancelsCleanly) {

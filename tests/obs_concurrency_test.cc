@@ -74,26 +74,6 @@ TEST(ObsConcurrency, RecordingRacesEnableToggleSafely) {
   }
 }
 
-TEST(ObsConcurrency, TrackRegistrationRacesRecording) {
-  obs::Tracer tracer(1 << 12);
-  tracer.set_enabled(true);
-  std::vector<std::thread> threads;
-  threads.reserve(6);
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&tracer, t] {
-      for (int i = 0; i < 500; ++i) {
-        const auto track = tracer.track("lane-" + std::to_string((t + i) % 7));
-        tracer.record_at(track, obs::SpanCategory::kTransfer, "transfer",
-                         Seconds(static_cast<double>(i)), Seconds(static_cast<double>(i) + 0.5));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(tracer.drain().size(), 6u * 500u);
-  // 7 shared virtual tracks + 6 thread lanes.
-  EXPECT_EQ(tracer.labels().size(), 13u);
-}
-
 TEST(ObsConcurrency, TelemetryRegistryCreateExposeSnapshotRace) {
   MetricsRegistry registry;
   // The scraper can run before any writer does, and an empty registry

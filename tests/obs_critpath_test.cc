@@ -164,10 +164,10 @@ TEST(CritPath, AnalysisIsDeterministic) {
 }
 
 TEST(CritPath, AnalyzerRecordsNoSpansWhileTracing) {
-  // `sophonctl simulate --critpath-out` analyzes with the global tracer on;
-  // the analyzer's schedule must not add link or GPU spans to the trace of
-  // the epoch it explains. Plain runs are pure too: every span is derived
-  // from a record (obs/replay_trace.h), never emitted by the core.
+  // The span ring holds real-thread spans only: neither the analyzer nor a
+  // plain run writes to it, even with the global tracer on. Every simulated
+  // span is built from a record (obs/replay_trace.h), never emitted by the
+  // core.
   Tracer& tracer = global_tracer();
   (void)tracer.drain();
   tracer.set_enabled(true);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "net/fault.h"
@@ -170,6 +172,40 @@ TEST(Trace, EmptyRecorderContracts) {
   EXPECT_THROW((void)mean_latency(record), ContractViolation);
   EXPECT_EQ(timeline_json(record).size(), 0u);
   EXPECT_THROW((void)link_utilization(record, Seconds(0.0)), ContractViolation);
+}
+
+TEST(Trace, ReplayTraceLabelsExactlyTheTracksItUses) {
+  // Every span is virtual time on a labeled track, and every label's track
+  // carries a span or a flow end: demand-only lanes issue no prefetch, so
+  // their trace has no "prefetch" track at all.
+  Fixture f;
+  for (const std::size_t depth : {std::size_t{0}, std::size_t{8}}) {
+    auto params = f.params(Seconds::millis(25.0), Discipline::kWorkerReplay);
+    params.replay.prefetch.depth = depth;
+    const auto traced = critpath::record_epoch(f.flows(2), params);
+    const Trace trace = build_replay_trace(traced.record, {});
+    const std::map<std::uint32_t, std::string> label_of(trace.labels.begin(),
+                                                        trace.labels.end());
+    ASSERT_EQ(label_of.size(), trace.labels.size()) << "track ids are unique";
+    std::set<std::uint32_t> used;
+    for (const SpanEvent& span : trace.spans) {
+      EXPECT_TRUE(span.virtual_time);
+      EXPECT_TRUE(label_of.contains(span.track));
+      used.insert(span.track);
+    }
+    for (const TraceFlow& flow : trace.flows) {
+      EXPECT_TRUE(label_of.contains(flow.from_track));
+      EXPECT_TRUE(label_of.contains(flow.to_track));
+      used.insert(flow.from_track);
+      used.insert(flow.to_track);
+    }
+    EXPECT_EQ(used.size(), label_of.size());
+    std::set<std::string> labels;
+    for (const auto& [id, label] : label_of) labels.insert(label);
+    EXPECT_TRUE(labels.contains("link"));
+    EXPECT_TRUE(labels.contains("storage-0"));
+    EXPECT_EQ(labels.contains("prefetch"), depth > 0) << "depth " << depth;
+  }
 }
 
 }  // namespace

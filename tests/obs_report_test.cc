@@ -56,7 +56,7 @@ TEST(EpochReport, NestedSpansFoldIntoSelfTime) {
       make_span(0, SpanCategory::kFetch, "fetch", 0.0, 10.0),
       make_span(0, SpanCategory::kStoragePrep, "storage_prefix", 2.0, 6.0),
   };
-  const auto report = EpochReport::build(spans, labels, Seconds(12.0));
+  const auto report = EpochReport::build({spans, labels}, Seconds(12.0));
   ASSERT_EQ(report.workers().size(), 1u);
   const auto& worker = report.workers()[0];
   EXPECT_NEAR(worker.fetch_stall.value(), 6.0, 1e-9);
@@ -72,7 +72,7 @@ TEST(EpochReport, SiblingSpansAccumulateWithoutNesting) {
       make_span(0, SpanCategory::kPreprocess, "resize", 2.0, 5.0),
       make_span(0, SpanCategory::kCollate, "collate", 5.0, 6.0),
   };
-  const auto report = EpochReport::build(spans, labels, Seconds(6.0));
+  const auto report = EpochReport::build({spans, labels}, Seconds(6.0));
   ASSERT_EQ(report.workers().size(), 1u);
   const auto& worker = report.workers()[0];
   EXPECT_NEAR(worker.preprocess.value(), 5.0, 1e-9);
@@ -89,7 +89,7 @@ TEST(EpochReport, NonWorkerTracksFeedObservedCosts) {
       make_span(1, SpanCategory::kTransfer, "transfer", 1.0, 3.0),
       make_span(2, SpanCategory::kGpu, "gpu_batch", 0.0, 0.5),
   };
-  const auto report = EpochReport::build(spans, labels, Seconds(3.0));
+  const auto report = EpochReport::build({spans, labels}, Seconds(3.0));
   EXPECT_NEAR(report.transfer_busy().value(), 3.0, 1e-9);
   EXPECT_NEAR(report.gpu_busy().value(), 0.5, 1e-9);
   const auto observed = report.observed();
@@ -110,12 +110,12 @@ TEST(EpochReport, ObservedStorageTimeIsPerStorageTrack) {
       make_span(1, SpanCategory::kStoragePrep, "storage_prefix", 2.0, 4.5),
       make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0),
   };
-  const auto report = EpochReport::build(spans, labels, Seconds(5.0));
+  const auto report = EpochReport::build({spans, labels}, Seconds(5.0));
   EXPECT_NEAR(report.storage_busy().value(), 8.0, 1e-9);
   EXPECT_NEAR(report.observed().t_cs.value(), 4.0, 1e-9);
   // No storage prep anywhere: zero, not a division by zero.
   const auto idle = EpochReport::build(
-      {make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0)}, labels, Seconds(1.0));
+      {{make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0)}, labels}, Seconds(1.0));
   EXPECT_EQ(idle.observed().t_cs.value(), 0.0);
 }
 
@@ -136,7 +136,7 @@ TEST(EpochReport, RenderReportsAgreementAndDivergence) {
       make_span(0, SpanCategory::kPreprocess, "preprocess", 0.0, 1.0),
       make_span(1, SpanCategory::kTransfer, "transfer", 0.0, 4.0),
   };
-  auto report = EpochReport::build(spans, labels, Seconds(4.0));
+  auto report = EpochReport::build({spans, labels}, Seconds(4.0));
   report.set_predicted(report.observed());
   EXPECT_NE(report.render().find("agreement"), std::string::npos);
   // A prediction that names a different bottleneck must be flagged loudly.
@@ -151,7 +151,7 @@ TEST(EpochReport, ToJsonCarriesWorkersAndCosts) {
       make_span(1, SpanCategory::kPreprocess, "preprocess", 0.0, 2.0),
       make_span(2, SpanCategory::kTransfer, "transfer", 0.0, 1.0),
   };
-  auto report = EpochReport::build(spans, labels, Seconds(2.0));
+  auto report = EpochReport::build({spans, labels}, Seconds(2.0));
   Json doc = report.to_json();
   EXPECT_EQ(doc.at("kind").as_string(), "sophon.epoch_report");
   EXPECT_EQ(doc.at("workers").size(), 2u);
@@ -188,23 +188,16 @@ TEST(EpochReport, ReplayReconciliationWithinOnePercent) {
   options.prefetch.depth = 16;
 
   const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
-  Tracer& tracer = global_tracer();
-  (void)tracer.drain();  // discard anything a previous test left behind
-  tracer.set_capacity(kSamples * 8 + 1024);
-  tracer.set_enabled(true);
   const SampleCostFn costs = [&](std::uint32_t) {
     SampleOpCosts detail;
     detail.compute_ops = {{"decode", compute_cost * 0.5}, {"augment", compute_cost * 0.5}};
     detail.prefix = 0;
     return detail;
   };
-  build_replay_trace(result.record, costs, tracer);
-  tracer.set_enabled(false);
-  const auto spans = tracer.drain();
-  ASSERT_FALSE(spans.empty());
-  EXPECT_EQ(tracer.dropped(), 0u);
+  const Trace trace = build_replay_trace(result.record, costs);
+  ASSERT_FALSE(trace.spans.empty());
 
-  const auto report = EpochReport::build(spans, tracer.labels(), result.epoch.epoch_time);
+  const auto report = EpochReport::build(trace, result.epoch.epoch_time);
   ASSERT_EQ(report.workers().size(), kWorkers);
 
   const auto within_1pct = [](Seconds observed, Seconds expected) {
@@ -277,17 +270,11 @@ TEST(EpochReport, FaultyReplayReconcilesWithRetryBucket) {
   options.prefetch.depth = 0;  // all demand: the flow runs exactly once per sample
 
   const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
-  Tracer& tracer = global_tracer();
-  (void)tracer.drain();
-  tracer.set_capacity(kSamples * 8 + 1024);
-  tracer.set_enabled(true);
-  const auto flows = build_replay_trace(result.record, {}, tracer);
-  tracer.set_enabled(false);
-  const auto spans = tracer.drain();
+  const Trace trace = build_replay_trace(result.record, {});
   ASSERT_GT(replay_stats.retries, 0u);
   ASSERT_GT(replay_stats.backoff.value(), 0.0);
 
-  const auto report = EpochReport::build(spans, tracer.labels(), result.epoch.epoch_time);
+  const auto report = EpochReport::build(trace, result.epoch.epoch_time);
   ASSERT_EQ(report.workers().size(), 4u);
 
   // The retry bucket is the backoff — exactly what faulty_flow charged.
@@ -310,7 +297,7 @@ TEST(EpochReport, FaultyReplayReconcilesWithRetryBucket) {
     }
   }
   std::size_t retry_flows = 0;
-  for (const auto& flow_event : flows) {
+  for (const auto& flow_event : trace.flows) {
     if (flow_event.name == "retry") {
       EXPECT_GE(flow_event.id, std::uint64_t{1} << 32);
       EXPECT_GE(flow_event.to_ns, flow_event.from_ns);

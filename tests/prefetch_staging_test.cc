@@ -6,7 +6,6 @@
 #include <chrono>
 #include <thread>
 
-#include "cache/lru.h"
 #include "prefetch/admission.h"
 #include "prefetch/metrics.h"
 
@@ -157,35 +156,24 @@ TEST(StagingBuffer, GaugesTrackOccupancy) {
   EXPECT_EQ(metrics.counter(kHits).value(), 1u);
 }
 
-TEST(Admission, CacheResidentSamplesAreSkipped) {
-  cache::LruCache cache(Bytes(1000));
-  cache.access(3, Bytes(100));
-  PrefetchOptions options = depth_options(4);
-  options.cache = &cache;
-  EXPECT_EQ(admit(options, 3, 0, Bytes(50000)), Admission::kSkip);
-  EXPECT_EQ(admit(options, 4, 0, Bytes(50000)), Admission::kPrefetch);
-  EXPECT_EQ(cache.resident_size(3), Bytes(100));
-  EXPECT_EQ(cache.resident_size(4), Bytes(0));
-}
-
 TEST(Admission, TinyKnownPayloadsAreDeprioritized) {
   PrefetchOptions options = depth_options(4);
   options.deprioritize_below = Bytes(4096);
-  EXPECT_EQ(admit(options, 0, 0, Bytes(1024)), Admission::kDeprioritize);
-  EXPECT_EQ(admit(options, 0, 0, Bytes(300000)), Admission::kPrefetch);
+  EXPECT_EQ(admit(options, 0, Bytes(1024)), Admission::kDeprioritize);
+  EXPECT_EQ(admit(options, 0, Bytes(300000)), Admission::kPrefetch);
   options.deprioritize_below = Bytes(0);
-  EXPECT_EQ(admit(options, 0, 0, Bytes(1024)), Admission::kPrefetch);
+  EXPECT_EQ(admit(options, 0, Bytes(1024)), Admission::kPrefetch);
 }
 
 TEST(Admission, OffloadedSamplesDeprioritizedWithoutSizeKnowledge) {
   PrefetchOptions options = depth_options(4);
-  EXPECT_EQ(admit(options, 0, 2, std::nullopt), Admission::kDeprioritize);
-  EXPECT_EQ(admit(options, 0, 0, std::nullopt), Admission::kPrefetch);
+  EXPECT_EQ(admit(options, 2, std::nullopt), Admission::kDeprioritize);
+  EXPECT_EQ(admit(options, 0, std::nullopt), Admission::kPrefetch);
   options.deprioritize_offloaded = false;
-  EXPECT_EQ(admit(options, 0, 2, std::nullopt), Admission::kPrefetch);
+  EXPECT_EQ(admit(options, 2, std::nullopt), Admission::kPrefetch);
   // A known size overrides the directive heuristic.
   options.deprioritize_offloaded = true;
-  EXPECT_EQ(admit(options, 0, 2, Bytes(300000)), Admission::kPrefetch);
+  EXPECT_EQ(admit(options, 2, Bytes(300000)), Admission::kPrefetch);
 }
 
 }  // namespace

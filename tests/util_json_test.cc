@@ -117,5 +117,15 @@ TEST(Json, TypedAccessorsAreChecked) {
   EXPECT_THROW((void)Json().size(), ContractViolation);
 }
 
+TEST(Json, IsIntegerGuardsAsInt) {
+  EXPECT_TRUE(Json(3.0).is_integer());
+  EXPECT_TRUE(Json(-7).is_integer());
+  EXPECT_TRUE(Json(9007199254740992.0).is_integer());
+  EXPECT_FALSE(Json(1.5).is_integer());
+  EXPECT_FALSE(Json(1e300).is_integer());
+  EXPECT_FALSE(Json("3").is_integer());
+  EXPECT_FALSE(Json().is_integer());
+}
+
 }  // namespace
 }  // namespace sophon

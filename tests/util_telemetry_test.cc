@@ -243,7 +243,7 @@ TEST(Telemetry, PrefetchMetricsPreRegisteredAtZero) {
   const std::string text = registry.expose();
   for (const char* counter :
        {"sophon_prefetch_issued", "sophon_prefetch_hits", "sophon_prefetch_late",
-        "sophon_prefetch_failed", "sophon_prefetch_cancelled", "sophon_prefetch_skipped_cached",
+        "sophon_prefetch_failed", "sophon_prefetch_cancelled",
         "sophon_prefetch_skipped_deprioritized", "sophon_prefetch_skipped_consumed"}) {
     EXPECT_NE(text.find(std::string(counter) + "_total 0\n"), std::string::npos) << counter;
   }
