@@ -477,6 +477,70 @@ TEST(SjpgGolden, ForgedCodeLengthVerdictsArePinned) {
   EXPECT_EQ(digest.crc, 0x92c845afu);
 }
 
+// Zero runs across row ends. Every plane of a flat image predicts each pixel
+// exactly, so its residuals are one zero run from the first pixel to the
+// last, crossing every row end; a bump in the last pixel ends that run one
+// pixel early with a literal. The lengths sit at the coder's edges: below
+// kMinRun (4), at it, at kMaxRun (1027) and just past it, where a capped run
+// leaves a remainder below 4 that is coded as literal zeros. At quality 60
+// the jittered images quantise to the same flat reconstruction; at 92
+// (step 1) their residuals are literals. Names give the luma run.
+image::Image flat_image(int w, int h, int channels, int jitter, bool bump) {
+  image::Image img(w, h, channels);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      for (int c = 0; c < channels; ++c) {
+        const int noise = jitter > 0 ? (x * 5 + y * 3 + c) % (2 * jitter + 1) - jitter : 0;
+        img.set(x, y, c, static_cast<std::uint8_t>(128 + noise));
+      }
+  if (bump) {
+    for (int c = 0; c < channels; ++c) img.set(w - 1, h - 1, c, 200);
+  }
+  return img;
+}
+
+TEST(SjpgGolden, ZeroRunEdgesArePinned) {
+  struct Case {
+    const char* name;
+    int w;
+    int h;
+    int channels;
+    int jitter;
+    bool bump;
+    std::array<std::uint32_t, 2> crc;  // quality 60, 92
+  };
+  const Case kCases[] = {
+      {"run3_end_3x1", 3, 1, 1, 0, false, {0x37ba515e, 0xae882613}},
+      {"run3_bump_2x2", 2, 2, 1, 0, true, {0xb2b2d8d7, 0x132611e1}},
+      {"run4_end_2x2", 2, 2, 1, 0, false, {0x14017b0b, 0x1cf57451}},
+      {"run4_bump_1x5", 1, 5, 1, 0, true, {0x9f94d0b4, 0xf4309a41}},
+      {"run1027_end_79x13", 79, 13, 1, 0, false, {0xdccc8208, 0x80af03ac}},
+      {"run1027_bump_4x257", 4, 257, 1, 0, true, {0x1e96327c, 0x0498b54a}},
+      {"run1028_end_2x514", 2, 514, 1, 0, false, {0x90b898a9, 0xc7a23a1e}},
+      {"run1029_end_21x49", 21, 49, 1, 0, false, {0xb3d9a88b, 0xd85532b7}},
+      {"run1030_end_10x103", 10, 103, 1, 0, false, {0xacd67f04, 0x15ff7c6b}},
+      {"run1029_bump_10x103", 10, 103, 1, 0, true, {0x38bf8720, 0x3219b0e1}},
+      {"run1030_end_1x1030", 1, 1030, 1, 0, false, {0xaa374426, 0xccb83fe5}},
+      {"run1030_bump_1x1031", 1, 1031, 1, 0, true, {0x902c4f5b, 0xc3c3f192}},
+      {"run2058_end_2x1029", 2, 1029, 1, 0, false, {0xbf9e3ab6, 0x989e7000}},
+      {"jitter_37x29", 37, 29, 1, 3, false, {0x73e1fec2, 0x1ac31698}},
+      {"jitter_bump_1x1100", 1, 1100, 1, 3, true, {0x4927b52d, 0xf9421fbc}},
+      {"rgb_run2079_end_63x33", 63, 33, 3, 0, false, {0xc62618f6, 0x1b924d3c}},
+      {"rgb_run2079_bump_65x32", 65, 32, 3, 0, true, {0x3e183bde, 0x8464da36}},
+      {"rgb_jitter_33x65", 33, 65, 3, 2, false, {0xee61eda9, 0x337f2232}},
+  };
+  constexpr std::array<int, 2> kQualities{60, 92};
+  for (const auto& c : kCases) {
+    const auto img = flat_image(c.w, c.h, c.channels, c.jitter, c.bump);
+    for (std::size_t q = 0; q < kQualities.size(); ++q) {
+      const auto blob = sjpg_encode(img, kQualities[q]);
+      ASSERT_TRUE(sjpg_decode(blob).has_value()) << c.name << " q" << kQualities[q];
+      EXPECT_EQ(crc32(blob), c.crc[q])
+          << c.name << " q" << kQualities[q] << ": got 0x" << std::hex << crc32(blob);
+    }
+  }
+}
+
 // Property sweep: compressed size grows with texture at fixed dimensions —
 // the behaviour the dataset profiles rely on.
 class SjpgTextureSweep : public ::testing::TestWithParam<int> {};

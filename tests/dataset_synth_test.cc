@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "codec/sjpg.h"
+#include "util/crc32.h"
 
 namespace sophon::dataset {
 namespace {
@@ -74,6 +75,36 @@ TEST(Synth, RealBppInsideProfileRange) {
     const double bpp = static_cast<double>(blob.size()) * 8.0 / (512.0 * 384.0);
     EXPECT_GE(bpp, profile.min_bpp * 0.5) << texture;
     EXPECT_LE(bpp, profile.max_bpp * 1.5) << texture;
+  }
+}
+
+// Golden pin: crc32 of the rendered pixels. Each case draws its own wave
+// count (2 + 4 x texture: 2, 3, 4 and 6) and blob count (2 to 5, from the
+// seed), and the sizes include single pixels, rows and columns, so any
+// change to the rendering arithmetic or the order of the RNG draws moves it.
+TEST(Synth, PixelsArePinned) {
+  struct Case {
+    int w;
+    int h;
+    double texture;
+    std::uint64_t seed;  // also the sample id
+    std::uint32_t crc;
+  };
+  constexpr Case kCases[] = {
+      {1, 1, 0.0, 5, 0x4a8cebec},    // 2 waves, 2 blobs
+      {48, 32, 0.0, 7, 0x7de6ca8b},  // 2 waves, 5 blobs
+      {1, 37, 0.3, 1, 0x0176dc4f},   // 3 waves, 4 blobs
+      {33, 21, 0.3, 2, 0x9656167f},  // 3 waves, 3 blobs
+      {53, 1, 0.6, 1, 0x6e1db354},   // 4 waves, 5 blobs
+      {40, 30, 0.6, 2, 0xd2e585a7},  // 4 waves, 2 blobs
+      {64, 48, 1.0, 4, 0xb9a2dd1d},  // 6 waves, 3 blobs
+      {7, 5, 1.0, 2, 0xd8694cae},    // 6 waves, 4 blobs
+  };
+  for (const auto& c : kCases) {
+    const auto img = generate_synthetic_image(meta_with(c.w, c.h, c.texture, c.seed), c.seed);
+    EXPECT_EQ(crc32(img.data()), c.crc)
+        << c.w << "x" << c.h << " texture " << c.texture << " seed " << c.seed << ": got 0x"
+        << std::hex << crc32(img.data());
   }
 }
 
