@@ -1,6 +1,7 @@
 // M1 — codec micro-benchmarks: SJPG encode/decode throughput across texture
-// and quality, plus the pixel kernels the pipeline executes per sample and
-// the compute-side suffix with and without its fused steps.
+// and quality, the synthetic renderer that materialisation runs before the
+// encoder, plus the pixel kernels the pipeline executes per sample and the
+// compute-side suffix with and without its fused steps.
 #include <benchmark/benchmark.h>
 
 #include "codec/sjpg.h"
@@ -21,9 +22,13 @@ image::Image synth(int w, int h, double texture) {
   return dataset::generate_synthetic_image(meta, 42);
 }
 
+// Args: width, height, texture (percent), quality. 800x600 at quality 60
+// is the perfbench corpus's quality on an image near its median size.
 void BM_SjpgEncode(benchmark::State& state) {
-  const auto img = synth(512, 384, static_cast<double>(state.range(0)) / 100.0);
-  const int quality = static_cast<int>(state.range(1));
+  const auto w = static_cast<int>(state.range(0));
+  const auto h = static_cast<int>(state.range(1));
+  const auto img = synth(w, h, static_cast<double>(state.range(2)) / 100.0);
+  const int quality = static_cast<int>(state.range(3));
   std::size_t bytes = 0;
   for (auto _ : state) {
     auto blob = codec::sjpg_encode(img, quality);
@@ -31,16 +36,29 @@ void BM_SjpgEncode(benchmark::State& state) {
     benchmark::DoNotOptimize(blob);
   }
   state.counters["bytes"] = static_cast<double>(bytes);
-  state.counters["bpp"] = static_cast<double>(bytes) * 8.0 / (512.0 * 384.0);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 512 * 384 * 3);
+  state.counters["bpp"] = static_cast<double>(bytes) * 8.0 / (static_cast<double>(w) * h);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * w * h * 3);
 }
 BENCHMARK(BM_SjpgEncode)
-    ->Args({10, 95})
-    ->Args({10, 55})
-    ->Args({50, 95})
-    ->Args({50, 55})
-    ->Args({90, 95})
-    ->Args({90, 55});
+    ->Args({512, 384, 10, 95})
+    ->Args({512, 384, 10, 55})
+    ->Args({512, 384, 50, 95})
+    ->Args({512, 384, 50, 55})
+    ->Args({512, 384, 90, 95})
+    ->Args({512, 384, 90, 55})
+    ->Args({800, 600, 50, 60});
+
+// The other half of materialising a sample: rendering it. Arg: texture
+// (percent), which sets the wave count (2 + 4 x texture).
+void BM_SynthRender(benchmark::State& state) {
+  const double texture = static_cast<double>(state.range(0)) / 100.0;
+  for (auto _ : state) {
+    auto img = synth(800, 600, texture);
+    benchmark::DoNotOptimize(img);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 800 * 600 * 3);
+}
+BENCHMARK(BM_SynthRender)->Arg(10)->Arg(50)->Arg(90);
 
 // Args: width, height, quality. 800x600 at quality 60 is the perfbench
 // corpus's quality on an image near its median size.

@@ -136,12 +136,6 @@ HuffmanEncoder::HuffmanEncoder(const std::vector<std::uint8_t>& lengths)
   }
 }
 
-void HuffmanEncoder::encode(BitWriter& out, std::uint32_t symbol) const {
-  SOPHON_CHECK(symbol < lengths_.size());
-  SOPHON_CHECK_MSG(lengths_[symbol] > 0, "symbol has no code");
-  out.put(codes_[symbol], lengths_[symbol]);
-}
-
 HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths, std::uint32_t escape) {
   for (const auto len : lengths) max_len_ = std::max<int>(max_len_, len);
   SOPHON_CHECK_MSG(max_len_ <= kMaxCodeBits, "code length exceeds kMaxCodeBits");

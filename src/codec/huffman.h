@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "codec/bitio.h"
+#include "util/check.h"
 
 namespace sophon::codec {
 
@@ -31,7 +32,11 @@ class HuffmanEncoder {
   explicit HuffmanEncoder(const std::vector<std::uint8_t>& lengths);
 
   /// Write the code for `symbol`; the symbol must have a nonzero length.
-  void encode(BitWriter& out, std::uint32_t symbol) const;
+  void encode(BitWriter& out, std::uint32_t symbol) const {
+    SOPHON_CHECK(symbol < lengths_.size());
+    SOPHON_CHECK_MSG(lengths_[symbol] > 0, "symbol has no code");
+    out.put(codes_[symbol], lengths_[symbol]);
+  }
 
   [[nodiscard]] std::size_t alphabet_size() const { return lengths_.size(); }
   [[nodiscard]] std::uint8_t length_of(std::uint32_t symbol) const { return lengths_[symbol]; }

@@ -54,26 +54,36 @@ YcbcrPlanes split_ycbcr_420(const Image& rgb) {
   const int ch = (h + 1) / 2;
   YcbcrPlanes planes{Plane(w, h), Plane(cw, ch), Plane(cw, ch)};
 
-  // Full-resolution pass for luma; accumulate chroma for 2x2 boxes.
-  std::vector<int> cb_acc(static_cast<std::size_t>(cw) * ch, 0);
-  std::vector<int> cr_acc(static_cast<std::size_t>(cw) * ch, 0);
-  std::vector<int> n_acc(static_cast<std::size_t>(cw) * ch, 0);
-  const std::uint8_t* src = rgb.data().data();
-  std::uint8_t* luma = planes.y.data().data();
-  for (int y = 0; y < h; ++y) {
-    const std::size_t chroma_row = static_cast<std::size_t>(y / 2) * static_cast<std::size_t>(cw);
-    for (int x = 0; x < w; ++x, src += 3) {
-      const auto ycc = rgb_to_ycbcr(src[0], src[1], src[2]);
-      *luma++ = ycc.y;
-      const std::size_t idx = chroma_row + static_cast<std::size_t>(x / 2);
-      cb_acc[idx] += ycc.cb;
-      cr_acc[idx] += ycc.cr;
-      ++n_acc[idx];
+  // One pass over 2x2 boxes: each box's pixels go to luma and their chroma
+  // is averaged on the spot. A box at an odd edge holds 1 or 2 pixels; the
+  // rounded mean (sum + n / 2) / n of n = 2^shift pixels is a shift.
+  const auto stride = static_cast<std::size_t>(w);
+  for (int cy = 0; cy < ch; ++cy) {
+    const int box_rows = 2 * cy + 1 < h ? 2 : 1;
+    const std::uint8_t* src = rgb.data().data() + static_cast<std::size_t>(2 * cy) * stride * 3;
+    std::uint8_t* luma = planes.y.data().data() + static_cast<std::size_t>(2 * cy) * stride;
+    std::uint8_t* cb = planes.cb.data().data() + static_cast<std::size_t>(cy) * cw;
+    std::uint8_t* cr = planes.cr.data().data() + static_cast<std::size_t>(cy) * cw;
+    for (int cx = 0; cx < cw; ++cx) {
+      const int box_cols = 2 * cx + 1 < w ? 2 : 1;
+      int cb_sum = 0;
+      int cr_sum = 0;
+      for (int dy = 0; dy < box_rows; ++dy) {
+        for (int dx = 0; dx < box_cols; ++dx) {
+          const std::size_t px = static_cast<std::size_t>(dy) * stride +
+                                 static_cast<std::size_t>(2 * cx + dx);
+          const std::uint8_t* p = src + 3 * px;
+          const auto ycc = rgb_to_ycbcr(p[0], p[1], p[2]);
+          luma[px] = ycc.y;
+          cb_sum += ycc.cb;
+          cr_sum += ycc.cr;
+        }
+      }
+      const int shift = (box_rows - 1) + (box_cols - 1);
+      const int half = (1 << shift) >> 1;
+      cb[cx] = static_cast<std::uint8_t>((cb_sum + half) >> shift);
+      cr[cx] = static_cast<std::uint8_t>((cr_sum + half) >> shift);
     }
-  }
-  for (std::size_t idx = 0; idx < n_acc.size(); ++idx) {
-    planes.cb.data()[idx] = static_cast<std::uint8_t>((cb_acc[idx] + n_acc[idx] / 2) / n_acc[idx]);
-    planes.cr.data()[idx] = static_cast<std::uint8_t>((cr_acc[idx] + n_acc[idx] / 2) / n_acc[idx]);
   }
   return planes;
 }
