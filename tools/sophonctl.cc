@@ -717,23 +717,31 @@ int cmd_validate_trace(const Flags& flags) {
     }
   }
   if (flags.integer("strict", 1) != 0) {
+    // Counts are read with find, not operator[], which would insert zero
+    // entries that the OK line then lists as categories the trace lacks.
+    const auto count = [](const std::map<std::string, std::size_t>& counts, const char* key) {
+      const auto it = counts.find(key);
+      return it == counts.end() ? std::size_t{0} : it->second;
+    };
     for (const char* required : {"preprocess", "transfer"}) {
-      if (categories[required] == 0) {
+      if (count(categories, required) == 0) {
         std::fprintf(stderr, "%s: no '%s' spans\n", in.c_str(), required);
         return 1;
       }
     }
-    if (categories["fetch"] == 0 && categories["staging_wait"] == 0) {
+    if (count(categories, "fetch") == 0 && count(categories, "staging_wait") == 0) {
       std::fprintf(stderr, "%s: no fetch or staging_wait spans\n", in.c_str());
       return 1;
     }
     // The "two time bases" invariant (docs/OBSERVABILITY.md): one file is
     // either a virtual-time replay or a steady-clock recording, never both.
     // Events without a "tb" marker (older exports) don't count either way.
-    if (time_bases["virtual"] > 0 && time_bases["steady"] > 0) {
+    const std::size_t virtual_spans = count(time_bases, "virtual");
+    const std::size_t steady_spans = count(time_bases, "steady");
+    if (virtual_spans > 0 && steady_spans > 0) {
       std::fprintf(stderr,
                    "%s: mixed time bases (%zu virtual, %zu steady spans in one file)\n",
-                   in.c_str(), time_bases["virtual"], time_bases["steady"]);
+                   in.c_str(), virtual_spans, steady_spans);
       return 1;
     }
   }
