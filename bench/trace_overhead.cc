@@ -5,11 +5,10 @@
 // ledger (obs/ledger.h) claims under 3% per attribution record on the same
 // workload. run_adaptive's epoch-boundary metrics hook (core/adapt/loop.h)
 // claims under 3% of a bare run, and its absent hooks (metrics registry,
-// ledger, critical-path monitor) do exactly zero work. The critical-path
-// analyzer (obs/critpath) claims that one epoch re-time costs under 3% of
-// the epoch it explains. This bench measures each claim and self-verifies
-// the bounds, so a regression in any path fails ctest instead of silently
-// taxing every run.
+// ledger) do exactly zero work. The critical-path analyzer (obs/critpath)
+// claims that one epoch re-time costs under 3% of the epoch it explains.
+// This bench measures each claim and self-verifies the bounds, so a
+// regression in any path fails ctest instead of silently taxing every run.
 #include <algorithm>
 #include <array>
 #include <chrono>
@@ -20,7 +19,6 @@
 #include "core/adapt/loop.h"
 #include "net/wire.h"
 #include "obs/critpath/critpath.h"
-#include "obs/critpath/monitor.h"
 #include "obs/ledger.h"
 #include "obs/trace.h"
 #include "util/stats.h"
@@ -127,11 +125,9 @@ struct TelemetryCost {
   std::vector<double> baseline_ms;  // no hooks
   std::vector<double> enabled_ms;   // the metrics hook
   std::vector<double> ledger_ms;    // metrics plus the per-sample traffic ledger
-  std::vector<double> critpath_ms;  // metrics plus the critical-path monitor
   bool completed = false;           // every run_adaptive call finished its epochs
   std::uint64_t epochs_counted = 0;  // sophon_epochs_completed after all hooked runs
   std::uint64_t ledger_records = 0;  // attribution records the ledger runs took
-  std::size_t critpath_epochs = 0;   // epochs the monitor re-timed
   bool disabled_is_zero = false;  // absent hooks touched no telemetry object
 };
 
@@ -150,21 +146,18 @@ TelemetryCost telemetry_cost() {
   // not just below measurement noise.
   MetricsRegistry sentinel_registry;
   sophon::obs::TrafficLedger sentinel_ledger;
-  sophon::obs::critpath::CritPathMonitor sentinel_critpath(&sentinel_registry);
 
   MetricsRegistry registry;
   sophon::obs::TrafficLedger::Options ledger_options;
   ledger_options.metrics = &registry;
   sophon::obs::TrafficLedger ledger(ledger_options);
-  sophon::obs::critpath::CritPathMonitor critpath(&registry);
 
-  enum class Mode { kBare, kMetrics, kMetricsAndLedger, kMetricsAndCritPath };
+  enum class Mode { kBare, kMetrics, kMetricsAndLedger };
   auto run_ms = [&](Mode mode) {
     RunOptions options;
     options.epochs = 6;
     if (mode != Mode::kBare) options.telemetry.metrics = &registry;
     if (mode == Mode::kMetricsAndLedger) options.telemetry.ledger = &ledger;
-    if (mode == Mode::kMetricsAndCritPath) options.telemetry.critpath = &critpath;
     const auto start = std::chrono::steady_clock::now();
     const auto result = run_adaptive(
         catalog, pipe, cm,
@@ -190,21 +183,17 @@ TelemetryCost telemetry_cost() {
   }
   for (std::size_t rep = 0; rep < kRepetitions + 1; ++rep) {
     const double with_ledger = run_ms(Mode::kMetricsAndLedger);
-    const double with_critpath = run_ms(Mode::kMetricsAndCritPath);
-    if (with_ledger < 0.0 || with_critpath < 0.0) return cost;
+    if (with_ledger < 0.0) return cost;
     if (rep == 0) continue;  // warm-up
     cost.ledger_ms.push_back(with_ledger);
-    cost.critpath_ms.push_back(with_critpath);
   }
   cost.completed = true;
   const MetricsSnapshot hooked = registry.snapshot();
   const auto epochs = hooked.counters.find("sophon_epochs_completed");
   cost.epochs_counted = epochs == hooked.counters.end() ? 0 : epochs->second;
   cost.ledger_records = ledger.records();
-  cost.critpath_epochs = critpath.epochs();
   const MetricsSnapshot untouched = sentinel_registry.snapshot();
-  cost.disabled_is_zero = sentinel_ledger.records() == 0 && sentinel_critpath.epochs() == 0 &&
-                          !sentinel_critpath.last() &&
+  cost.disabled_is_zero = sentinel_ledger.records() == 0 &&
                           untouched.counters.empty() && untouched.gauges.empty() &&
                           untouched.durations.empty() && untouched.histograms.empty();
   return cost;
@@ -342,7 +331,6 @@ int main() {
   // exactly zero.
   const double bare_ms = median(telemetry.baseline_ms);
   const double ledger_run_pct = 100.0 * (median(telemetry.ledger_ms) / bare_ms - 1.0);
-  const double critpath_run_pct = 100.0 * (median(telemetry.critpath_ms) / bare_ms - 1.0);
   std::printf("telemetry overhead (run_adaptive, 6 epochs, median of %zu pairs)\n",
               telemetry.baseline_ms.size());
   std::printf("  baseline  %8.2f ms/run\n", bare_ms);
@@ -353,16 +341,12 @@ int main() {
               "%llu attribution records)\n",
               median(telemetry.ledger_ms), ledger_run_pct,
               static_cast<unsigned long long>(telemetry.ledger_records));
-  std::printf("  +critpath %8.2f ms/run  (%+.2f%% of the DES, unpinned; "
-              "%zu epochs re-timed)\n",
-              median(telemetry.critpath_ms), critpath_run_pct, telemetry.critpath_epochs);
   std::printf("  disabled  hooks absent: %s\n",
               telemetry.disabled_is_zero
-                  ? "0 records, 0 epochs re-timed, 0 metrics touched"
+                  ? "0 records, 0 metrics touched"
                   : "TOUCHED TELEMETRY STATE");
   const bool telemetry_ok = telemetry_pct < 3.0 && telemetry.epochs_counted > 0;
   const bool ledger_flow_ok = telemetry.ledger_records > 0;
-  const bool critpath_flow_ok = telemetry.critpath_epochs > 0;
 
   // The analyzer's own pin: one per-epoch re-time against the epoch it
   // explains. Like the ledger, the run-level number above is bounded by DES
@@ -373,8 +357,8 @@ int main() {
               critpath.analyzer_ms, critpath.epoch_seconds, critpath.pct);
   const bool critpath_ok = critpath.pct < 3.0 && critpath.epoch_seconds > 0.0;
 
-  if (enabled_ok && disabled_ok && ledger_ok && telemetry_ok && ledger_flow_ok &&
-      critpath_flow_ok && critpath_ok && telemetry.disabled_is_zero) {
+  if (enabled_ok && disabled_ok && ledger_ok && telemetry_ok && ledger_flow_ok && critpath_ok &&
+      telemetry.disabled_is_zero) {
     std::printf("verified: enabled overhead %.2f%% < 3%%, disabled %.2f%% < 2%%, "
                 "ledger %.2f%% < 3%%, telemetry %.2f%% < 3%%, critpath %.3f%% of the "
                 "epoch < 3%% (exactly 0 when absent)\n",
@@ -383,10 +367,9 @@ int main() {
   }
   std::printf("FAILED: enabled %.2f%% (limit 3%%), disabled %.2f%% (limit 2%%), "
               "ledger %.2f%% (limit 3%%), telemetry %.2f%% (limit 3%%), "
-              "critpath %.3f%% (limit 3%%), ledger records: %llu, critpath epochs: %zu, "
-              "absent-hooks zero: %s\n",
+              "critpath %.3f%% (limit 3%%), ledger records: %llu, absent-hooks zero: %s\n",
               enabled_pct, disabled_pct, ledger_pct, telemetry_pct, critpath.pct,
               static_cast<unsigned long long>(telemetry.ledger_records),
-              telemetry.critpath_epochs, telemetry.disabled_is_zero ? "yes" : "no");
+              telemetry.disabled_is_zero ? "yes" : "no");
   return 1;
 }

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "codec/bitio.h"
@@ -37,9 +36,6 @@ class HuffmanEncoder {
     SOPHON_CHECK_MSG(lengths_[symbol] > 0, "symbol has no code");
     out.put(codes_[symbol], lengths_[symbol]);
   }
-
-  [[nodiscard]] std::size_t alphabet_size() const { return lengths_.size(); }
-  [[nodiscard]] std::uint8_t length_of(std::uint32_t symbol) const { return lengths_[symbol]; }
 
  private:
   std::vector<std::uint8_t> lengths_;
@@ -93,15 +89,6 @@ class HuffmanDecoder {
   };
   [[nodiscard]] const Literals& literals(BitReader& in) const {
     return literals_[in.peek(kTableBits)];
-  }
-
-  /// The first two of `literals`, consumed, when there are two; otherwise
-  /// consume nothing and return nullopt.
-  [[nodiscard]] std::optional<std::array<std::uint32_t, 2>> decode_pair(BitReader& in) const {
-    const Literals& run = literals(in);
-    if (run.count < 2) return std::nullopt;
-    in.skip(run.ends[1]);
-    return std::array<std::uint32_t, 2>{run.symbols[0], run.symbols[1]};
   }
 
   [[nodiscard]] static constexpr std::uint32_t invalid_symbol() { return 0xffffffffu; }

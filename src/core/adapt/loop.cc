@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "core/decision.h"
 #include "core/profiler.h"
-#include "obs/critpath/monitor.h"
 #include "obs/ledger.h"
 #include "obs/metrics_table.h"
 #include "util/check.h"
@@ -98,13 +96,7 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     }
 
     if (options.adapt) replanner.begin_epoch(epoch);
-    // With a critical-path monitor wired, the epoch is scheduled once with
-    // recording on and the monitor explains that record; otherwise it runs
-    // plain, so an absent monitor costs nothing.
-    std::optional<obs::critpath::RecordedEpoch> recorded;
-    if (telemetry.critpath != nullptr) recorded = obs::critpath::record_epoch(flow, params);
-    const sim::EpochStats stats =
-        recorded ? recorded->epoch : obs::critpath::run_epoch(flow, params).epoch;
+    const sim::EpochStats stats = obs::critpath::run_epoch(flow, params).epoch;
     const EpochObservation observation = observe_epoch(
         stats, actual, options.faults != nullptr ? &fault_stats : nullptr);
 
@@ -126,7 +118,6 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     if (telemetry.ledger != nullptr) {
       telemetry.ledger->end_epoch(epoch, stats.traffic, row.plan_generation);
     }
-    if (recorded) telemetry.critpath->observe_epoch(recorded->record, stats.epoch_time);
 
     if (telemetry.metrics != nullptr) {
       MetricsRegistry& metrics = *telemetry.metrics;

@@ -27,10 +27,6 @@ namespace sophon::obs {
 class TrafficLedger;
 }  // namespace sophon::obs
 
-namespace sophon::obs::critpath {
-class CritPathMonitor;
-}  // namespace sophon::obs::critpath
-
 namespace sophon::core::adapt {
 
 /// One epoch of an adaptive (or static) run.
@@ -63,11 +59,6 @@ struct TelemetryHooks {
   /// Plans carry their decide_offloading traffic forecast into the ledger's
   /// savings table.
   obs::TrafficLedger* ledger = nullptr;
-  /// Critical-path analyzer (obs/critpath/monitor.h): when present, each
-  /// epoch is scheduled once with recording on (obs::critpath::record_epoch)
-  /// and the monitor walks that record at the boundary, publishing the
-  /// sophon_critpath_* blame gauges and the bottleneck migration counter.
-  obs::critpath::CritPathMonitor* critpath = nullptr;
 };
 
 struct RunOptions {

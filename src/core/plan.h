@@ -19,8 +19,6 @@ struct PlanTrafficForecast {
   Bytes predicted;   ///< one epoch under this plan's prefixes
   /// predicted bytes broken down by the stage shipped (index = prefix).
   std::vector<Bytes> per_stage;
-
-  [[nodiscard]] Bytes predicted_savings() const { return baseline - predicted; }
 };
 
 class OffloadPlan {

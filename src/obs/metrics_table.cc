@@ -23,22 +23,6 @@ namespace {
 // Sorted by name — find_metric binary-searches and the drift test checks the
 // ordering so review diffs stay one-line-per-metric.
 constexpr MetricInfo kTable[] = {
-    {"sophon_critpath_blame_compute_cpu_seconds", MetricKind::kGauge,
-     "Seconds the compute-node CPU contributed to the last epoch's critical path"},
-    {"sophon_critpath_blame_delay_seconds", MetricKind::kGauge,
-     "Seconds of injected delay (retry backoff) on the last epoch's critical path"},
-    {"sophon_critpath_blame_gpu_seconds", MetricKind::kGauge,
-     "Seconds the GPU contributed to the last epoch's critical path"},
-    {"sophon_critpath_blame_link_seconds", MetricKind::kGauge,
-     "Seconds the storage link contributed to the last epoch's critical path"},
-    {"sophon_critpath_blame_storage_cpu_seconds", MetricKind::kGauge,
-     "Seconds the storage-node CPU contributed to the last epoch's critical path"},
-    {"sophon_critpath_bottleneck", MetricKind::kGauge,
-     "Dominant critical-path resource: 1 storage-cpu, 2 link, 3 compute-cpu, 4 gpu, 5 delay"},
-    {"sophon_critpath_bottleneck_migrations", MetricKind::kCounter,
-     "Epoch boundaries where the critical-path bottleneck moved to a different resource"},
-    {"sophon_critpath_reconcile_error", MetricKind::kGauge,
-     "Relative gap between the re-timed critical path and the observed epoch time"},
     {"sophon_degraded_samples", MetricKind::kCounter,
      "Samples served in degraded form after fetch retry exhaustion"},
     {"sophon_diskstore_corrupt", MetricKind::kCounter,

@@ -96,7 +96,6 @@ class EpochReport {
 
   /// Attach the decision engine's prediction for divergence reporting.
   void set_predicted(const Costs& predicted);
-  [[nodiscard]] bool has_predicted() const { return has_predicted_; }
   [[nodiscard]] const Costs& predicted() const { return predicted_; }
   [[nodiscard]] static std::string_view bottleneck_of(const Costs& costs);
 

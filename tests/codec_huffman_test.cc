@@ -230,50 +230,6 @@ TEST(HuffmanDecoder, MatchesCanonicalWalkOnCorruptTables) {
   }
 }
 
-TEST(HuffmanDecoder, PairsMatchTwoSingleDecodes) {
-  // Wherever decode_pair answers, it must return the symbols and consume
-  // the bits of two decode calls, never pair the escape, and otherwise
-  // consume nothing. Tables range from complete to corrupt.
-  Rng rng(10);
-  std::size_t pairs = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<std::uint8_t> lengths(512, 0);
-    const auto used = rng.uniform_int(1, 80);
-    const auto max_len = rng.uniform_int(1, 12);
-    for (std::int64_t i = 0; i < used; ++i) {
-      lengths[static_cast<std::size_t>(rng.uniform_int(0, 511))] =
-          static_cast<std::uint8_t>(rng.uniform_int(1, max_len));
-    }
-    const auto escape = static_cast<std::uint32_t>(rng.uniform_int(0, 511));
-    const HuffmanDecoder decoder(lengths, escape);
-    std::vector<std::uint8_t> bits(static_cast<std::size_t>(rng.uniform_int(0, 64)));
-    for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    BitReader stream(bits);
-    for (int i = 0; i < 300 && stream.bits_consumed() <= 8 * bits.size() + 32; ++i) {
-      BitReader paired = stream;
-      const auto pair = decoder.decode_pair(paired);
-      if (!pair) {
-        ASSERT_EQ(paired.bits_consumed(), stream.bits_consumed()) << "trial " << trial;
-      }
-      BitReader single = stream;
-      const auto first = decoder.decode(single);
-      if (pair) {
-        ++pairs;
-        const auto second = decoder.decode(single);
-        ASSERT_EQ((*pair)[0], first) << "trial " << trial;
-        ASSERT_EQ((*pair)[1], second) << "trial " << trial;
-        ASSERT_NE(first, escape);
-        ASSERT_NE(second, escape);
-        ASSERT_EQ(paired.bits_consumed(), single.bits_consumed()) << "trial " << trial;
-        stream = paired;
-      } else {
-        stream = single;
-      }
-    }
-  }
-  EXPECT_GT(pairs, 1000u);  // the pair path really ran
-}
-
 TEST(HuffmanDecoder, LiteralRunsMatchSingleDecodes) {
   // Every run `literals` reports must hold exactly the symbols, and end
   // after exactly the bits, of as many decode calls, and never the escape.

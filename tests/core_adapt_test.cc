@@ -9,7 +9,6 @@
 #include "core/profiler.h"
 #include "loader/loader.h"
 #include "net/wire.h"
-#include "obs/critpath/monitor.h"
 #include "obs/replay_trace.h"
 #include "obs/report.h"
 #include "storage/dataset_store.h"
@@ -311,63 +310,6 @@ TEST(AdaptLoop, StaticAndAdaptiveAgreeUntilConditionsDrift) {
   EXPECT_LT(adaptive.rows[5].traffic.count(), fixed.rows[5].traffic.count());
 }
 
-// A wired critical-path monitor only observes. The run schedules each epoch
-// once, with recording on, and returns the rows a run without the monitor
-// returns, field by field — across a mid-run bandwidth drop and the re-plan
-// it triggers.
-TEST(AdaptLoop, CritPathMonitorLeavesEveryRowUnchanged) {
-  Fixture f;
-  RunOptions options;
-  options.epochs = 6;
-  options.bandwidth_at = [](std::size_t epoch) {
-    return Bandwidth::mbps(epoch >= 3 ? 250.0 : 8000.0);
-  };
-  const auto plain = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
-
-  MetricsRegistry metrics;
-  obs::critpath::CritPathMonitor monitor(&metrics);
-  options.telemetry.critpath = &monitor;
-  const auto monitored = run_adaptive(f.catalog, f.pipe, f.cm, f.spec(), options);
-
-  ASSERT_EQ(plain.replans, 1u);
-  EXPECT_EQ(monitored.replans, plain.replans);
-  ASSERT_EQ(monitored.rows.size(), plain.rows.size());
-  for (std::size_t e = 0; e < plain.rows.size(); ++e) {
-    const EpochRow& a = plain.rows[e];
-    const EpochRow& b = monitored.rows[e];
-    EXPECT_EQ(b.epoch, a.epoch);
-    EXPECT_EQ(b.actual_mbps, a.actual_mbps) << e;
-    EXPECT_EQ(b.plan_generation, a.plan_generation) << e;
-    EXPECT_EQ(b.offloaded, a.offloaded) << e;
-    EXPECT_EQ(b.epoch_time.value(), a.epoch_time.value()) << e;
-    EXPECT_EQ(b.traffic.count(), a.traffic.count()) << e;
-    EXPECT_EQ(b.retries, a.retries) << e;
-    EXPECT_EQ(b.degraded, a.degraded) << e;
-    EXPECT_EQ(b.decision.outcome, a.decision.outcome) << e;
-    EXPECT_EQ(b.decision.drift.t_g, a.decision.drift.t_g) << e;
-    EXPECT_EQ(b.decision.drift.t_cc, a.decision.drift.t_cc) << e;
-    EXPECT_EQ(b.decision.drift.t_cs, a.decision.drift.t_cs) << e;
-    EXPECT_EQ(b.decision.drift.t_net, a.decision.drift.t_net) << e;
-    EXPECT_EQ(b.decision.drift.max_drift, a.decision.drift.max_drift) << e;
-    EXPECT_EQ(b.decision.drift.worst, a.decision.drift.worst) << e;
-    EXPECT_EQ(b.decision.drift.bottleneck_shifted, a.decision.drift.bottleneck_shifted) << e;
-    EXPECT_EQ(b.decision.improvement, a.decision.improvement) << e;
-    EXPECT_EQ(b.decision.predicted.t_g.value(), a.decision.predicted.t_g.value()) << e;
-    EXPECT_EQ(b.decision.predicted.t_cc.value(), a.decision.predicted.t_cc.value()) << e;
-    EXPECT_EQ(b.decision.predicted.t_cs.value(), a.decision.predicted.t_cs.value()) << e;
-    EXPECT_EQ(b.decision.predicted.t_net.value(), a.decision.predicted.t_net.value()) << e;
-  }
-
-  // The monitor explained every epoch from that epoch's own record.
-  EXPECT_EQ(monitor.epochs(), plain.rows.size());
-  EXPECT_EQ(metrics.snapshot().gauges.at("sophon_critpath_reconcile_error"), 0.0);
-  ASSERT_TRUE(monitor.last().has_value());
-  const double last_epoch = plain.rows.back().epoch_time.value();
-  EXPECT_EQ(monitor.last()->epoch_time.value(), last_epoch);
-  // The blame vector tiles that epoch; summing per-resource buckets in a
-  // different order than the path's edges rounds by a few ulps.
-  EXPECT_NEAR(monitor.last()->blame.total().value(), last_epoch, 1e-12 * last_epoch);
-}
 
 // The plan-swap safety property, on the real fetch path: a loader holding
 // the previous plan's lease keeps producing tensors bit-identical to that

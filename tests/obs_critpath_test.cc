@@ -8,12 +8,10 @@
 #include <vector>
 
 #include "net/fault.h"
-#include "obs/critpath/monitor.h"
 #include "obs/critpath/whatif.h"
 #include "prefetch/replay.h"
 #include "sim/trainer.h"
 #include "obs/trace.h"
-#include "util/telemetry.h"
 
 namespace sophon::obs::critpath {
 namespace {
@@ -239,41 +237,6 @@ TEST(WhatIf, RankingIsDeterministicAndSorted) {
     EXPECT_GE(a.ranked[i - 1].speedup, a.ranked[i].speedup);
   }
   EXPECT_FALSE(a.render().empty());
-}
-
-TEST(Monitor, PublishesBlameAndCountsMigrations) {
-  MetricsRegistry metrics;
-  CritPathMonitor monitor(&metrics);
-  EXPECT_EQ(monitor.bottleneck(), Resource::kStart);
-
-  // Epoch 1: link-starved.
-  EpochParams narrow = batch_params();
-  narrow.cluster.bandwidth = Bandwidth::mbps(20.0);
-  monitor.observe_epoch(record_epoch(demand_for, narrow).record,
-                        Seconds(simulate_under(narrow)));
-  EXPECT_EQ(monitor.bottleneck(), Resource::kLink);
-  EXPECT_EQ(monitor.migrations(), 0u);
-
-  // Epoch 2: GPU-bound — the bottleneck migrated.
-  EpochParams slow_gpu = batch_params();
-  slow_gpu.gpu_batch_time = Seconds(2.0);
-  monitor.observe_epoch(record_epoch(demand_for, slow_gpu).record,
-                        Seconds(simulate_under(slow_gpu)));
-  EXPECT_EQ(monitor.bottleneck(), Resource::kGpu);
-  EXPECT_EQ(monitor.migrations(), 1u);
-  EXPECT_EQ(monitor.epochs(), 2u);
-
-  const auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.counters.at("sophon_critpath_bottleneck_migrations"), 1u);
-  EXPECT_EQ(snap.gauges.at("sophon_critpath_bottleneck"),
-            static_cast<double>(Resource::kGpu));
-  EXPECT_GT(snap.gauges.at("sophon_critpath_blame_gpu_seconds"), 0.0);
-  EXPECT_LT(snap.gauges.at("sophon_critpath_reconcile_error"), 1e-12);
-
-  // Same bottleneck again: no new migration.
-  monitor.observe_epoch(record_epoch(demand_for, slow_gpu).record,
-                        Seconds(simulate_under(slow_gpu)));
-  EXPECT_EQ(monitor.migrations(), 1u);
 }
 
 TEST(CritPath, RenderAndJsonCarryTheStory) {

@@ -16,7 +16,6 @@
 #include "loader/loader.h"
 #include "net/fault.h"
 #include "net/resilience.h"
-#include "obs/critpath/monitor.h"
 #include "obs/ledger.h"
 #include "obs/metrics_table.h"
 #include "shard/format.h"
@@ -111,8 +110,7 @@ void populate_full_run(MetricsRegistry& metrics) {
   std::filesystem::remove(shard_path);
 
   // Adaptive run under a mid-run bandwidth drop with fault replay; its hooks
-  // feed the epoch gauges, ledger and critical-path metrics into the same
-  // registry.
+  // feed the epoch gauges and ledger metrics into the same registry.
   const auto big = dataset::Catalog::generate(dataset::openimages_profile(300), 42);
   sim::ClusterConfig planned;
   planned.bandwidth = Bandwidth::mbps(8000.0);
@@ -124,7 +122,6 @@ void populate_full_run(MetricsRegistry& metrics) {
   const net::FaultInjector faults(fault_profile);
 
   TrafficLedger sim_ledger({.top_k = 8, .metrics = &metrics});
-  critpath::CritPathMonitor critpath_monitor(&metrics);
   core::adapt::RunOptions options;
   options.epochs = 6;
   options.faults = &faults;
@@ -134,12 +131,10 @@ void populate_full_run(MetricsRegistry& metrics) {
   };
   options.telemetry.metrics = &metrics;
   options.telemetry.ledger = &sim_ledger;
-  options.telemetry.critpath = &critpath_monitor;
   const auto result = core::adapt::run_adaptive(
       big, pipe, cm,
       {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = big.size()}, options);
   ASSERT_EQ(result.rows.size(), 6u);
-  ASSERT_EQ(critpath_monitor.epochs(), 6u);
 }
 
 void expect_known(const std::string& name, MetricKind kind) {
@@ -167,8 +162,7 @@ TEST(MetricsTableDrift, EveryEmittedNameIsPreRegistered) {
   EXPECT_GT(snap.counters.count("sophon_fetch_attempt_bytes"), 0u);
   EXPECT_GT(snap.counters.count("sophon_ledger_records"), 0u);
   EXPECT_GT(snap.gauges.count("sophon_ledger_unattributed_bytes"), 0u);
-  EXPECT_GT(snap.gauges.count("sophon_critpath_bottleneck"), 0u);
-  EXPECT_GT(snap.gauges.count("sophon_critpath_blame_link_seconds"), 0u);
+  EXPECT_GT(snap.gauges.count("sophon_epoch_time_seconds"), 0u);
 
   for (const auto& [name, value] : snap.counters) expect_known(name, MetricKind::kCounter);
   for (const auto& [name, value] : snap.gauges) expect_known(name, MetricKind::kGauge);
