@@ -153,77 +153,6 @@ DecisionResult decide_offloading(const std::vector<SampleProfile>& profiles,
   return result;
 }
 
-ReplicatedDecisionResult decide_offloading_replicated(const std::vector<SampleProfile>& profiles,
-                                                      const storage::ReplicaMap& replicas,
-                                                      const sim::ClusterConfig& cluster,
-                                                      Seconds gpu_epoch_time) {
-  SOPHON_CHECK(!profiles.empty());
-  SOPHON_CHECK(replicas.size() == profiles.size());
-
-  ReplicatedDecisionResult result;
-  result.plan = OffloadPlan(profiles.size());
-  result.baseline = baseline_cost(profiles, cluster, gpu_epoch_time);
-  result.final_cost = result.baseline;
-  result.node_cpu.assign(static_cast<std::size_t>(replicas.num_nodes()), Seconds(0.0));
-
-  // Default execution node: the primary replica (only meaningful for
-  // offloaded samples, but the map must be total).
-  std::vector<std::uint16_t> execution(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) execution[i] = replicas.replicas_of(i)[0];
-
-  std::vector<std::uint32_t> candidates = beneficial_candidates(profiles);
-  result.beneficial_candidates = candidates.size();
-
-  const double node_capacity = storage_capacity(cluster);
-  if (node_capacity <= 0.0 || candidates.empty()) {
-    result.execution_nodes =
-        storage::ShardMap::explicit_map(std::move(execution), replicas.num_nodes());
-    return result;
-  }
-
-  sort_by_efficiency(profiles, candidates);
-
-  EpochCostVector cost = result.baseline;
-  const double bytes_per_sec = cluster.bandwidth.bytes_per_sec();
-  auto max_node_tcs = [&]() {
-    Seconds worst(0.0);
-    for (const auto busy : result.node_cpu) worst = std::max(worst, busy / node_capacity);
-    return worst;
-  };
-
-  for (const auto idx : candidates) {
-    if (!cost.net_predominant()) break;
-    const auto& p = profiles[idx];
-
-    // Route to the least-loaded replica holder.
-    std::uint16_t best_node = replicas.replicas_of(idx)[0];
-    for (const auto node : replicas.replicas_of(idx)) {
-      if (result.node_cpu[node] < result.node_cpu[best_node]) best_node = node;
-    }
-
-    EpochCostVector next = cost;
-    next.t_net -= Seconds(p.reduction.as_double() / bytes_per_sec);
-    next.t_cc -= p.prefix_time / static_cast<double>(cluster.compute_cores);
-    const Seconds node_after = (result.node_cpu[best_node] + p.prefix_time) / node_capacity;
-    next.t_cs = std::max(max_node_tcs(), node_after);
-    // Node-saturation skip: if routing this sample through its (hot) node
-    // would not improve the predicted epoch time, leave it local and keep
-    // scanning — samples on colder nodes may still help.
-    if (next.predicted_epoch_time() >= cost.predicted_epoch_time()) continue;
-
-    cost = next;
-    result.node_cpu[best_node] += p.prefix_time;
-    execution[idx] = best_node;
-    result.plan.set(idx, static_cast<std::uint8_t>(p.min_stage));
-    ++result.offloaded;
-  }
-  result.plan.set_traffic_forecast(forecast_plan_traffic(profiles, result.plan));
-  result.final_cost = cost;
-  result.execution_nodes =
-      storage::ShardMap::explicit_map(std::move(execution), replicas.num_nodes());
-  return result;
-}
-
 PlanTrafficForecast forecast_plan_traffic(const std::vector<SampleProfile>& profiles,
                                           const OffloadPlan& plan) {
   PlanTrafficForecast forecast;

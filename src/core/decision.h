@@ -16,7 +16,6 @@
 #include "core/metrics.h"
 #include "core/plan.h"
 #include "sim/cluster.h"
-#include "storage/sharding.h"
 
 namespace sophon::core {
 
@@ -66,39 +65,10 @@ struct DecisionResult {
                                             Seconds gpu_epoch_time);
 
 /// The plan's predicted one-epoch link traffic against the all-raw
-/// baseline, from the stage-2 profiles' exact wire sizes. Every decide_*
-/// variant attaches this to its plan; callers with hand-built plans can
-/// compute it directly.
+/// baseline, from the stage-2 profiles' exact wire sizes. decide_offloading
+/// attaches this to its plan; callers with hand-built plans can compute it
+/// directly.
 [[nodiscard]] PlanTrafficForecast forecast_plan_traffic(
     const std::vector<SampleProfile>& profiles, const OffloadPlan& plan);
-
-/// Result of per-node planning: in addition to the plan, the node each
-/// offloaded sample's prefix was routed to (its least-loaded replica at
-/// selection time), expressed as a ShardMap so the sharded simulator can
-/// consume it directly.
-struct ReplicatedDecisionResult {
-  OffloadPlan plan;
-  storage::ShardMap execution_nodes;  // where each sample's prefix runs
-  EpochCostVector baseline;
-  EpochCostVector final_cost;  // t_cs = busiest node's CPU time
-  std::vector<Seconds> node_cpu;  // offloaded single-core seconds per node
-  std::size_t beneficial_candidates = 0;
-  std::size_t offloaded = 0;
-};
-
-/// The per-node greedy over a sharded storage cluster. T_CS is governed by
-/// the *busiest node* (each node only preprocesses the samples routed to
-/// it), so the per-node budget matters, not just the cluster total;
-/// `cluster.storage_cores` is the per-node core budget. Candidates are taken
-/// in efficiency order; each may run its prefix on any of its replica
-/// holders and is routed to the least-loaded one, which largely neutralises
-/// placement skew as replication grows. A candidate whose node is saturated
-/// (adding it would not lower the predicted epoch time) is skipped rather
-/// than ending the loop, so spare capacity on cold nodes keeps being used.
-/// At replication 1 (`ReplicaMap::replicated(shards, 1, seed)`) every
-/// prefix runs on its primary: the shard-aware plan.
-[[nodiscard]] ReplicatedDecisionResult decide_offloading_replicated(
-    const std::vector<SampleProfile>& profiles, const storage::ReplicaMap& replicas,
-    const sim::ClusterConfig& cluster, Seconds gpu_epoch_time);
 
 }  // namespace sophon::core

@@ -10,8 +10,8 @@
 
 namespace sophon::sim {
 
-ResourceMap::ResourceMap(const ClusterConfig& cluster, std::size_t storage_nodes)
-    : storage(storage_nodes, CpuPool(cluster.storage_cores, cluster.storage_core_speed)),
+ResourceMap::ResourceMap(const ClusterConfig& cluster)
+    : storage{CpuPool(cluster.storage_cores, cluster.storage_core_speed)},
       link(cluster.bandwidth, cluster.link_latency),
       compute{CpuPool(cluster.compute_cores)},
       gpu(1) {
@@ -79,8 +79,8 @@ class Servers {
       const JobLoad& job = jobs[j];
       SOPHON_CHECK(job.num_samples > 0 && job.batch_size > 0 && res_.compute[j].cores() > 0);
       SOPHON_CHECK(job.flow != nullptr && *job.flow != nullptr);
-      SOPHON_CHECK(job.shards != nullptr ? job.shards->size() == job.num_samples
-                                         : job.storage_pool < res_.storage.size());
+      SOPHON_CHECK(job.shards.empty() ? job.storage_pool < res_.storage.size()
+                                      : job.shards.size() == job.num_samples);
       stats_[j].samples = job.num_samples;
     }
     if constexpr (Rec::kRecords) {
@@ -111,8 +111,7 @@ class Servers {
     const auto sample = static_cast<std::int64_t>(idx);
     Event t = wait(issue, hop, Resource::kLink, sample, position);
     if (f.storage_cpu.value() > 0.0) {
-      const auto p = job.shards != nullptr ? static_cast<std::size_t>(job.shards->node_of(idx))
-                                           : job.storage_pool;
+      const std::size_t p = job.shards.empty() ? job.storage_pool : job.shards[idx];
       CpuPool& pool = res_.storage.at(p);
       SOPHON_CHECK_MSG(pool.can_schedule(), "offload assignment requires storage cores");
       ++stats_[j].offloaded_samples;

@@ -118,9 +118,9 @@ class Recorder {
 
 /// The servers of one epoch: storage pools (one per node or private
 /// partition), the shared link, and job j's compute[j] and gpu[j]. Built
-/// with `storage_nodes` pools and job 0's servers.
+/// with one storage pool and job 0's servers.
 struct ResourceMap {
-  explicit ResourceMap(const ClusterConfig& cluster, std::size_t storage_nodes = 1);
+  explicit ResourceMap(const ClusterConfig& cluster);
 
   std::vector<CpuPool> storage;
   net::SimLink link;
@@ -140,8 +140,8 @@ struct JobLoad {
   std::size_t epoch_index = 0;
   std::size_t batch_size = 256;
   Seconds gpu_batch_time;
-  std::size_t storage_pool = 0;               ///< runs offloaded prefixes, unless `shards`
-  const storage::ShardMap* shards = nullptr;  ///< per sample: the owning node's pool
+  std::size_t storage_pool = 0;             ///< runs offloaded prefixes, unless `shards`
+  std::span<const std::uint16_t> shards{};  ///< per sample: its storage pool; empty: `storage_pool`
 };
 
 /// The job of `cluster` alone.

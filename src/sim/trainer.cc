@@ -24,23 +24,6 @@ EpochStats simulate_epoch_flows(std::size_t num_samples,
   return stats;
 }
 
-ShardedEpochStats simulate_epoch_sharded(std::size_t num_samples,
-                                         const std::function<SampleFlow(std::size_t)>& flow,
-                                         const storage::ShardMap& shards,
-                                         const ClusterConfig& cluster, Seconds gpu_batch_time,
-                                         std::uint64_t seed, std::size_t epoch_index) {
-  SOPHON_CHECK(shards.size() == num_samples);
-  ResourceMap resources(cluster, static_cast<std::size_t>(shards.num_nodes()));
-  JobLoad job = single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
-  job.shards = &shards;
-  ShardedEpochStats stats;
-  NoRecord plain;
-  stats.totals = run_batch_window(plain, resources, {&job, 1}, cluster.prefetch_batches).front();
-  stats.totals.storage_cpu_busy = resources.storage_busy();
-  for (const CpuPool& pool : resources.storage) stats.node_cpu_busy.push_back(pool.busy_time());
-  return stats;
-}
-
 std::function<SampleFlow(std::size_t)> faulty_flow(std::function<SampleFlow(std::size_t)> flow,
                                                    std::function<SampleFlow(std::size_t)> raw_flow,
                                                    const net::FaultInjector& faults,

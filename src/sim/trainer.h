@@ -28,7 +28,6 @@
 #include "pipeline/cost_model.h"
 #include "pipeline/pipeline.h"
 #include "sim/cluster.h"
-#include "storage/sharding.h"
 #include "util/units.h"
 
 namespace sophon::net {
@@ -96,22 +95,6 @@ struct SampleFlow {
                                         const ClusterConfig& cluster, Seconds gpu_batch_time,
                                         std::span<const std::uint8_t> assignment,
                                         std::uint64_t seed, std::size_t epoch_index = 0);
-
-/// Epoch stats for a sharded storage cluster: per-node CPU busy time on top
-/// of the aggregate measurements.
-struct ShardedEpochStats {
-  EpochStats totals;
-  std::vector<Seconds> node_cpu_busy;  // one entry per storage node
-};
-
-/// Simulate one epoch against a multi-node storage cluster: each sample's
-/// offloaded prefix runs on the CPU pool of the node that owns its shard
-/// (`cluster.storage_cores` is the per-node budget); all nodes share one
-/// egress link to the compute cluster.
-[[nodiscard]] ShardedEpochStats simulate_epoch_sharded(
-    std::size_t num_samples, const std::function<SampleFlow(std::size_t)>& flow,
-    const storage::ShardMap& shards, const ClusterConfig& cluster, Seconds gpu_batch_time,
-    std::uint64_t seed, std::size_t epoch_index = 0);
 
 /// What replaying a fault trace over one epoch's flows amounted to.
 /// Filled by the flow wrapper as the simulator pulls samples.

@@ -84,37 +84,5 @@ TEST(DecisionFuzz, InvariantsHoldOnRandomLandscapes) {
   }
 }
 
-TEST(DecisionFuzz, ShardedEngineInvariantsOnRandomLandscapes) {
-  Rng rng(4048);
-  for (int trial = 0; trial < 15; ++trial) {
-    const auto profiles =
-        random_profiles(rng, 100 + static_cast<std::size_t>(rng.uniform_int(0, 200)));
-    const int nodes = static_cast<int>(rng.uniform_int(1, 8));
-    const auto shards = storage::ShardMap::hashed(profiles.size(), nodes,
-                                                  static_cast<std::uint64_t>(trial));
-    sim::ClusterConfig cluster;
-    cluster.bandwidth = Bandwidth::mbps(rng.uniform(10.0, 500.0));
-    cluster.storage_cores = static_cast<int>(rng.uniform_int(0, 4));
-    const Seconds t_g(rng.uniform(0.01, 10.0));
-
-    const auto result = decide_offloading_replicated(
-        profiles, storage::ReplicaMap::replicated(shards, 1, 1), cluster, t_g);
-    ASSERT_LE(result.final_cost.predicted_epoch_time().value(),
-              result.baseline.predicted_epoch_time().value() + 1e-9);
-
-    // Node ledger equals the recomputation from the plan.
-    std::vector<Seconds> recomputed(static_cast<std::size_t>(nodes));
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      if (result.plan.prefix(i) > 0) {
-        recomputed[static_cast<std::size_t>(shards.node_of(i))] += profiles[i].prefix_time;
-      }
-    }
-    for (int n = 0; n < nodes; ++n) {
-      ASSERT_NEAR(result.node_cpu[static_cast<std::size_t>(n)].value(),
-                  recomputed[static_cast<std::size_t>(n)].value(), 1e-9);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace sophon::core

@@ -198,10 +198,6 @@ TEST(Decision, EqualEfficienciesOffloadInAscendingIndexOrder) {
   const Seconds t_g = Seconds::millis(1.0);
 
   expect_tiers_in_index_order(profiles, decide_offloading(profiles, cluster, t_g).plan);
-  const auto one_node = storage::ShardMap::contiguous(profiles.size(), 1);
-  const auto replicas = storage::ReplicaMap::replicated(one_node, 1, 3);
-  expect_tiers_in_index_order(
-      profiles, decide_offloading_replicated(profiles, replicas, cluster, t_g).plan);
 }
 
 TEST(EvaluatePlan, MatchesDecisionAccounting) {

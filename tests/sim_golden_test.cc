@@ -16,7 +16,9 @@
 #include "obs/critpath/critpath.h"
 #include "prefetch/replay.h"
 #include "sim/multijob.h"
+#include "sim/schedule.h"
 #include "sim/trainer.h"
+#include "util/rng.h"
 
 namespace sophon {
 namespace {
@@ -185,15 +187,27 @@ std::string window(bool faulty) {
   return pins.str();
 }
 
+// Three storage nodes: sample i's offloaded prefix runs on node
+// derive_seed(5, i) % 3, through JobLoad::shards.
 std::string sharded() {
-  const auto shards = storage::ShardMap::hashed(kSamples, 3, 5);
-  const auto stats =
-      sim::simulate_epoch_sharded(kSamples, mixed_flow, shards, cluster(), Seconds::millis(20.0),
-                                  42, 1);
+  const sim::ClusterConfig c = cluster();
+  std::vector<std::uint16_t> shards(kSamples);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    shards[i] = static_cast<std::uint16_t>(derive_seed(5, i) % 3);
+  }
+  sim::ResourceMap resources(c);
+  resources.storage.assign(3, sim::CpuPool(c.storage_cores, c.storage_core_speed));
+  const sim::FlowFn flow = mixed_flow;
+  sim::JobLoad job = sim::single_job(c, kSamples, flow, Seconds::millis(20.0), 42, 1);
+  job.shards = shards;
+  sim::NoRecord plain;
+  sim::EpochStats totals =
+      sim::run_batch_window(plain, resources, {&job, 1}, c.prefetch_batches).front();
+  totals.storage_cpu_busy = resources.storage_busy();
   Pins pins;
-  pins.epoch("", stats.totals);
-  for (std::size_t n = 0; n < stats.node_cpu_busy.size(); ++n) {
-    pins.add("node" + std::to_string(n) + "_cpu_busy", stats.node_cpu_busy[n]);
+  pins.epoch("", totals);
+  for (std::size_t n = 0; n < resources.storage.size(); ++n) {
+    pins.add("node" + std::to_string(n) + "_cpu_busy", resources.storage[n].busy_time());
   }
   return pins.str();
 }

@@ -15,8 +15,11 @@
 #                             vocabulary of `sophonctl help` against
 #                             docs/CLI.md and README.md — fails when the docs
 #                             mention a flag the binary no longer has, or the
-#                             binary grows a flag/command the docs omit. Also
-#                             runs as part of the default check.
+#                             binary grows a flag/command the docs omit — and
+#                             fail when README.md, DESIGN.md, EXPERIMENTS.md
+#                             or docs/*.md name a src/, bench/ or examples/
+#                             path that does not exist. Also runs as part of
+#                             the default check.
 #   tools/check.sh --bench-regress
 #                             re-run the benches that commit BENCH_*.json
 #                             artifacts (prefetch, adapt, materialize,
@@ -73,8 +76,21 @@ check_docs() {
       ok=1
     fi
   done
+  # Every src/, bench/ or examples/ path the docs name must exist, as named
+  # or with an extension (`bench/fig3_ample_cpu` names fig3_ample_cpu.cc).
+  # Brace lists such as src/obs/{a,b} are skipped.
+  local ref file path
+  while IFS= read -r ref; do
+    file=${ref%%:*}
+    path=$(sed 's/[.]*$//' <<< "${ref##*:}")
+    if [[ ! -e "$path" ]] && ! compgen -G "$path.*" > /dev/null; then
+      echo "doc-drift: $file names $path, which does not exist" >&2
+      ok=1
+    fi
+  done < <(grep -oHP '(?<![\w./-])(?:src|bench|examples)/[\w./-]*+(?!\{)' \
+             README.md DESIGN.md EXPERIMENTS.md docs/*.md | sort -u)
   if [[ $ok -eq 0 ]]; then
-    echo "docs OK: $(printf '%s\n' "$flags_help" | wc -l) flags, $(printf '%s\n' "$commands" | wc -l) commands in sync with docs/CLI.md"
+    echo "docs OK: $(printf '%s\n' "$flags_help" | wc -l) flags, $(printf '%s\n' "$commands" | wc -l) commands in sync with docs/CLI.md; every named path exists"
   fi
   return $ok
 }
