@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "codec/sjpg.h"
 #include "util/crc32.h"
 
@@ -75,6 +77,26 @@ TEST(Synth, RealBppInsideProfileRange) {
     const double bpp = static_cast<double>(blob.size()) * 8.0 / (512.0 * 384.0);
     EXPECT_GE(bpp, profile.min_bpp * 0.5) << texture;
     EXPECT_LE(bpp, profile.max_bpp * 1.5) << texture;
+  }
+}
+
+// Materialisation is render then encode, byte for byte, however it is
+// carried out: odd and even edges (single pixels, rows, columns and a
+// ~0.5 MP frame), every wave count the textures draw, and a coarse, a
+// middle and a near-lossless quantiser.
+TEST(Synth, MaterializedEqualsEncodedRender) {
+  constexpr std::pair<int, int> kSizes[] = {{1, 1},   {1, 37},  {53, 1},  {2, 2},
+                                            {3, 3},   {33, 21}, {48, 32}, {801, 601}};
+  std::uint64_t seed = 0;
+  for (const auto& [w, h] : kSizes) {
+    for (const double texture : {0.0, 0.3, 0.6, 1.0}) {
+      const auto meta = meta_with(w, h, texture, ++seed);
+      const auto img = generate_synthetic_image(meta, seed);
+      for (const int quality : {55, 85, 95}) {
+        EXPECT_EQ(materialize_encoded(meta, seed, quality), codec::sjpg_encode(img, quality))
+            << w << "x" << h << " texture " << texture << " quality " << quality;
+      }
+    }
   }
 }
 
