@@ -1,7 +1,8 @@
 // M1 — codec micro-benchmarks: SJPG encode/decode throughput across texture
 // and quality, the synthetic renderer that materialisation runs before the
-// encoder, plus the pixel kernels the pipeline executes per sample and the
-// compute-side suffix with and without its fused steps.
+// encoder and the two together, plus the pixel kernels the pipeline
+// executes per sample and the compute-side suffix with and without its
+// fused steps.
 #include <benchmark/benchmark.h>
 
 #include "codec/sjpg.h"
@@ -14,12 +15,16 @@
 namespace sophon {
 namespace {
 
-image::Image synth(int w, int h, double texture) {
+dataset::SampleMeta sample(int w, int h, double texture) {
   dataset::SampleMeta meta;
   meta.id = 1;
   meta.raw = pipeline::SampleShape::encoded(Bytes(1), w, h, 3);
   meta.texture = texture;
-  return dataset::generate_synthetic_image(meta, 42);
+  return meta;
+}
+
+image::Image synth(int w, int h, double texture) {
+  return dataset::generate_synthetic_image(sample(w, h, texture), 42);
 }
 
 // Args: width, height, texture (percent), quality. 800x600 at quality 60
@@ -59,6 +64,21 @@ void BM_SynthRender(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 800 * 600 * 3);
 }
 BENCHMARK(BM_SynthRender)->Arg(10)->Arg(50)->Arg(90);
+
+// The whole materialisation layer, render plus encode, as every store and
+// the shard packer run it. Args: width, height, texture (percent); quality
+// 60 is the perfbench corpus's.
+void BM_Materialize(benchmark::State& state) {
+  const auto w = static_cast<int>(state.range(0));
+  const auto h = static_cast<int>(state.range(1));
+  const auto meta = sample(w, h, static_cast<double>(state.range(2)) / 100.0);
+  for (auto _ : state) {
+    auto blob = dataset::materialize_encoded(meta, 42, 60);
+    benchmark::DoNotOptimize(blob);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * w * h * 3);
+}
+BENCHMARK(BM_Materialize)->Args({800, 600, 10})->Args({800, 600, 50})->Args({800, 600, 90});
 
 // Args: width, height, quality. 800x600 at quality 60 is the perfbench
 // corpus's quality on an image near its median size.

@@ -379,6 +379,19 @@ bool decode_plane(BitReader& in, int width, int height, int step, image::Plane& 
   return true;
 }
 
+/// A blob's container header, checked as a decoder will read it back.
+BitWriter start_blob(int width, int height, int channels, int quality) {
+  SOPHON_CHECK(width > 0 && height > 0 && width <= 0xffff && height <= 0xffff);
+  SOPHON_CHECK(quality >= 1 && quality <= 100);
+  BitWriter out;
+  out.put(kMagic, 32);
+  out.put(static_cast<std::uint64_t>(width), 16);
+  out.put(static_cast<std::uint64_t>(height), 16);
+  out.put(static_cast<std::uint64_t>(channels), 8);
+  out.put(static_cast<std::uint64_t>(quality), 8);
+  return out;
+}
+
 }  // namespace
 
 int sjpg_quant_step(int quality) {
@@ -391,29 +404,25 @@ int sjpg_quant_step(int quality) {
 
 std::vector<std::uint8_t> sjpg_encode(const image::Image& img, int quality) {
   SOPHON_CHECK(!img.empty());
-  SOPHON_CHECK(quality >= 1 && quality <= 100);
-  SOPHON_CHECK(img.width() <= 0xffff && img.height() <= 0xffff);
+  if (img.channels() == 3) return sjpg_encode(image::split_ycbcr_420(img), quality);
+  BitWriter out = start_blob(img.width(), img.height(), img.channels(), quality);
+  image::Plane gray(img.width(), img.height());
+  std::copy(img.data().begin(), img.data().end(), gray.data().begin());
+  encode_plane(out, gray, sjpg_quant_step(quality));
+  return out.finish();
+}
 
-  BitWriter out;
-  out.put(kMagic, 32);
-  out.put(static_cast<std::uint64_t>(img.width()), 16);
-  out.put(static_cast<std::uint64_t>(img.height()), 16);
-  out.put(static_cast<std::uint64_t>(img.channels()), 8);
-  out.put(static_cast<std::uint64_t>(quality), 8);
-
+std::vector<std::uint8_t> sjpg_encode(const image::YcbcrPlanes& planes, int quality) {
+  const int w = planes.y.width();
+  const int h = planes.y.height();
+  SOPHON_CHECK(planes.cb.width() == (w + 1) / 2 && planes.cb.height() == (h + 1) / 2);
+  SOPHON_CHECK(planes.cr.width() == planes.cb.width() && planes.cr.height() == planes.cb.height());
+  BitWriter out = start_blob(w, h, 3, quality);
   const int luma_step = sjpg_quant_step(quality);
   const int chroma_step = std::min(2 * luma_step, 32);
-
-  if (img.channels() == 3) {
-    const auto planes = image::split_ycbcr_420(img);
-    encode_plane(out, planes.y, luma_step);
-    encode_plane(out, planes.cb, chroma_step);
-    encode_plane(out, planes.cr, chroma_step);
-  } else {
-    image::Plane gray(img.width(), img.height());
-    std::copy(img.data().begin(), img.data().end(), gray.data().begin());
-    encode_plane(out, gray, luma_step);
-  }
+  encode_plane(out, planes.y, luma_step);
+  encode_plane(out, planes.cb, chroma_step);
+  encode_plane(out, planes.cr, chroma_step);
   return out.finish();
 }
 

@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "image/color.h"
 #include "image/image.h"
 
 namespace sophon::codec {
@@ -31,8 +32,14 @@ struct SjpgHeader {
 };
 
 /// Encode an image at the given quality (1..100). Deterministic: identical
-/// inputs yield identical bytes.
+/// inputs yield identical bytes. An RGB image is split into its 4:2:0
+/// planes, then encoded as the overload below does.
 [[nodiscard]] std::vector<std::uint8_t> sjpg_encode(const image::Image& img, int quality);
+
+/// Encode an RGB image given as its 4:2:0 planes (`image::split_ycbcr_420`),
+/// so a producer that builds the planes row by row needs no RGB frame.
+[[nodiscard]] std::vector<std::uint8_t> sjpg_encode(const image::YcbcrPlanes& planes,
+                                                    int quality);
 
 /// Decode an SJPG blob, or only its `region` (the whole image when none is
 /// given): the result is region-sized and its pixels are exactly those of

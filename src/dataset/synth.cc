@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "codec/sjpg.h"
+#include "image/color.h"
 #include "util/check.h"
 
 namespace sophon::dataset {
@@ -27,9 +28,13 @@ struct Blob {
   std::array<double, 3> color;
 };
 
-}  // namespace
-
-image::Image generate_synthetic_image(const SampleMeta& meta, std::uint64_t seed) {
+/// Renders the image `meta` describes top to bottom into `rows`, which
+/// holds `capacity` RGB rows: row y goes to slot y % capacity. Each time the
+/// slots fill, and after the last row, `flush(first_row)` gets the rows just
+/// rendered, from row first_row in slot 0.
+template <typename Flush>
+void render_rows(const SampleMeta& meta, std::uint64_t seed, std::uint8_t* rows, int capacity,
+                 Flush&& flush) {
   const int w = meta.raw.width;
   const int h = meta.raw.height;
   SOPHON_CHECK(w > 0 && h > 0);
@@ -92,12 +97,16 @@ image::Image generate_synthetic_image(const SampleMeta& meta, std::uint64_t seed
   std::array<double, 3> span{};
   for (std::size_t c = 0; c < span.size(); ++c) span[c] = hi[c] - lo[c];
 
-  image::Image img(w, h, 3);
-  auto& pixels = img.data();
   std::vector<double> wave_v(waves.size());
   std::vector<double> blob_dy2(blobs.size());
-  std::size_t idx = 0;
+  int first_row = 0;
   for (int y = 0; y < h; ++y) {
+    if (y - first_row == capacity) {
+      flush(first_row);
+      first_row = y;
+    }
+    std::uint8_t* pixels = rows + static_cast<std::size_t>(y - first_row) * cols * 3;
+    std::size_t idx = 0;
     const double v = static_cast<double>(y) / h;
     const double grad_v = gy * (v - 0.5);
     for (std::size_t i = 0; i < waves.size(); ++i) wave_v[i] = waves[i].fy * v * kTwoPi;
@@ -130,12 +139,26 @@ image::Image generate_synthetic_image(const SampleMeta& meta, std::uint64_t seed
       }
     }
   }
+  flush(first_row);
+}
+
+}  // namespace
+
+image::Image generate_synthetic_image(const SampleMeta& meta, std::uint64_t seed) {
+  image::Image img(meta.raw.width, meta.raw.height, 3);
+  render_rows(meta, seed, img.data().data(), img.height(), [](int) {});
   return img;
 }
 
 std::vector<std::uint8_t> materialize_encoded(const SampleMeta& meta, std::uint64_t seed,
                                               int quality) {
-  return codec::sjpg_encode(generate_synthetic_image(meta, seed), quality);
+  // Row pairs go straight into the 4:2:0 planes, so no RGB frame is held.
+  image::YcbcrPlanes planes(meta.raw.width, meta.raw.height);
+  std::vector<std::uint8_t> pair(2 * static_cast<std::size_t>(meta.raw.width) * 3);
+  render_rows(meta, seed, pair.data(), 2, [&](int first_row) {
+    image::split_ycbcr_420_rows(pair.data(), first_row / 2, planes);
+  });
+  return codec::sjpg_encode(planes, quality);
 }
 
 }  // namespace sophon::dataset

@@ -46,44 +46,51 @@ Rgb ycbcr_to_rgb(std::uint8_t y, std::uint8_t cb, std::uint8_t cr) {
   return {clamp_u8(y + t.r), clamp_u8(y - t.g), clamp_u8(y + t.b)};
 }
 
+YcbcrPlanes::YcbcrPlanes(int width, int height)
+    : y(width, height), cb((width + 1) / 2, (height + 1) / 2), cr(cb.width(), cb.height()) {}
+
+void split_ycbcr_420_rows(const std::uint8_t* rgb, int cy, YcbcrPlanes& planes) {
+  const int w = planes.y.width();
+  const int h = planes.y.height();
+  const int cw = planes.cb.width();
+  SOPHON_CHECK(cy >= 0 && cy < planes.cb.height());
+
+  // Each 2x2 box's pixels go to luma and their chroma is averaged on the
+  // spot. A box at an odd edge holds 1 or 2 pixels; the rounded mean
+  // (sum + n / 2) / n of n = 2^shift pixels is a shift.
+  const int box_rows = 2 * cy + 1 < h ? 2 : 1;
+  const auto stride = static_cast<std::size_t>(w);
+  std::uint8_t* luma = planes.y.data().data() + static_cast<std::size_t>(2 * cy) * stride;
+  std::uint8_t* cb = planes.cb.data().data() + static_cast<std::size_t>(cy) * cw;
+  std::uint8_t* cr = planes.cr.data().data() + static_cast<std::size_t>(cy) * cw;
+  for (int cx = 0; cx < cw; ++cx) {
+    const int box_cols = 2 * cx + 1 < w ? 2 : 1;
+    int cb_sum = 0;
+    int cr_sum = 0;
+    for (int dy = 0; dy < box_rows; ++dy) {
+      for (int dx = 0; dx < box_cols; ++dx) {
+        const std::size_t px =
+            static_cast<std::size_t>(dy) * stride + static_cast<std::size_t>(2 * cx + dx);
+        const std::uint8_t* p = rgb + 3 * px;
+        const auto ycc = rgb_to_ycbcr(p[0], p[1], p[2]);
+        luma[px] = ycc.y;
+        cb_sum += ycc.cb;
+        cr_sum += ycc.cr;
+      }
+    }
+    const int shift = (box_rows - 1) + (box_cols - 1);
+    const int half = (1 << shift) >> 1;
+    cb[cx] = static_cast<std::uint8_t>((cb_sum + half) >> shift);
+    cr[cx] = static_cast<std::uint8_t>((cr_sum + half) >> shift);
+  }
+}
+
 YcbcrPlanes split_ycbcr_420(const Image& rgb) {
   SOPHON_CHECK(rgb.channels() == 3);
-  const int w = rgb.width();
-  const int h = rgb.height();
-  const int cw = (w + 1) / 2;
-  const int ch = (h + 1) / 2;
-  YcbcrPlanes planes{Plane(w, h), Plane(cw, ch), Plane(cw, ch)};
-
-  // One pass over 2x2 boxes: each box's pixels go to luma and their chroma
-  // is averaged on the spot. A box at an odd edge holds 1 or 2 pixels; the
-  // rounded mean (sum + n / 2) / n of n = 2^shift pixels is a shift.
-  const auto stride = static_cast<std::size_t>(w);
-  for (int cy = 0; cy < ch; ++cy) {
-    const int box_rows = 2 * cy + 1 < h ? 2 : 1;
-    const std::uint8_t* src = rgb.data().data() + static_cast<std::size_t>(2 * cy) * stride * 3;
-    std::uint8_t* luma = planes.y.data().data() + static_cast<std::size_t>(2 * cy) * stride;
-    std::uint8_t* cb = planes.cb.data().data() + static_cast<std::size_t>(cy) * cw;
-    std::uint8_t* cr = planes.cr.data().data() + static_cast<std::size_t>(cy) * cw;
-    for (int cx = 0; cx < cw; ++cx) {
-      const int box_cols = 2 * cx + 1 < w ? 2 : 1;
-      int cb_sum = 0;
-      int cr_sum = 0;
-      for (int dy = 0; dy < box_rows; ++dy) {
-        for (int dx = 0; dx < box_cols; ++dx) {
-          const std::size_t px = static_cast<std::size_t>(dy) * stride +
-                                 static_cast<std::size_t>(2 * cx + dx);
-          const std::uint8_t* p = src + 3 * px;
-          const auto ycc = rgb_to_ycbcr(p[0], p[1], p[2]);
-          luma[px] = ycc.y;
-          cb_sum += ycc.cb;
-          cr_sum += ycc.cr;
-        }
-      }
-      const int shift = (box_rows - 1) + (box_cols - 1);
-      const int half = (1 << shift) >> 1;
-      cb[cx] = static_cast<std::uint8_t>((cb_sum + half) >> shift);
-      cr[cx] = static_cast<std::uint8_t>((cr_sum + half) >> shift);
-    }
+  YcbcrPlanes planes(rgb.width(), rgb.height());
+  const std::size_t pair = 2 * static_cast<std::size_t>(rgb.width()) * 3;
+  for (int cy = 0; cy < planes.cb.height(); ++cy) {
+    split_ycbcr_420_rows(rgb.data().data() + static_cast<std::size_t>(cy) * pair, cy, planes);
   }
   return planes;
 }

@@ -25,14 +25,23 @@ struct Rgb {
 
 [[nodiscard]] Rgb ycbcr_to_rgb(std::uint8_t y, std::uint8_t cb, std::uint8_t cr);
 
-/// Split an RGB image into full-resolution Y plus 2x2-box-subsampled Cb/Cr
-/// planes (ceil division at odd edges).
+/// Full-resolution Y plus 2x2-box-subsampled Cb/Cr planes (ceil division
+/// at odd edges).
 struct YcbcrPlanes {
+  /// Zero-filled planes of a width x height image.
+  YcbcrPlanes(int width, int height);
+
   Plane y;
   Plane cb;
   Plane cr;
 };
 
+/// Split RGB rows 2cy and 2cy + 1 (only 2cy when it is the last row) into
+/// their luma rows and chroma row cy of `planes`. `rgb` holds those rows
+/// back to back, each as wide as `planes.y`.
+void split_ycbcr_420_rows(const std::uint8_t* rgb, int cy, YcbcrPlanes& planes);
+
+/// Split an RGB image into its 4:2:0 planes, one row pair at a time.
 [[nodiscard]] YcbcrPlanes split_ycbcr_420(const Image& rgb);
 
 /// Reassemble the `region` of an RGB image from its 4:2:0 planes

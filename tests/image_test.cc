@@ -34,6 +34,7 @@ TEST(Image, TakeOwnershipOfPixels) {
 
 TEST(Image, RejectsBadConstruction) {
   EXPECT_THROW(Image(0, 4, 3), ContractViolation);
+  EXPECT_THROW(Image(-1, 4, 3), ContractViolation);  // checked before allocating
   EXPECT_THROW(Image(4, 4, 2), ContractViolation);
   EXPECT_THROW(Image(2, 2, 3, std::vector<std::uint8_t>(5)), ContractViolation);
 }
@@ -51,6 +52,11 @@ TEST(Image, EqualityIsValueBased) {
   EXPECT_EQ(a, b);
   b.set(1, 1, 0, 9);
   EXPECT_NE(a, b);
+}
+
+TEST(Plane, RejectsBadConstruction) {
+  EXPECT_THROW(Plane(0, 2), ContractViolation);
+  EXPECT_THROW(Plane(-3, 2), ContractViolation);
 }
 
 TEST(Plane, SetGet) {

@@ -290,23 +290,15 @@ int cmd_gen_profiles(const Flags& flags) {
   const auto corpus = corpus_from(flags, 40000);
   const auto out = flags.required("out");
 
-  MetricsRegistry metrics;
-  const auto catalog = [&] {
-    ScopedTimer timer(metrics.duration("sophonctl_catalog"));
-    return corpus.generate();
-  }();
-  const auto profiles = [&] {
-    ScopedTimer timer(metrics.duration("sophonctl_stage2"));
-    return core::profile_stage2(catalog, pipeline::Pipeline::standard(),
-                                pipeline::CostModel{});
-  }();
+  const auto catalog = corpus.generate();
+  const auto profiles =
+      core::profile_stage2(catalog, pipeline::Pipeline::standard(), pipeline::CostModel{});
   if (!write_json(core::profiles_to_json(profiles), out)) return 1;
   const auto beneficial = std::count_if(profiles.begin(), profiles.end(),
                                         [](const core::SampleProfile& p) { return p.benefits(); });
   std::printf("wrote %zu profiles to %s (%td beneficial, dataset %s at rest)\n",
               profiles.size(), out.c_str(), beneficial,
               human_bytes(catalog.total_encoded()).c_str());
-  std::printf("%s", metrics.expose().c_str());
   return 0;
 }
 
