@@ -9,7 +9,7 @@
 // random augmentations, §3.3), so samples the plan offloads bypass it. A
 // hit is the sample's raw flow with nothing on the wire.
 #include "bench_common.h"
-#include "cache/lru.h"
+#include "lru_cache.h"
 #include "core/profiler.h"
 #include "dataset/sampler.h"
 
@@ -49,7 +49,7 @@ int main() {
     for (std::size_t v = 0; v < 2; ++v) {
       const auto& plan = plans[v];
       const auto planned = sim::plan_flow(catalog, pipe, cm, plan.assignment());
-      cache::LruCache cache(capacity);
+      bench::LruCache cache(capacity);
       std::vector<std::uint8_t> hit(catalog.size(), 0);
       for (std::size_t e = 0; e < 3; ++e) {  // epoch 2 is the steady state
         std::size_t hits = 0;

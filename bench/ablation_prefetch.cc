@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "cache/lru.h"
+#include "lru_cache.h"
 #include "core/metrics.h"
 #include "core/serialize.h"
 #include "dataset/sampler.h"
@@ -74,7 +74,7 @@ int main() {
       // is resident afterwards is served locally during the measured epoch.
       std::unordered_set<std::uint64_t> resident;
       if (cache_gib > 0.0) {
-        cache::LruCache lru(Bytes::gib(static_cast<std::int64_t>(cache_gib)));
+        bench::LruCache lru(Bytes::gib(static_cast<std::int64_t>(cache_gib)));
         const dataset::EpochOrder warmup(catalog.size(), kSeed, 0);
         for (std::size_t pos = 0; pos < warmup.size(); ++pos) {
           const auto id = warmup.at(pos);

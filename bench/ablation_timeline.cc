@@ -7,8 +7,8 @@
 #include "bench_common.h"
 #include "core/profiler.h"
 #include "core/decision.h"
-#include "obs/critpath/critpath.h"
 #include "obs/replay_trace.h"
+#include "prefetch/replay.h"
 
 using namespace sophon;
 
@@ -18,12 +18,12 @@ void run_variant(const char* name, const dataset::Catalog& catalog,
                  const pipeline::Pipeline& pipe, const pipeline::CostModel& cm,
                  const sim::ClusterConfig& cluster, Seconds batch_time,
                  const core::OffloadPlan& plan) {
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster = cluster;
   params.gpu_batch_time = batch_time;
   params.num_samples = catalog.size();
   const auto traced =
-      obs::critpath::record_epoch(sim::plan_flow(catalog, pipe, cm, plan.assignment()), params);
+      prefetch::record_epoch(sim::plan_flow(catalog, pipe, cm, plan.assignment()), params);
 
   const Seconds bucket(10.0);
   const auto util = obs::link_utilization(traced.record, bucket);

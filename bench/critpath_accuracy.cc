@@ -10,10 +10,10 @@
 // 100 Mbps edge config and the paper's 500 Mbps evaluation config with a real
 // offload plan in force): for each config it runs the stock what-if scenario
 // set, re-runs the plain (unrecorded) core under each perturbed config
-// (critpath::run_epoch, the simulate_epoch_flows / replay_epoch
-// configuration), and pins the relative prediction error at 5%. Errors below 1e-9 are
-// clamped to an exact zero so the committed artifact stays byte-stable for
-// bench-compare.
+// (prefetch::run_epoch, the single-job configuration simulate_epoch_flows
+// and replay_epoch run too), and pins the relative prediction error at 5%.
+// Errors below 1e-9 are clamped to an exact zero so the committed artifact
+// stays byte-stable for bench-compare.
 //
 // Self-verifies: every scenario within tolerance, at least 3 scenarios
 // validated per config, baseline reconciliation to the observed epoch time,
@@ -30,6 +30,7 @@
 #include "core/profiler.h"
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
+#include "prefetch/replay.h"
 #include "sim/trainer.h"
 #include "util/json.h"
 
@@ -43,7 +44,7 @@ constexpr double kTolerance = 0.05;
 
 struct BenchConfig {
   std::string name;
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   bool offload_plan = false;  // run decide_offloading and apply its plan
 };
 
@@ -86,7 +87,7 @@ int main() {
     c.params.cluster.storage_cores = 4;
     c.params.cluster.bandwidth = Bandwidth::mbps(100.0);
     c.params.cluster.batch_size = 64;
-    c.params.discipline = obs::critpath::Discipline::kWorkerReplay;
+    c.params.discipline = prefetch::Discipline::kWorkerReplay;
     c.params.replay.workers = 4;
     c.params.replay.prefetch.depth = 8;
     configs.push_back(c);
@@ -97,7 +98,7 @@ int main() {
     BenchConfig c;
     c.name = "worker_replay_paper_plan";
     c.params.cluster = bench::paper_config(8).cluster;
-    c.params.discipline = obs::critpath::Discipline::kWorkerReplay;
+    c.params.discipline = prefetch::Discipline::kWorkerReplay;
     c.params.replay.workers = 4;
     c.params.replay.prefetch.depth = 16;
     c.offload_plan = true;
@@ -132,7 +133,7 @@ int main() {
       return obs::critpath::SampleDemand{f.storage_cpu, f.compute_cpu, f.wire, f.delay};
     };
 
-    const Seconds observed = obs::critpath::run_epoch(flow, params).epoch.epoch_time;
+    const Seconds observed = prefetch::run_epoch(flow, params).epoch.epoch_time;
     const auto report = obs::critpath::project(
         demand, params, obs::critpath::default_scenarios(params), observed);
     const auto rerun = obs::critpath::project(
@@ -158,7 +159,7 @@ int main() {
     rows.push_back(baseline_row);
 
     for (const auto& projection : report.ranked) {
-      const Seconds actual = obs::critpath::run_epoch(flow, projection.params).epoch.epoch_time;
+      const Seconds actual = prefetch::run_epoch(flow, projection.params).epoch.epoch_time;
       const double error =
           clamp_error(std::fabs(projection.projected_epoch_time.value() - actual.value()) /
                       std::max(actual.value(), 1e-12));

@@ -77,7 +77,7 @@ BENCHMARK(BM_DecisionEngine)->Arg(1)->Arg(48);
 struct PlannedEpoch {
   dataset::Catalog catalog = dataset::Catalog::generate(dataset::imagenet_profile(90000), 42);
   pipeline::CostModel cm;
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   core::OffloadPlan plan;
   sim::FlowFn flow;
 
@@ -126,8 +126,8 @@ BENCHMARK(BM_ReplayEpoch)->Unit(benchmark::kMillisecond);
 // Arg 0: the worker-lane discipline; arg 1: the batch window.
 void BM_AnalyzeEpoch(benchmark::State& state) {
   auto params = planned().params;
-  params.discipline = state.range(0) == 0 ? obs::critpath::Discipline::kWorkerReplay
-                                          : obs::critpath::Discipline::kBatchWindow;
+  params.discipline = state.range(0) == 0 ? prefetch::Discipline::kWorkerReplay
+                                          : prefetch::Discipline::kBatchWindow;
   for (auto _ : state) {
     auto analysis = obs::critpath::analyze_epoch(planned().flow, params);
     benchmark::DoNotOptimize(analysis);

@@ -21,6 +21,7 @@
 #include "obs/critpath/critpath.h"
 #include "obs/ledger.h"
 #include "obs/trace.h"
+#include "prefetch/replay.h"
 #include "util/stats.h"
 
 using namespace sophon;
@@ -216,7 +217,7 @@ CritPathCost critpath_cost() {
   const auto pipe = pipeline::Pipeline::standard();
   const pipeline::CostModel cm;
 
-  critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster.compute_cores = 16;
   params.cluster.storage_cores = 4;
   params.cluster.bandwidth = Bandwidth::mbps(500.0);

@@ -30,12 +30,12 @@ std::function<sim::SampleFlow(std::size_t)> flow_under(
 
 RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline& pipeline,
                        const pipeline::CostModel& cost_model,
-                       const obs::critpath::EpochParams& spec, const RunOptions& options) {
+                       const prefetch::EpochParams& spec, const RunOptions& options) {
   SOPHON_CHECK(!catalog.empty());
   SOPHON_CHECK(spec.num_samples == catalog.size());
   // The loop schedules the batch window only: refuse a spec on worker lanes
   // rather than run it under another discipline than it asks for.
-  SOPHON_CHECK(spec.discipline == obs::critpath::Discipline::kBatchWindow);
+  SOPHON_CHECK(spec.discipline == prefetch::Discipline::kBatchWindow);
   SOPHON_CHECK(options.epochs > 0);
 
   const TelemetryHooks& telemetry = options.telemetry;
@@ -61,7 +61,7 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
   result.rows.reserve(options.epochs);
   std::uint64_t forecast_noted_generation = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    obs::critpath::EpochParams params = spec;
+    prefetch::EpochParams params = spec;
     if (options.bandwidth_at) params.cluster.bandwidth = options.bandwidth_at(epoch);
     params.epoch_index = epoch;
     const sim::ClusterConfig& actual = params.cluster;
@@ -96,7 +96,7 @@ RunResult run_adaptive(const dataset::Catalog& catalog, const pipeline::Pipeline
     }
 
     if (options.adapt) replanner.begin_epoch(epoch);
-    const sim::EpochStats stats = obs::critpath::run_epoch(flow, params).epoch;
+    const sim::EpochStats stats = prefetch::run_epoch(flow, params).epoch;
     const EpochObservation observation = observe_epoch(
         stats, actual, options.faults != nullptr ? &fault_stats : nullptr);
 

@@ -19,9 +19,9 @@
 #include "dataset/catalog.h"
 #include "net/fault.h"
 #include "net/resilience.h"
-#include "obs/critpath/critpath.h"
 #include "pipeline/cost_model.h"
 #include "pipeline/pipeline.h"
+#include "prefetch/replay.h"
 
 namespace sophon::obs {
 class TrafficLedger;
@@ -92,7 +92,7 @@ struct RunResult {
 [[nodiscard]] RunResult run_adaptive(const dataset::Catalog& catalog,
                                      const pipeline::Pipeline& pipeline,
                                      const pipeline::CostModel& cost_model,
-                                     const obs::critpath::EpochParams& spec,
+                                     const prefetch::EpochParams& spec,
                                      const RunOptions& options = {});
 
 }  // namespace sophon::core::adapt

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "sim/schedule.h"
 #include "util/check.h"
 
 namespace sophon::obs::critpath {
@@ -64,40 +63,9 @@ Json BlameVector::to_json() const {
   return doc;
 }
 
-RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params) {
-  // Configured as the plain entry points run_epoch dispatches to configure
-  // the core, with recording on. The record holds every transfer's
-  // interval, so the link does not count peak in-flight transfers.
-  RecordedEpoch out;
-  sim::ResourceMap resources(params.cluster);
-  const sim::JobLoad job = sim::single_job(params.cluster, params.num_samples, demand,
-                                           params.gpu_batch_time, params.seed, params.epoch_index);
-  if (params.discipline == Discipline::kWorkerReplay) {
-    out.epoch = sim::run_worker_lanes(out.record, resources, job,
-                                      prefetch::worker_lanes(params.replay), out.prefetch);
-  } else {
-    out.epoch = sim::run_batch_window(out.record, resources, {&job, 1},
-                                      params.cluster.prefetch_batches)
-                    .front();
-  }
-  out.epoch.storage_cpu_busy = resources.storage_busy();
-  return out;
-}
-
-prefetch::ReplayResult run_epoch(const DemandFn& demand, const EpochParams& params) {
-  if (params.discipline == Discipline::kWorkerReplay) {
-    return prefetch::replay_epoch(params.num_samples, demand, params.cluster,
-                                  params.gpu_batch_time, params.seed, params.epoch_index,
-                                  params.replay);
-  }
-  return {sim::simulate_epoch_flows(params.num_samples, demand, params.cluster,
-                                    params.gpu_batch_time, params.seed, params.epoch_index),
-          {}};
-}
-
-Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
+Analysis analyze_epoch(const DemandFn& demand, const prefetch::EpochParams& params,
                        Seconds observed_epoch_time) {
-  return critical_path(record_epoch(demand, params).record, observed_epoch_time);
+  return critical_path(prefetch::record_epoch(demand, params).record, observed_epoch_time);
 }
 
 Analysis critical_path(const sim::Recorder& record, Seconds observed_epoch_time) {

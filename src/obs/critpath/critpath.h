@@ -4,14 +4,13 @@
 // go?" in aggregate; once the pipeline overlaps fetch, transfer, and
 // preprocessing, aggregate busy fractions no longer say which resource to
 // buy — a link that is 90% busy off the critical path costs nothing. The
-// analyzer here runs an epoch's per-sample resource demands through the
-// scheduling core every simulator runs (sim/schedule.h) — the batch window of
-// sim::simulate_epoch_flows or the worker lanes of prefetch::replay_epoch —
-// with recording on (record_epoch): every scheduling event keeps the
-// predecessor event that made it wait — the admission window, the previous
-// transfer on the FIFO link, the earliest-free CPU core, the GPU's previous
-// batch, an injected retry/backoff delay. That record is also what the
-// trace, timeline and utilization views read (obs/replay_trace.h).
+// analyzer here reads an epoch that the scheduling core every simulator runs
+// (sim/schedule.h) scheduled with recording on (prefetch::record_epoch, under
+// either discipline): every scheduling event keeps the predecessor event that
+// made it wait — the admission window, the previous transfer on the FIFO
+// link, the earliest-free CPU core, the GPU's previous batch, an injected
+// retry/backoff delay. That record is also what the trace, timeline and
+// utilization views read (obs/replay_trace.h).
 //
 // Walking parents back from the final GPU completion yields the epoch
 // critical path: a chain of edges that tiles [0, epoch_time] exactly, each
@@ -27,13 +26,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "prefetch/replay.h"
-#include "sim/cluster.h"
 #include "sim/schedule.h"
 #include "util/json.h"
 #include "util/units.h"
@@ -59,26 +56,11 @@ using SampleDemand = sim::SampleFlow;
 /// engine re-runs the same demands under every scenario.
 using DemandFn = sim::FlowFn;
 
-/// Which discrete-event discipline produced the epoch being analyzed.
-enum class Discipline : std::uint8_t {
-  /// sim::simulate_epoch_flows — batch-window admission, no worker lanes.
-  kBatchWindow = 0,
-  /// prefetch::replay_epoch — W synchronous workers + clairvoyant prefetch.
-  kWorkerReplay = 1,
-};
-
-/// Everything the analyzer needs to schedule an epoch.
-struct EpochParams {
-  sim::ClusterConfig cluster;
-  Seconds gpu_batch_time;
-  std::uint64_t seed = 42;
-  std::size_t epoch_index = 0;
-  std::size_t num_samples = 0;
-  Discipline discipline = Discipline::kBatchWindow;
-  /// Worker-lane parameters (kWorkerReplay only): workers, prefetch depth /
-  /// byte budget / admission inputs, cache-served sample predicate.
-  prefetch::ReplayOptions replay{};
-};
+// The run spec lives in the scheduling layer (prefetch/replay.h). These two
+// names stay here only for perfbench/src/plan_query.cc and
+// tests/sim_golden_test.cc, which spell them obs::critpath::.
+using prefetch::Discipline;
+using prefetch::EpochParams;
 
 /// Seconds each resource contributed to the critical path. The components
 /// sum to the epoch time exactly (the path tiles [0, epoch_time]).
@@ -126,28 +108,14 @@ struct Analysis {
   [[nodiscard]] Json to_json() const;
 };
 
-/// One epoch scheduled with recording on: the core's DAG and visit rows,
-/// plus the stats the plain run reports (`prefetch` under worker lanes only;
-/// its max_inflight stays 0, since each visit holds its transfer's interval).
-struct RecordedEpoch : prefetch::ReplayResult {
-  sim::Recorder record;
-};
-
-/// Schedule one epoch with recording on: the one observable run of the core.
-[[nodiscard]] RecordedEpoch record_epoch(const DemandFn& demand, const EpochParams& params);
-
-/// The same epoch without recording: what sim::simulate_epoch_flows or
-/// prefetch::replay_epoch computes for `params`' discipline.
-[[nodiscard]] prefetch::ReplayResult run_epoch(const DemandFn& demand, const EpochParams& params);
-
 /// Decompose a recorded epoch's critical path. `observed_epoch_time` is the
 /// simulator's (or run's) own epoch time for the reconcile check; pass zero
 /// to skip it.
 [[nodiscard]] Analysis critical_path(const sim::Recorder& record,
                                      Seconds observed_epoch_time = Seconds(0.0));
 
-/// record_epoch, then critical_path.
-[[nodiscard]] Analysis analyze_epoch(const DemandFn& demand, const EpochParams& params,
+/// prefetch::record_epoch, then critical_path.
+[[nodiscard]] Analysis analyze_epoch(const DemandFn& demand, const prefetch::EpochParams& params,
                                      Seconds observed_epoch_time = Seconds(0.0));
 
 }  // namespace sophon::obs::critpath

@@ -6,50 +6,51 @@
 
 namespace sophon::obs::critpath {
 
-std::vector<Scenario> default_scenarios(const EpochParams& base) {
+std::vector<Scenario> default_scenarios(const prefetch::EpochParams& base) {
   std::vector<Scenario> scenarios;
   scenarios.push_back(Scenario{
       "link_bandwidth_x2", "double the inter-cluster link bandwidth",
-      [](EpochParams& p) {
+      [](prefetch::EpochParams& p) {
         p.cluster.bandwidth = Bandwidth::bits_per_sec(p.cluster.bandwidth.bps() * 2.0);
       }});
   scenarios.push_back(Scenario{
       "link_bandwidth_x4", "quadruple the inter-cluster link bandwidth",
-      [](EpochParams& p) {
+      [](prefetch::EpochParams& p) {
         p.cluster.bandwidth = Bandwidth::bits_per_sec(p.cluster.bandwidth.bps() * 4.0);
       }});
   scenarios.push_back(Scenario{
       "storage_cores_plus2", "add two preprocessing cores on the storage node",
-      [](EpochParams& p) { p.cluster.storage_cores += 2; }});
+      [](prefetch::EpochParams& p) { p.cluster.storage_cores += 2; }});
   scenarios.push_back(Scenario{
       "gpu_2x_faster", "halve the GPU batch service time (next GPU model)",
-      [](EpochParams& p) { p.gpu_batch_time = p.gpu_batch_time * 0.5; }});
-  if (base.discipline == Discipline::kWorkerReplay) {
+      [](prefetch::EpochParams& p) { p.gpu_batch_time = p.gpu_batch_time * 0.5; }});
+  if (base.discipline == prefetch::Discipline::kWorkerReplay) {
     scenarios.push_back(Scenario{
         "prefetch_depth_x2", "double the clairvoyant prefetch depth",
-        [](EpochParams& p) {
+        [](prefetch::EpochParams& p) {
           p.replay.prefetch.depth = p.replay.prefetch.depth > 0 ? p.replay.prefetch.depth * 2 : 8;
         }});
     scenarios.push_back(Scenario{
         "workers_plus2", "add two loader worker lanes",
-        [](EpochParams& p) { p.replay.workers += 2; }});
+        [](prefetch::EpochParams& p) { p.replay.workers += 2; }});
   } else {
     scenarios.push_back(Scenario{
         "prefetch_window_x2", "double the batch look-ahead window",
-        [](EpochParams& p) { p.cluster.prefetch_batches *= 2; }});
+        [](prefetch::EpochParams& p) { p.cluster.prefetch_batches *= 2; }});
     scenarios.push_back(Scenario{
         "compute_cores_plus2", "add two preprocessing cores on the compute node",
-        [](EpochParams& p) { p.cluster.compute_cores += 2; }});
+        [](prefetch::EpochParams& p) { p.cluster.compute_cores += 2; }});
   }
   return scenarios;
 }
 
-WhatIfReport project(const DemandFn& demand, const EpochParams& base,
+WhatIfReport project(const DemandFn& demand, const prefetch::EpochParams& base,
                      const std::vector<Scenario>& scenarios, Seconds observed_epoch_time) {
   return project(analyze_epoch(demand, base, observed_epoch_time), demand, base, scenarios);
 }
 
-WhatIfReport project(Analysis baseline, const DemandFn& demand, const EpochParams& base,
+WhatIfReport project(Analysis baseline, const DemandFn& demand,
+                     const prefetch::EpochParams& base,
                      const std::vector<Scenario>& scenarios) {
   WhatIfReport report;
   report.baseline = std::move(baseline);
@@ -57,7 +58,7 @@ WhatIfReport project(Analysis baseline, const DemandFn& demand, const EpochParam
 
   report.ranked.reserve(scenarios.size());
   for (const Scenario& scenario : scenarios) {
-    EpochParams perturbed = base;
+    prefetch::EpochParams perturbed = base;
     scenario.perturb(perturbed);
     const Analysis analysis = analyze_epoch(demand, perturbed);
     Projection projection;

@@ -22,13 +22,13 @@ namespace sophon::obs::critpath {
 struct Scenario {
   std::string name;
   std::string description;
-  std::function<void(EpochParams&)> perturb;
+  std::function<void(prefetch::EpochParams&)> perturb;
 };
 
 /// The stock scenario set, discipline-aware: link ×2/×4, +2 storage cores,
 /// deeper look-ahead (2× prefetch window or 2× prefetch depth), more
 /// consumers (+2 compute cores or +2 workers), and a 2×-faster GPU.
-[[nodiscard]] std::vector<Scenario> default_scenarios(const EpochParams& base);
+[[nodiscard]] std::vector<Scenario> default_scenarios(const prefetch::EpochParams& base);
 
 /// Projected outcome of one scenario.
 struct Projection {
@@ -43,7 +43,7 @@ struct Projection {
   Resource bottleneck = Resource::kStart;
   /// The perturbed parameters, so a validator can re-run the real simulator
   /// under exactly this config.
-  EpochParams params;
+  prefetch::EpochParams params;
 };
 
 /// Baseline analysis plus scenarios ranked by speedup (descending, name
@@ -58,13 +58,13 @@ struct WhatIfReport {
 
 /// Analyze `demand` under every scenario. `observed_epoch_time` feeds the
 /// baseline reconcile check (pass zero to skip).
-[[nodiscard]] WhatIfReport project(const DemandFn& demand, const EpochParams& base,
+[[nodiscard]] WhatIfReport project(const DemandFn& demand, const prefetch::EpochParams& base,
                                    const std::vector<Scenario>& scenarios,
                                    Seconds observed_epoch_time = Seconds(0.0));
 
 /// The same around an analyzed baseline: critical_path of a recorded `base`.
 [[nodiscard]] WhatIfReport project(Analysis baseline, const DemandFn& demand,
-                                   const EpochParams& base,
+                                   const prefetch::EpochParams& base,
                                    const std::vector<Scenario>& scenarios);
 
 }  // namespace sophon::obs::critpath

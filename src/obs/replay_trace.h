@@ -1,6 +1,6 @@
 // Views of one recorded epoch: spans, timelines and link utilization.
 //
-// A recorded run of the scheduling core (obs::critpath::record_epoch) keeps
+// A recorded run of the scheduling core (prefetch::record_epoch) keeps
 // every event with its parent, plus one visit row per sample naming the
 // sample's nodes — claim, issue, storage done, transmission, arrival, ready.
 // Everything here is derived from that record, so one structure describes an

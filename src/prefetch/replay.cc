@@ -4,6 +4,19 @@
 
 namespace sophon::prefetch {
 
+namespace {
+
+template <class Rec>
+ReplayResult run(Rec& rec, const sim::FlowFn& demand, const EpochParams& params) {
+  const bool on_lanes = params.discipline == Discipline::kWorkerReplay;
+  const sim::WorkerLanes lanes = on_lanes ? worker_lanes(params.replay) : sim::WorkerLanes{};
+  return sim::run_single_job(rec, params.cluster, params.num_samples, demand,
+                             params.gpu_batch_time, params.seed, params.epoch_index,
+                             on_lanes ? &lanes : nullptr);
+}
+
+}  // namespace
+
 sim::WorkerLanes worker_lanes(const ReplayOptions& options) {
   sim::WorkerLanes lanes;
   lanes.workers = options.workers;
@@ -16,22 +29,26 @@ sim::WorkerLanes worker_lanes(const ReplayOptions& options) {
   return lanes;
 }
 
+ReplayResult run_epoch(const sim::FlowFn& demand, const EpochParams& params) {
+  sim::NoRecord plain;
+  return run(plain, demand, params);
+}
+
+RecordedEpoch record_epoch(const sim::FlowFn& demand, const EpochParams& params) {
+  RecordedEpoch out;
+  static_cast<ReplayResult&>(out) = run(out.record, demand, params);
+  return out;
+}
+
 ReplayResult replay_epoch(std::size_t num_samples,
                           const std::function<sim::SampleFlow(std::size_t)>& flow,
                           const sim::ClusterConfig& cluster, Seconds gpu_batch_time,
                           std::uint64_t seed, std::size_t epoch_index,
                           const ReplayOptions& options) {
-  sim::ResourceMap resources(cluster);
-  resources.link.set_track_inflight(true);
-  const sim::JobLoad job =
-      sim::single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
-  const sim::WorkerLanes lanes = worker_lanes(options);
-  ReplayResult result;
   sim::NoRecord plain;
-  result.epoch = sim::run_worker_lanes(plain, resources, job, lanes, result.prefetch);
-  result.epoch.storage_cpu_busy = resources.storage_busy();
-  result.prefetch.max_inflight = resources.link.max_inflight();
-  return result;
+  const sim::WorkerLanes lanes = worker_lanes(options);
+  return sim::run_single_job(plain, cluster, num_samples, flow, gpu_batch_time, seed,
+                             epoch_index, &lanes);
 }
 
 }  // namespace sophon::prefetch

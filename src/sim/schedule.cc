@@ -371,11 +371,31 @@ EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job
   return servers.finish().front();
 }
 
+template <class Rec>
+JobRun run_single_job(Rec& rec, const ClusterConfig& cluster, std::size_t num_samples,
+                      const FlowFn& flow, Seconds gpu_batch_time, std::uint64_t seed,
+                      std::size_t epoch_index, const WorkerLanes* lanes) {
+  ResourceMap resources(cluster);
+  const JobLoad job = single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
+  JobRun run;
+  if (lanes == nullptr) {
+    run.epoch = run_batch_window(rec, resources, {&job, 1}, cluster.prefetch_batches).front();
+  } else {
+    resources.link.set_track_inflight(!Rec::kRecords);
+    run.epoch = run_worker_lanes(rec, resources, job, *lanes, run.prefetch);
+    run.prefetch.max_inflight = resources.link.max_inflight();
+  }
+  run.epoch.storage_cpu_busy = resources.storage_busy();
+  return run;
+}
+
 #define SOPHON_SCHEDULE_INSTANTIATE(Rec)                                                     \
   template std::vector<EpochStats> run_batch_window<Rec>(Rec&, ResourceMap&,               \
                                                          std::span<const JobLoad>, std::size_t); \
   template EpochStats run_worker_lanes<Rec>(Rec&, ResourceMap&, const JobLoad&,            \
-                                            const WorkerLanes&, LaneStats&);
+                                            const WorkerLanes&, LaneStats&);                 \
+  template JobRun run_single_job<Rec>(Rec&, const ClusterConfig&, std::size_t, const FlowFn&, \
+                                      Seconds, std::uint64_t, std::size_t, const WorkerLanes*);
 SOPHON_SCHEDULE_INSTANTIATE(NoRecord)
 SOPHON_SCHEDULE_INSTANTIATE(Recorder)
 #undef SOPHON_SCHEDULE_INSTANTIATE

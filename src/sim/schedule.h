@@ -185,4 +185,22 @@ template <class Rec>
 EpochStats run_worker_lanes(Rec& rec, ResourceMap& resources, const JobLoad& job,
                             const WorkerLanes& lanes, LaneStats& lane_stats);
 
+/// One job's epoch, plus what its prefetch side did under worker lanes.
+struct JobRun {
+  EpochStats epoch;
+  LaneStats prefetch;
+};
+
+/// The single-job configuration of the core, which every single-epoch entry
+/// point runs: the job of `cluster` alone on `cluster`'s resources, admitted
+/// through `lanes`, or through the batch window of `prefetch_batches` when
+/// `lanes` is null. `epoch.storage_cpu_busy` sums every storage pool. Only a
+/// plain worker-lane run counts the link's peak in-flight transfers; a
+/// recorded run leaves `prefetch.max_inflight` 0, since each visit already
+/// holds its transfer's interval.
+template <class Rec>
+JobRun run_single_job(Rec& rec, const ClusterConfig& cluster, std::size_t num_samples,
+                      const FlowFn& flow, Seconds gpu_batch_time, std::uint64_t seed,
+                      std::size_t epoch_index, const WorkerLanes* lanes);
+
 }  // namespace sophon::sim

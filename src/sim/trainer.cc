@@ -15,13 +15,10 @@ EpochStats simulate_epoch_flows(std::size_t num_samples,
                                 const std::function<SampleFlow(std::size_t)>& flow,
                                 const ClusterConfig& cluster, Seconds gpu_batch_time,
                                 std::uint64_t seed, std::size_t epoch_index) {
-  ResourceMap resources(cluster);
-  const JobLoad job = single_job(cluster, num_samples, flow, gpu_batch_time, seed, epoch_index);
   NoRecord plain;
-  EpochStats stats =
-      run_batch_window(plain, resources, {&job, 1}, cluster.prefetch_batches).front();
-  stats.storage_cpu_busy = resources.storage_busy();
-  return stats;
+  return run_single_job(plain, cluster, num_samples, flow, gpu_batch_time, seed, epoch_index,
+                        nullptr)
+      .epoch;
 }
 
 std::function<SampleFlow(std::size_t)> faulty_flow(std::function<SampleFlow(std::size_t)> flow,

@@ -13,9 +13,10 @@
 //   * the loader admits new samples with a bounded look-ahead window, like
 //     a DataLoader with a fixed prefetch depth.
 //
-// These entry points are the batch-window configurations of the scheduling
-// core (sim/schedule.h), which multijob.h, prefetch::replay_epoch and the
-// critical-path analyzer configure too; the equations live only there.
+// simulate_epoch_flows is the batch-window run of the scheduling core's
+// single-job configuration (sim::run_single_job in sim/schedule.h), which
+// prefetch::run_epoch and record_epoch run too; multijob.h configures the
+// core for several jobs. The equations live only there.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,10 @@
-#include "cache/lru.h"
+#include "lru_cache.h"
 
 #include <gtest/gtest.h>
 
 #include "util/check.h"
 
-namespace sophon::cache {
+namespace sophon::bench {
 namespace {
 
 TEST(Lru, MissThenHit) {
@@ -99,4 +99,4 @@ TEST(Lru, RejectsBadArguments) {
 }
 
 }  // namespace
-}  // namespace sophon::cache
+}  // namespace sophon::bench

@@ -11,6 +11,7 @@
 #include "net/wire.h"
 #include "obs/replay_trace.h"
 #include "obs/report.h"
+#include "prefetch/replay.h"
 #include "storage/dataset_store.h"
 #include "storage/server.h"
 #include "util/check.h"
@@ -41,7 +42,7 @@ struct Fixture {
   }
 
   // The run_adaptive spec: the planned cluster, one second per GPU batch.
-  obs::critpath::EpochParams spec() const {
+  prefetch::EpochParams spec() const {
     return {.cluster = planned, .gpu_batch_time = Seconds(1.0), .num_samples = catalog.size()};
   }
 
@@ -90,17 +91,17 @@ TEST(AdaptObserve, FoldsEpochStatsIntoCostComponents) {
 // epoch time are the report's own values.
 TEST(AdaptObserve, FoldsReportIntoCostComponents) {
   Fixture f;
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster = f.planned;
   params.cluster.bandwidth = Bandwidth::mbps(100.0);
   params.cluster.storage_cores = 4;
   params.gpu_batch_time = Seconds(0.05);
   params.num_samples = f.catalog.size();
-  params.discipline = obs::critpath::Discipline::kWorkerReplay;
+  params.discipline = prefetch::Discipline::kWorkerReplay;
   params.replay.workers = 4;
   const auto plan = OffloadPlan::uniform(f.catalog.size(), 2);
   const auto flow = sim::plan_flow(f.catalog, f.pipe, f.cm, plan.assignment());
-  const auto recorded = obs::critpath::record_epoch(flow, params);
+  const auto recorded = prefetch::record_epoch(flow, params);
 
   const auto report = obs::EpochReport::build(obs::build_replay_trace(recorded.record, {}),
                                               recorded.epoch.epoch_time);

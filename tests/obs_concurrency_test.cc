@@ -13,6 +13,7 @@
 #include "obs/critpath/critpath.h"
 #include "obs/critpath/whatif.h"
 #include "obs/trace.h"
+#include "prefetch/replay.h"
 #include "sim/cluster.h"
 #include "util/telemetry.h"
 
@@ -112,8 +113,8 @@ TEST(ObsConcurrency, TelemetryRegistryCreateExposeSnapshotRace) {
   EXPECT_EQ(registry.histogram("sophon_h").count(), 4u * 2000u);
 }
 
-obs::critpath::EpochParams concurrency_params() {
-  obs::critpath::EpochParams params;
+prefetch::EpochParams concurrency_params() {
+  prefetch::EpochParams params;
   params.cluster.compute_cores = 4;
   params.cluster.storage_cores = 2;
   params.cluster.bandwidth = Bandwidth::mbps(400.0);
@@ -122,7 +123,7 @@ obs::critpath::EpochParams concurrency_params() {
   params.seed = 42;
   params.epoch_index = 1;
   params.num_samples = 384;
-  params.discipline = obs::critpath::Discipline::kWorkerReplay;
+  params.discipline = prefetch::Discipline::kWorkerReplay;
   params.replay.workers = 3;
   params.replay.prefetch.depth = 8;
   return params;

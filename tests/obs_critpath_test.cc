@@ -16,6 +16,9 @@
 namespace sophon::obs::critpath {
 namespace {
 
+using prefetch::Discipline;
+using prefetch::EpochParams;
+
 constexpr std::size_t kSamples = 256;
 
 // Heterogeneous demands: a mix of offloaded and local samples, wire sizes
@@ -68,17 +71,6 @@ EpochParams worker_params() {
   return p;
 }
 
-double simulate_under(const EpochParams& p) {
-  if (p.discipline == Discipline::kWorkerReplay) {
-    return prefetch::replay_epoch(p.num_samples, flow_for, p.cluster, p.gpu_batch_time, p.seed,
-                                  p.epoch_index, p.replay)
-        .epoch.epoch_time.value();
-  }
-  return sim::simulate_epoch_flows(p.num_samples, flow_for, p.cluster, p.gpu_batch_time, p.seed,
-                                   p.epoch_index)
-      .epoch_time.value();
-}
-
 void expect_path_tiles(const Analysis& analysis) {
   ASSERT_FALSE(analysis.path.empty());
   EXPECT_EQ(analysis.path.front().begin.value(), 0.0);
@@ -93,7 +85,7 @@ void expect_path_tiles(const Analysis& analysis) {
 
 TEST(CritPath, BatchWindowRetimingMatchesSimulatorExactly) {
   const EpochParams p = batch_params();
-  const double simulated = simulate_under(p);
+  const double simulated = prefetch::run_epoch(flow_for, p).epoch.epoch_time.value();
   const Analysis analysis = analyze_epoch(demand_for, p, Seconds(simulated));
   EXPECT_DOUBLE_EQ(analysis.epoch_time.value(), simulated);
   EXPECT_LT(analysis.reconcile_error, 1e-12);
@@ -102,7 +94,7 @@ TEST(CritPath, BatchWindowRetimingMatchesSimulatorExactly) {
 
 TEST(CritPath, WorkerReplayRetimingMatchesReplayExactly) {
   const EpochParams p = worker_params();
-  const double simulated = simulate_under(p);
+  const double simulated = prefetch::run_epoch(flow_for, p).epoch.epoch_time.value();
   const Analysis analysis = analyze_epoch(demand_for, p, Seconds(simulated));
   EXPECT_DOUBLE_EQ(analysis.epoch_time.value(), simulated);
   EXPECT_LT(analysis.reconcile_error, 1e-12);
@@ -112,7 +104,7 @@ TEST(CritPath, WorkerReplayRetimingMatchesReplayExactly) {
 TEST(CritPath, DemandOnlyReplayMatchesToo) {
   EpochParams p = worker_params();
   p.replay.prefetch.depth = 0;  // pure demand fetching
-  const double simulated = simulate_under(p);
+  const double simulated = prefetch::run_epoch(flow_for, p).epoch.epoch_time.value();
   const Analysis analysis = analyze_epoch(demand_for, p, Seconds(simulated));
   EXPECT_DOUBLE_EQ(analysis.epoch_time.value(), simulated);
 }
@@ -131,7 +123,7 @@ TEST(CritPath, FaultyLinkRetimesIdentically) {
   for (const bool worker : {false, true}) {
     EpochParams p = worker ? worker_params() : batch_params();
     p.cluster.link_faults = &faults;
-    const double simulated = simulate_under(p);
+    const double simulated = prefetch::run_epoch(flow_for, p).epoch.epoch_time.value();
     const Analysis analysis = analyze_epoch(demand_for, p, Seconds(simulated));
     EXPECT_DOUBLE_EQ(analysis.epoch_time.value(), simulated)
         << (worker ? "worker replay" : "batch window");
@@ -172,7 +164,7 @@ TEST(CritPath, AnalyzerRecordsNoSpansWhileTracing) {
   for (const EpochParams& p : {batch_params(), worker_params()}) {
     (void)analyze_epoch(demand_for, p);
     (void)project(demand_for, p, default_scenarios(p));
-    (void)run_epoch(demand_for, p);
+    (void)prefetch::run_epoch(demand_for, p);
   }
   const EpochParams p = worker_params();
   (void)sim::simulate_epoch_flows(p.num_samples, flow_for, p.cluster, p.gpu_batch_time, p.seed,
@@ -210,11 +202,13 @@ TEST(WhatIf, ProjectionsMatchSimulatorRerunWithinTolerance) {
     const EpochParams base = worker ? worker_params() : batch_params();
     const auto scenarios = default_scenarios(base);
     ASSERT_GE(scenarios.size(), 3u);
-    const WhatIfReport report = project(demand_for, base, scenarios, Seconds(simulate_under(base)));
+    const WhatIfReport report =
+        project(demand_for, base, scenarios, prefetch::run_epoch(flow_for, base).epoch.epoch_time);
     EXPECT_LT(report.baseline.reconcile_error, 1e-12);
     ASSERT_EQ(report.ranked.size(), scenarios.size());
     for (const Projection& projection : report.ranked) {
-      const double resimulated = simulate_under(projection.params);
+      const double resimulated =
+          prefetch::run_epoch(flow_for, projection.params).epoch.epoch_time.value();
       ASSERT_GT(resimulated, 0.0);
       const double error =
           std::abs(projection.projected_epoch_time.value() - resimulated) / resimulated;
@@ -241,7 +235,8 @@ TEST(WhatIf, RankingIsDeterministicAndSorted) {
 
 TEST(CritPath, RenderAndJsonCarryTheStory) {
   const EpochParams p = batch_params();
-  const Analysis analysis = analyze_epoch(demand_for, p, Seconds(simulate_under(p)));
+  const Analysis analysis =
+      analyze_epoch(demand_for, p, prefetch::run_epoch(flow_for, p).epoch.epoch_time);
   const std::string text = analysis.render();
   EXPECT_NE(text.find("bottleneck"), std::string::npos);
   EXPECT_NE(text.find("reconciles"), std::string::npos);

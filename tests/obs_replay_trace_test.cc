@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "net/fault.h"
-#include "obs/critpath/critpath.h"
 #include "prefetch/replay.h"
 #include "sim/trainer.h"
 #include "util/check.h"
@@ -16,9 +15,9 @@
 namespace sophon::obs {
 namespace {
 
-using critpath::Discipline;
-using critpath::EpochParams;
-using critpath::RecordedEpoch;
+using prefetch::Discipline;
+using prefetch::EpochParams;
+using prefetch::RecordedEpoch;
 
 struct Fixture {
   dataset::Catalog catalog = dataset::Catalog::generate(dataset::openimages_profile(800), 42);
@@ -51,7 +50,7 @@ struct Fixture {
   }
 
   RecordedEpoch record(std::uint8_t prefix, Seconds gpu_batch_time) {
-    return critpath::record_epoch(flows(prefix), params(gpu_batch_time));
+    return prefetch::record_epoch(flows(prefix), params(gpu_batch_time));
   }
 };
 
@@ -74,23 +73,64 @@ TEST(Trace, OneRowPerSampleWithOrderedTimestamps) {
   }
 }
 
-TEST(Trace, TracedRunIsIdenticalToUntraced) {
-  Fixture f;
-  const auto flow = f.flows(0);
-  const auto traced = critpath::record_epoch(flow, f.params(Seconds::millis(25.0)));
-  const auto plain = sim::simulate_epoch_flows(f.catalog.size(), flow, f.cluster,
-                                               Seconds::millis(25.0), 42, 0);
-  EXPECT_DOUBLE_EQ(traced.epoch.epoch_time.value(), plain.epoch_time.value());
-  EXPECT_EQ(traced.epoch.traffic, plain.traffic);
+void expect_same_epoch(const sim::EpochStats& a, const sim::EpochStats& b) {
+  EXPECT_EQ(a.epoch_time.value(), b.epoch_time.value());
+  EXPECT_EQ(a.traffic, b.traffic);
+  EXPECT_EQ(a.gpu_busy.value(), b.gpu_busy.value());
+  EXPECT_EQ(a.gpu_utilization, b.gpu_utilization);
+  EXPECT_EQ(a.storage_cpu_busy.value(), b.storage_cpu_busy.value());
+  EXPECT_EQ(a.compute_cpu_busy.value(), b.compute_cpu_busy.value());
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.offloaded_samples, b.offloaded_samples);
+}
 
-  const auto params = f.params(Seconds::millis(25.0), Discipline::kWorkerReplay);
-  const auto traced_lanes = critpath::record_epoch(flow, params);
-  const auto plain_lanes = prefetch::replay_epoch(f.catalog.size(), flow, f.cluster,
-                                                  Seconds::millis(25.0), 42, 0, params.replay);
-  EXPECT_DOUBLE_EQ(traced_lanes.epoch.epoch_time.value(), plain_lanes.epoch.epoch_time.value());
-  EXPECT_EQ(traced_lanes.epoch.traffic, plain_lanes.epoch.traffic);
-  EXPECT_EQ(traced_lanes.prefetch.hits, plain_lanes.prefetch.hits);
-  EXPECT_EQ(traced_lanes.prefetch.worker_stall, plain_lanes.prefetch.worker_stall);
+// Every LaneStats field; max_inflight only when `inflight` is set.
+void expect_same_lanes(const sim::LaneStats& a, const sim::LaneStats& b, bool inflight) {
+  EXPECT_EQ(a.issued, b.issued);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.late_hits, b.late_hits);
+  EXPECT_EQ(a.demand_fetches, b.demand_fetches);
+  EXPECT_EQ(a.served_locally, b.served_locally);
+  EXPECT_EQ(a.skipped_deprioritized, b.skipped_deprioritized);
+  EXPECT_EQ(a.worker_stall.value(), b.worker_stall.value());
+  if (inflight) {
+    EXPECT_EQ(a.max_inflight, b.max_inflight);
+  }
+}
+
+TEST(Trace, TracedRunIsIdenticalToUntraced) {
+  // A recorded run is the plain run plus its record: every stat agrees but
+  // the link's in-flight peak, which only a plain worker-lane run counts.
+  // The positional entry points are run_epoch, field for field.
+  Fixture f;
+  const Seconds gpu = Seconds::millis(25.0);
+  for (const std::uint8_t prefix : {0, 2}) {
+    const auto flow = f.flows(prefix);
+    for (const Discipline discipline : {Discipline::kBatchWindow, Discipline::kWorkerReplay}) {
+      SCOPED_TRACE(testing::Message() << "prefix " << int{prefix} << ", discipline "
+                                      << static_cast<int>(discipline));
+      const EpochParams params = f.params(gpu, discipline);
+      const auto plain = prefetch::run_epoch(flow, params);
+      const auto traced = prefetch::record_epoch(flow, params);
+      expect_same_epoch(traced.epoch, plain.epoch);
+      expect_same_lanes(traced.prefetch, plain.prefetch, false);
+      EXPECT_EQ(traced.prefetch.max_inflight, 0u);
+      EXPECT_EQ(traced.epoch.offloaded_samples, prefix == 0 ? 0u : f.catalog.size());
+      if (discipline == Discipline::kBatchWindow) {
+        expect_same_epoch(
+            sim::simulate_epoch_flows(f.catalog.size(), flow, f.cluster, gpu, 42, 0), plain.epoch);
+        expect_same_lanes(plain.prefetch, sim::LaneStats{}, true);
+      } else {
+        const auto replayed =
+            prefetch::replay_epoch(f.catalog.size(), flow, f.cluster, gpu, 42, 0, params.replay);
+        expect_same_epoch(replayed.epoch, plain.epoch);
+        expect_same_lanes(replayed.prefetch, plain.prefetch, true);
+        EXPECT_GT(plain.prefetch.max_inflight, 0u);
+        EXPECT_GT(plain.prefetch.issued, 0u);
+      }
+    }
+  }
 }
 
 TEST(Trace, WireBytesSumToTraffic) {
@@ -182,7 +222,7 @@ TEST(Trace, ReplayTraceLabelsExactlyTheTracksItUses) {
   for (const std::size_t depth : {std::size_t{0}, std::size_t{8}}) {
     auto params = f.params(Seconds::millis(25.0), Discipline::kWorkerReplay);
     params.replay.prefetch.depth = depth;
-    const auto traced = critpath::record_epoch(f.flows(2), params);
+    const auto traced = prefetch::record_epoch(f.flows(2), params);
     const Trace trace = build_replay_trace(traced.record, {});
     const std::map<std::uint32_t, std::string> label_of(trace.labels.begin(),
                                                         trace.labels.end());

@@ -10,7 +10,6 @@
 
 #include "net/fault.h"
 #include "net/resilience.h"
-#include "obs/critpath/critpath.h"
 #include "obs/replay_trace.h"
 #include "prefetch/replay.h"
 #include "sim/cluster.h"
@@ -23,15 +22,15 @@ using Labels = std::vector<std::pair<std::uint32_t, std::string>>;
 
 /// The worker-lane epoch both replay tests trace: seed 42, epoch 1, and a
 /// 50 ms GPU step.
-critpath::EpochParams replay_params(const sim::ClusterConfig& cluster, std::size_t samples,
+prefetch::EpochParams replay_params(const sim::ClusterConfig& cluster, std::size_t samples,
                                     const prefetch::ReplayOptions& options) {
-  critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster = cluster;
   params.gpu_batch_time = Seconds(0.05);
   params.seed = 42;
   params.epoch_index = 1;
   params.num_samples = samples;
-  params.discipline = critpath::Discipline::kWorkerReplay;
+  params.discipline = prefetch::Discipline::kWorkerReplay;
   params.replay = options;
   return params;
 }
@@ -187,7 +186,7 @@ TEST(EpochReport, ReplayReconciliationWithinOnePercent) {
   options.workers = kWorkers;
   options.prefetch.depth = 16;
 
-  const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
+  const auto result = prefetch::record_epoch(flow, replay_params(cluster, kSamples, options));
   const SampleCostFn costs = [&](std::uint32_t) {
     SampleOpCosts detail;
     detail.compute_ops = {{"decode", compute_cost * 0.5}, {"augment", compute_cost * 0.5}};
@@ -269,7 +268,7 @@ TEST(EpochReport, FaultyReplayReconcilesWithRetryBucket) {
   options.workers = 4;
   options.prefetch.depth = 0;  // all demand: the flow runs exactly once per sample
 
-  const auto result = critpath::record_epoch(flow, replay_params(cluster, kSamples, options));
+  const auto result = prefetch::record_epoch(flow, replay_params(cluster, kSamples, options));
   const Trace trace = build_replay_trace(result.record, {});
   ASSERT_GT(replay_stats.retries, 0u);
   ASSERT_GT(replay_stats.backoff.value(), 0.0);

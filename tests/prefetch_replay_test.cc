@@ -4,7 +4,6 @@
 
 #include <set>
 
-#include "obs/critpath/critpath.h"
 
 namespace sophon::prefetch {
 namespace {
@@ -127,14 +126,14 @@ TEST(PrefetchReplay, LocallyServedSamplesMoveNoBytes) {
 }
 
 TEST(PrefetchReplay, TraceMarksPrefetchedSamples) {
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster = test_cluster();
   params.gpu_batch_time = Seconds::millis(5.0);
   params.seed = kSeed;
   params.num_samples = kSamples;
-  params.discipline = obs::critpath::Discipline::kWorkerReplay;
+  params.discipline = prefetch::Discipline::kWorkerReplay;
   params.replay = with_depth(8);
-  const auto result = obs::critpath::record_epoch(uniform_flow, params);
+  const auto result = prefetch::record_epoch(uniform_flow, params);
   const sim::Recorder& record = result.record;
   ASSERT_EQ(record.visits().size(), kSamples);
   std::set<std::int64_t> positions;

@@ -133,12 +133,12 @@ TEST(Trainer, OffloadWithZeroStorageCoresIsRejected) {
                                               0, options),
                  ContractViolation);
   }
-  obs::critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.cluster = f.cluster;
   params.gpu_batch_time = f.batch_time;
   params.num_samples = f.catalog.size();
   for (const auto discipline :
-       {obs::critpath::Discipline::kBatchWindow, obs::critpath::Discipline::kWorkerReplay}) {
+       {prefetch::Discipline::kBatchWindow, prefetch::Discipline::kWorkerReplay}) {
     params.discipline = discipline;
     EXPECT_THROW((void)obs::critpath::analyze_epoch(flow, params), ContractViolation);
   }

@@ -37,6 +37,7 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "pipeline/extra_ops.h"
+#include "prefetch/replay.h"
 #include "shard/format.h"
 #include "shard/pack.h"
 #include "shard/planner.h"
@@ -203,7 +204,7 @@ struct RunSpec {
   pipeline::CostModel cm{};
   core::OffloadPlan plan;
   /// The batch window unless --replay 1; the loader flags fill the lanes.
-  critpath::EpochParams params;
+  prefetch::EpochParams params;
 
   [[nodiscard]] sim::FlowFn flow() const {
     return sim::plan_flow(catalog, pipe, cm, plan.assignment());
@@ -213,9 +214,9 @@ struct RunSpec {
                                 params.gpu_batch_time);
   }
   /// The run on worker lanes with prefetch `depth`.
-  [[nodiscard]] critpath::EpochParams lanes(std::size_t depth) const {
+  [[nodiscard]] prefetch::EpochParams lanes(std::size_t depth) const {
     auto lanes = params;
-    lanes.discipline = critpath::Discipline::kWorkerReplay;
+    lanes.discipline = prefetch::Discipline::kWorkerReplay;
     lanes.replay.prefetch.depth = depth;
     return lanes;
   }
@@ -227,7 +228,7 @@ struct RunSpec {
 /// a prefix longer than the pipeline.
 std::optional<RunSpec> spec_from(const Flags& flags, long default_samples) {
   const auto corpus = corpus_from(flags, default_samples);
-  critpath::EpochParams params;
+  prefetch::EpochParams params;
   params.seed = corpus.seed;
   params.epoch_index = static_cast<std::size_t>(flags.integer_at_least("epoch", 0, 0));
   params.cluster = cluster_from(flags);
@@ -236,7 +237,7 @@ std::optional<RunSpec> spec_from(const Flags& flags, long default_samples) {
       static_cast<std::size_t>(flags.integer_at_least("prefetch-depth", 0, 0));
   params.replay.prefetch.bytes_budget =
       Bytes::mib(flags.integer_at_least("prefetch-budget-mib", 0, 0));
-  if (flags.integer("replay", 0) != 0) params.discipline = critpath::Discipline::kWorkerReplay;
+  if (flags.integer("replay", 0) != 0) params.discipline = prefetch::Discipline::kWorkerReplay;
   const auto gpu = model::GpuModel::lookup(model::NetKind::kAlexNet, model::GpuKind::kRtx6000);
   params.gpu_batch_time = gpu.batch_time(params.cluster.batch_size);
 
@@ -463,7 +464,7 @@ int cmd_simulate(const Flags& flags) {
 
   // Every view below schedules this one flow through the one dispatcher:
   // the headline on the batch window, the rest on worker lanes.
-  const auto stats = critpath::run_epoch(flow, spec.params).epoch;
+  const auto stats = prefetch::run_epoch(flow, spec.params).epoch;
   std::printf("epoch %.1f s | traffic %s | GPU util %.1f%% | offloaded %zu | storage CPU %.1fs\n",
               stats.epoch_time.value(), human_bytes(stats.traffic).c_str(),
               100.0 * stats.gpu_utilization, stats.offloaded_samples,
@@ -484,8 +485,8 @@ int cmd_simulate(const Flags& flags) {
   // lanes, demand vs. prefetch (see src/prefetch/).
   const std::size_t depth = spec.params.replay.prefetch.depth;
   if (depth > 0) {
-    const auto demand = critpath::run_epoch(flow, spec.lanes(0));
-    const auto prefetched = critpath::run_epoch(flow, spec.lanes(depth));
+    const auto demand = prefetch::run_epoch(flow, spec.lanes(0));
+    const auto prefetched = prefetch::run_epoch(flow, spec.lanes(depth));
     const double speedup =
         demand.epoch.epoch_time.value() / prefetched.epoch.epoch_time.value();
     std::printf(
@@ -512,7 +513,7 @@ int cmd_simulate(const Flags& flags) {
   const bool want_report = flags.flag("report");
   if (trace_out.empty() && !want_report && critpath_out.empty()) return 0;
   const auto params = spec.lanes(depth);
-  const auto traced = critpath::record_epoch(flow, params);
+  const auto traced = prefetch::record_epoch(flow, params);
 
   const obs::SampleCostFn costs = [&](std::uint32_t idx) {
     obs::SampleOpCosts detail;
@@ -579,7 +580,7 @@ int cmd_whatif(const Flags& flags) {
 
   // Schedule the baseline once: its record is both the analyzed critical
   // path and, through its own epoch time, the observed run.
-  const auto recorded = critpath::record_epoch(flow, params);
+  const auto recorded = prefetch::record_epoch(flow, params);
   const auto report = critpath::project(
       critpath::critical_path(recorded.record, recorded.epoch.epoch_time), flow, params,
       critpath::default_scenarios(params));
@@ -593,7 +594,7 @@ int cmd_whatif(const Flags& flags) {
     validated = 0;
     Json verdicts = Json::array();
     for (const auto& projection : report.ranked) {
-      const Seconds actual = critpath::run_epoch(flow, projection.params).epoch.epoch_time;
+      const Seconds actual = prefetch::run_epoch(flow, projection.params).epoch.epoch_time;
       const double reference = std::max(actual.value(), 1e-12);
       const double error =
           std::fabs(projection.projected_epoch_time.value() - actual.value()) / reference;
@@ -840,7 +841,7 @@ int cmd_evaluate(const Flags& flags) {
 int cmd_trace(const Flags& flags) {
   const auto spec = spec_from(flags, 8000);
   if (!spec) return 1;
-  const auto traced = critpath::record_epoch(spec->flow(), spec->params);
+  const auto traced = prefetch::record_epoch(spec->flow(), spec->params);
   std::printf("epoch %.1f s | traffic %s | mean per-sample latency %s\n",
               traced.epoch.epoch_time.value(), human_bytes(traced.epoch.traffic).c_str(),
               human_seconds(obs::mean_latency(traced.record)).c_str());
