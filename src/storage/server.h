@@ -8,9 +8,9 @@
 // the quantity the decision engine budgets as T_CS.
 //
 // The server is the innermost StorageService: clients usually reach it
-// through decorators (net::ResilientStorageService for retries, a shard
-// Router in clustered setups, net::FaultyStorageService in fault drills) —
-// see docs/ARCHITECTURE.md, "Life of an offloaded fetch".
+// through decorators (net::ResilientStorageService for retries,
+// net::FaultyStorageService in fault drills) — see docs/ARCHITECTURE.md,
+// "Life of an offloaded fetch".
 #pragma once
 
 #include <cstdint>

@@ -23,32 +23,9 @@ std::uint64_t derive_seed(std::uint64_t base, std::string_view label) {
   return derive_seed(base, h);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   SplitMix64 mixer(seed);
   for (auto& word : s_) word = mixer.next();
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits → double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {

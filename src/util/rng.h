@@ -50,10 +50,24 @@ class Rng {
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
   result_type operator()() { return next(); }
-  std::uint64_t next();
+
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits → double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -72,6 +86,10 @@ class Rng {
   double lognormal(double mu, double sigma);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
   bool has_spare_ = false;
   double spare_ = 0.0;
